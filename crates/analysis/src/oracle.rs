@@ -44,7 +44,6 @@ use pushsim::ChurnSpec;
 
 /// One broken invariant, reported by an [`Oracle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Violation {
     oracle: String,
     phase: Option<u64>,

@@ -949,7 +949,7 @@ fn run_scale(cli: &Cli) -> Result<(), Box<dyn Error>> {
         let share = dist.counts()[0] as f64 / dist.num_nodes() as f64;
         table.push_row(vec![
             format!("{n}"),
-            format!("{resolved:?}").to_lowercase(),
+            resolved.to_string(),
             format!("{}", outcome.rounds()),
             format!("{:.3e}", outcome.messages() as f64),
             format!("{share:.4}"),

@@ -43,12 +43,12 @@ use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::{json_line, Table};
 use noisy_channel::NoiseMatrix;
-use opinion_dynamics::RuleSpec;
+use opinion_dynamics::{DynamicsOutcome, RuleSpec};
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
 use plurality_core::{bounds, ExecutionBackend, ProtocolParams, TwoStageProtocol};
 use pushsim::{
-    BlockCountingNetwork, ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec,
-    Network, NoiseSchedule, Opinion, PhaseObservation, PushBackend, SimConfig, TopologySpec,
+    BackendVisitor, ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, Network, NoiseSchedule,
+    Opinion, PhaseObservation, PushBackend, SimConfig, SimConfigBuilder, SimError, TopologySpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -762,61 +762,13 @@ impl Runner {
                 let plurality = validate_counts(params, noise, &counts)?;
                 let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
                 let stop = dynamics_stop(budget, stop);
-                let resolved = spec.backend.resolve(
-                    point.n,
-                    point.k,
-                    spec.delivery,
-                    point.topology,
-                    point.fault,
-                    point.churn,
-                    point.clock,
-                );
-                let config = SimConfig::builder(point.n, point.k)
-                    .seed(derive_seed(spec.seed, point.index, trial))
-                    .delivery(spec.delivery)
-                    .topology(point.topology)
-                    .build()?;
-                let mut rng = StdRng::seed_from_u64(derive_seed(
-                    spec.seed ^ DECISION_SEED_SALT,
-                    point.index,
-                    trial,
-                ));
-                match resolved {
-                    ExecutionBackend::Agent => {
-                        let mut net = Network::new(config, noise.clone())?;
-                        net.seed_counts(&counts)?;
-                        rule.build::<Network>().run_until(
-                            &mut net,
-                            &mut rng,
-                            Some(plurality),
-                            &stop,
-                            observer,
-                        );
-                    }
-                    ExecutionBackend::Counting => {
-                        let mut net = CountingNetwork::new(config, noise.clone())?;
-                        PushBackend::seed_counts(&mut net, &counts)?;
-                        rule.build::<CountingNetwork>().run_until(
-                            &mut net,
-                            &mut rng,
-                            Some(plurality),
-                            &stop,
-                            observer,
-                        );
-                    }
-                    ExecutionBackend::BlockCounting => {
-                        let mut net = BlockCountingNetwork::new(config, noise.clone())?;
-                        PushBackend::seed_counts(&mut net, &counts)?;
-                        rule.build::<BlockCountingNetwork>().run_until(
-                            &mut net,
-                            &mut rng,
-                            Some(plurality),
-                            &stop,
-                            observer,
-                        );
-                    }
-                    ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
-                }
+                let dynamics = DynamicsPoint {
+                    rule: *rule,
+                    counts: &counts,
+                    plurality,
+                    stop: &stop,
+                };
+                self.dynamics_trial(point, trial, noise, dynamics, observer)?;
                 Ok(())
             }
             ScenarioKind::SampleMajorityGap { .. } | ScenarioKind::PhaseStats { .. } => {
@@ -869,10 +821,8 @@ impl Runner {
             adopt0: SampleStats::new(),
         };
         for trial in 0..spec.trials {
-            let config = SimConfig::builder(point.n, point.k)
+            let config = point_config(&point)
                 .seed(derive_seed(spec.seed, point.index, trial))
-                .delivery(point.delivery)
-                .topology(point.topology)
                 .build()?;
             let mut net = Network::new(config, noise.clone())?;
             net.seed_counts(counts)?;
@@ -907,9 +857,7 @@ impl Runner {
         Ok(summary)
     }
 
-    /// Runs the dynamics rule for every trial of one grid point. Each
-    /// `(point, trial)` cell derives its delivery and decision seeds from
-    /// the base seed, so results are a pure function of the spec.
+    /// Runs the dynamics rule for every trial of one grid point.
     fn dynamics_trials(
         &self,
         point: GridPoint,
@@ -920,68 +868,19 @@ impl Runner {
         noise: &NoiseMatrix,
     ) -> Result<DynamicsSummary, SpecError> {
         let spec = &self.spec;
-        let resolved = spec.backend.resolve(
-            point.n,
-            point.k,
-            spec.delivery,
-            point.topology,
-            point.fault,
-            point.churn,
-            point.clock,
-        );
         let stop = dynamics_stop(budget, &spec.stop.to_condition());
-
+        let dynamics = DynamicsPoint {
+            rule,
+            counts,
+            plurality,
+            stop: &stop,
+        };
         let mut consensus = 0u64;
         let mut correct = 0u64;
         let mut share = SampleStats::new();
         let mut rounds = SampleStats::new();
         for trial in 0..spec.trials {
-            let config = SimConfig::builder(point.n, point.k)
-                .seed(derive_seed(spec.seed, point.index, trial))
-                .delivery(spec.delivery)
-                .topology(point.topology)
-                .build()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(
-                spec.seed ^ DECISION_SEED_SALT,
-                point.index,
-                trial,
-            ));
-            let outcome = match resolved {
-                ExecutionBackend::Agent => {
-                    let mut net = Network::new(config, noise.clone())?;
-                    net.seed_counts(counts)?;
-                    rule.build::<Network>().run_until(
-                        &mut net,
-                        &mut rng,
-                        Some(plurality),
-                        &stop,
-                        &mut NoObserver,
-                    )
-                }
-                ExecutionBackend::Counting => {
-                    let mut net = CountingNetwork::new(config, noise.clone())?;
-                    PushBackend::seed_counts(&mut net, counts)?;
-                    rule.build::<CountingNetwork>().run_until(
-                        &mut net,
-                        &mut rng,
-                        Some(plurality),
-                        &stop,
-                        &mut NoObserver,
-                    )
-                }
-                ExecutionBackend::BlockCounting => {
-                    let mut net = BlockCountingNetwork::new(config, noise.clone())?;
-                    PushBackend::seed_counts(&mut net, counts)?;
-                    rule.build::<BlockCountingNetwork>().run_until(
-                        &mut net,
-                        &mut rng,
-                        Some(plurality),
-                        &stop,
-                        &mut NoObserver,
-                    )
-                }
-                ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
-            };
+            let outcome = self.dynamics_trial(point, trial, noise, dynamics, &mut NoObserver)?;
             if outcome.converged() {
                 consensus += 1;
             }
@@ -999,6 +898,98 @@ impl Runner {
             rounds,
         })
     }
+
+    /// Runs one dynamics trial of `point` on the spec's backend. Each
+    /// `(point, trial)` cell derives its delivery and decision seeds from
+    /// the base seed, so results are a pure function of the spec.
+    fn dynamics_trial(
+        &self,
+        point: GridPoint,
+        trial: u64,
+        noise: &NoiseMatrix,
+        dynamics: DynamicsPoint<'_>,
+        observer: &mut dyn Observer,
+    ) -> Result<DynamicsOutcome, SpecError> {
+        let spec = &self.spec;
+        let config = point_config(&point)
+            .seed(derive_seed(spec.seed, point.index, trial))
+            .build()?;
+        let rng = StdRng::seed_from_u64(derive_seed(
+            spec.seed ^ DECISION_SEED_SALT,
+            point.index,
+            trial,
+        ));
+        let trial = DynamicsTrial {
+            dynamics,
+            rng,
+            observer,
+        };
+        Ok(pushsim::build_and_visit(
+            config,
+            noise.clone(),
+            spec.backend,
+            trial,
+        )??)
+    }
+}
+
+/// The per-point inputs of a dynamics scenario's trials.
+#[derive(Clone, Copy)]
+struct DynamicsPoint<'a> {
+    rule: RuleSpec,
+    counts: &'a [usize],
+    plurality: Opinion,
+    stop: &'a StopCondition,
+}
+
+/// One dynamics trial waiting for its network.
+struct DynamicsTrial<'a> {
+    dynamics: DynamicsPoint<'a>,
+    rng: StdRng,
+    observer: &'a mut dyn Observer,
+}
+
+impl BackendVisitor<Result<DynamicsOutcome, SimError>> for DynamicsTrial<'_> {
+    fn visit<B: PushBackend>(mut self, mut net: B) -> Result<DynamicsOutcome, SimError> {
+        let DynamicsPoint {
+            rule,
+            counts,
+            plurality,
+            stop,
+        } = self.dynamics;
+        net.seed_counts(counts)?;
+        Ok(rule.build::<B>().run_until(
+            &mut net,
+            &mut self.rng,
+            Some(plurality),
+            stop,
+            self.observer,
+        ))
+    }
+}
+
+/// The backend the runner builds a spec's networks on: the agent backend
+/// for `phase` scenarios, whose per-node inbox moments only it has (see
+/// `phase_stats_point`), the spec's own backend otherwise, and none for
+/// `gap` scenarios, which simulate no network.
+pub(crate) fn network_backend(spec: &ScenarioSpec) -> Option<ExecutionBackend> {
+    match spec.kind {
+        ScenarioKind::SampleMajorityGap { .. } => None,
+        ScenarioKind::PhaseStats { .. } => Some(ExecutionBackend::Agent),
+        _ => Some(spec.backend),
+    }
+}
+
+/// The simulator configuration (without its seed) every network of
+/// `point` is built from — and the one spec validation admits.
+pub(crate) fn point_config(point: &GridPoint) -> SimConfigBuilder {
+    SimConfig::builder(point.n, point.k)
+        .delivery(point.delivery)
+        .topology(point.topology)
+        .fault(point.fault)
+        .churn(point.churn)
+        .schedule(point.schedule)
+        .clock(point.clock)
 }
 
 /// The dynamics' effective stop condition: the round budget and consensus
@@ -1024,7 +1015,7 @@ fn emit_rows<W: Write + ?Sized>(out: &mut W, spec: &ScenarioSpec, result: &Point
     let _ = out.flush();
 }
 
-fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
+pub(crate) fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
     if values.is_empty() {
         vec![base]
     } else {

@@ -54,6 +54,9 @@ pub fn cell_spec(spec: &ScenarioSpec, point: &GridPoint) -> ScenarioSpec {
     cell.delivery = point.delivery;
     cell.topology = point.topology;
     cell.fault = point.fault;
+    cell.churn = point.churn;
+    cell.schedule = point.schedule;
+    cell.clock = point.clock;
     cell.metrics = spec.effective_metrics();
     if let Some(bias) = point.bias {
         if let ScenarioKind::PluralityConsensus { init } | ScenarioKind::Stage2Only { init } =
@@ -158,6 +161,7 @@ impl JobHandler for SpecService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pushsim::{ChurnSpec, NoiseSchedule};
 
     fn sweep_spec() -> ScenarioSpec {
         ScenarioSpec::from_text(
@@ -182,6 +186,19 @@ mod tests {
         let svc = SpecService;
         let plan = svc.plan(&sweep_spec().to_text()).expect("plan");
         assert!(plan.cells.is_some(), "protocol summary sweeps decompose");
+        let mut streamed = Vec::new();
+        svc.run(&plan.job, &mut streamed).expect("whole run");
+        assert_eq!(run_decomposed(&plan), String::from_utf8(streamed).unwrap());
+    }
+
+    #[test]
+    fn temporal_sweep_cells_reproduce_streamed_bytes() {
+        let svc = SpecService;
+        let mut spec = sweep_spec();
+        spec.sweep = SweepAxes::default();
+        spec.sweep.churn = vec![ChurnSpec::none(), "leave(0.1)".parse().unwrap()];
+        spec.sweep.schedule = vec![NoiseSchedule::Const, "step(0.4@1)".parse().unwrap()];
+        let plan = svc.plan(&spec.to_text()).expect("plan");
         let mut streamed = Vec::new();
         svc.run(&plan.job, &mut streamed).expect("whole run");
         assert_eq!(run_decomposed(&plan), String::from_utf8(streamed).unwrap());

@@ -41,15 +41,11 @@
 //! `ring`, `torus` (`n` must be a perfect square), `regular(d)` (a random
 //! simple `d`-regular graph) or `er(p)` (Erdős–Rényi `G(n, p)`). The
 //! `sweep.topology` axis sweeps it, e.g.
-//! `sweep.topology = complete, ring, regular(8)`. Non-complete topologies
-//! run on the agent backend with exact (process O) delivery, or — for the
-//! vertex-transitive families (`ring`, `torus`, `regular(d)`) — on the
-//! degree-class block-counting backend (`backend = blockcounting`) with
-//! Poissonized (process P) delivery, where a phase costs O(k²·C)
-//! regardless of `n`. Process B and the plain counting backend remain
-//! complete-graph notions, and [`validate`](ScenarioSpec::validate)
-//! rejects inconsistent combinations (including topology parameters that
-//! are infeasible for the swept `n` values).
+//! `sweep.topology = complete, ring, regular(8)`.
+//! [`validate`](ScenarioSpec::validate) admits every grid point against
+//! the backend it will run on ([`pushsim::admission`]), so a combination
+//! no backend runs — process P on a ring on the agent backend, say — is
+//! refused when the spec loads.
 //!
 //! ## Faults
 //!
@@ -59,11 +55,9 @@
 //! next phase, `crash(f@s)` silences a fraction `f` of the agents after
 //! phase `s`, and `byz(f:j)` makes a fraction `f` always push opinion `j`;
 //! families combine with `+`. The `sweep.fault` axis sweeps fault specs,
-//! e.g. `sweep.fault = none, drop(0.1), byz(0.1:1)`. Faults are
-//! complete-graph-only, and delayed delivery needs the agent backend;
-//! [`validate`](ScenarioSpec::validate) rejects inconsistent combinations
-//! statically. The `xp campaign` driver runs a spec's fault grid against
-//! invariant oracles over many seeds.
+//! e.g. `sweep.fault = none, drop(0.1), byz(0.1:1)`. The `xp campaign`
+//! driver runs a spec's fault grid against invariant oracles over many
+//! seeds.
 //!
 //! Run it with `xp run --spec path.spec` (see the `xp` binary), or from
 //! code:
@@ -82,7 +76,8 @@
 //! # }
 //! ```
 
-use noisy_channel::{NoiseError, NoiseMatrix, NoiseSpec};
+use crate::runner;
+use noisy_channel::{NoiseError, NoiseSpec};
 use opinion_dynamics::RuleSpec;
 use plurality_core::{ExecutionBackend, ProtocolConstants, ProtocolError, StopCondition};
 use pushsim::{
@@ -646,8 +641,10 @@ impl ScenarioSpec {
     }
 
     /// Checks cross-field consistency (axis/kind compatibility, metric
-    /// support, non-degenerate trials). Parameter *ranges* are validated by
-    /// the underlying builders when the run is materialized.
+    /// support, non-degenerate trials) and admits every grid point's
+    /// simulator configuration against the backend the runner will use
+    /// there. Noise and protocol parameters are validated by their
+    /// builders when the run is materialized.
     ///
     /// # Errors
     ///
@@ -728,316 +725,91 @@ impl ScenarioSpec {
             )));
         }
         self.validate_kind_specific_axes()?;
-        self.validate_topology()?;
-        self.validate_fault()?;
-        self.validate_temporal()?;
+        self.validate_network_axes()?;
         self.validate_observe_and_stop()?;
-        Ok(())
+        self.validate_grid()
     }
 
-    /// The topology values a run will actually use (base or swept).
-    fn effective_topologies(&self) -> &[TopologySpec] {
-        if self.sweep.topology.is_empty() {
-            std::slice::from_ref(&self.topology)
-        } else {
-            &self.sweep.topology
-        }
-    }
-
-    /// Checks topology/kind/delivery/backend consistency and that every
-    /// `(topology, n)` grid combination is feasible, so topology errors
-    /// surface at spec validation instead of as run-time panics deep in
-    /// the trial harness.
-    fn validate_topology(&self) -> Result<(), SpecError> {
+    /// Checks which kinds may set the network axes: the topology applies to
+    /// every kind that simulates a network, faults and the temporal axes
+    /// to protocol kinds only. Also rejects two combinations with no
+    /// observable effect: a crash scheduled after the run's round budget,
+    /// and a ramp schedule next to an ε sweep.
+    fn validate_network_axes(&self) -> Result<(), SpecError> {
         let simulates = self.kind.is_protocol()
             || self.kind.is_dynamics()
             || matches!(self.kind, ScenarioKind::PhaseStats { .. });
-        if !simulates {
-            if !self.topology.is_complete() || !self.sweep.topology.is_empty() {
+        if !simulates && (!self.topology.is_complete() || !self.sweep.topology.is_empty()) {
+            return Err(SpecError::Invalid(format!(
+                "topology applies only to scenarios that simulate a network, not {}",
+                self.kind.name()
+            )));
+        }
+        let faults = runner::non_empty_or(&self.sweep.fault, self.fault);
+        let schedules = runner::non_empty_or(&self.sweep.schedule, self.schedule);
+        if !self.kind.is_protocol() {
+            if !self.fault.is_none() || !self.sweep.fault.is_empty() {
                 return Err(SpecError::Invalid(format!(
-                    "topology applies only to scenarios that simulate a network, not {}",
+                    "fault / sweep.fault apply only to protocol scenarios \
+                     (rumor, plurality, stage2), not {}",
                     self.kind.name()
                 )));
             }
-            return Ok(());
-        }
-        let ns = if self.sweep.n.is_empty() {
-            std::slice::from_ref(&self.n)
-        } else {
-            &self.sweep.n
-        };
-        let deliveries = if self.sweep.delivery.is_empty() {
-            std::slice::from_ref(&self.delivery)
-        } else {
-            &self.sweep.delivery
-        };
-        for topology in self.effective_topologies() {
-            for &n in ns {
-                topology.check(n).map_err(|e| SpecError::Invalid(e.to_string()))?;
-            }
-            if topology.is_complete() {
-                continue;
-            }
-            // Each delivery the grid uses must be admissible on this
-            // topology: process O always (agent backend), process P on the
-            // vertex-transitive families only (the block-counting
-            // backend's certified set), process B never.
-            for &delivery in deliveries {
-                let admitted = match delivery {
-                    DeliverySemantics::Exact => true,
-                    DeliverySemantics::Poissonized => topology.is_vertex_transitive(),
-                    DeliverySemantics::BallsIntoBins => false,
-                };
-                if !admitted {
-                    return Err(SpecError::Invalid(format!(
-                        "topology {topology} does not admit {} delivery — sparse \
-                         graphs run process O on the agent backend, and the \
-                         vertex-transitive families additionally run process P \
-                         on the block-counting backend",
-                        delivery.spec_name()
-                    )));
-                }
-            }
-            if self.backend == ExecutionBackend::Counting {
+            let temporal = !self.churn.is_none()
+                || !self.schedule.is_const()
+                || !self.clock.is_sync()
+                || !self.sweep.churn.is_empty()
+                || !self.sweep.schedule.is_empty()
+                || !self.sweep.clock.is_empty();
+            if temporal {
                 return Err(SpecError::Invalid(format!(
-                    "topology {topology} cannot run on the counting backend \
-                     (it is statically complete-graph-only); use blockcounting, \
-                     agent or auto"
+                    "churn / schedule / clock apply only to protocol scenarios \
+                     (rumor, plurality, stage2), not {}",
+                    self.kind.name()
                 )));
             }
         }
-        Ok(())
-    }
-
-    /// The fault values a run will actually use (base or swept).
-    fn effective_faults(&self) -> &[FaultSpec] {
-        if self.sweep.fault.is_empty() {
-            std::slice::from_ref(&self.fault)
-        } else {
-            &self.sweep.fault
-        }
-    }
-
-    /// Checks fault/kind/topology/backend consistency statically, so fault
-    /// campaigns fail at spec validation instead of per grid cell at run
-    /// time.
-    fn validate_fault(&self) -> Result<(), SpecError> {
-        let enabled = !self.fault.is_none() || !self.sweep.fault.is_empty();
-        if !enabled {
-            return Ok(());
-        }
-        if !self.kind.is_protocol() {
-            return Err(SpecError::Invalid(format!(
-                "fault / sweep.fault apply only to protocol scenarios \
-                 (rumor, plurality, stage2), not {}",
-                self.kind.name()
-            )));
-        }
-        let ks = if self.sweep.k.is_empty() {
-            std::slice::from_ref(&self.k)
-        } else {
-            &self.sweep.k
-        };
-        for fault in self.effective_faults() {
-            for &k in ks {
-                fault
-                    .check(k)
-                    .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            }
-            if fault.is_none() {
-                continue;
-            }
-            if let Some(bad) = self.effective_topologies().iter().find(|t| !t.is_complete()) {
+        if let Some(max_rounds) = self.stop.max_rounds {
+            // Completing phase s takes at least s + 1 rounds (every phase
+            // runs at least one round), so a crash scheduled after phase s
+            // can never act before the stop fires.
+            if let Some(crash) = faults
+                .iter()
+                .filter_map(|f| f.crash)
+                .find(|crash| crash.after_phase + 1 >= max_rounds)
+            {
                 return Err(SpecError::Invalid(format!(
-                    "fault {fault} requires the complete graph, not topology {bad}"
+                    "crash after phase {} can never activate: stop.max_rounds = \
+                     {max_rounds} ends the run first",
+                    crash.after_phase
                 )));
             }
-            if self.backend == ExecutionBackend::BlockCounting {
+        }
+        if !self.sweep.eps.is_empty() {
+            if let Some(ramp) = schedules
+                .iter()
+                .find(|s| matches!(s, NoiseSchedule::Ramp { .. }))
+            {
                 return Err(SpecError::Invalid(format!(
-                    "fault {fault} cannot run on the block-counting backend \
-                     (it rejects all faults); use agent, counting or auto"
-                )));
-            }
-            if fault.delay > 0.0 && self.backend == ExecutionBackend::Counting {
-                return Err(SpecError::Invalid(format!(
-                    "fault {fault} uses delayed delivery, which the counting backend \
-                     cannot buffer; use agent or auto"
-                )));
-            }
-            if let (Some(crash), Some(max_rounds)) = (fault.crash, self.stop.max_rounds) {
-                // Completing phase s takes at least s + 1 rounds (every
-                // phase runs at least one round), so a crash scheduled
-                // after phase s can never act before the stop fires.
-                if crash.after_phase + 1 >= max_rounds {
-                    return Err(SpecError::Invalid(format!(
-                        "crash after phase {} can never activate: stop.max_rounds = \
-                         {max_rounds} ends the run first",
-                        crash.after_phase
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The churn values a run will actually use (base or swept).
-    fn effective_churns(&self) -> &[ChurnSpec] {
-        if self.sweep.churn.is_empty() {
-            std::slice::from_ref(&self.churn)
-        } else {
-            &self.sweep.churn
-        }
-    }
-
-    /// The noise schedules a run will actually use (base or swept).
-    fn effective_schedules(&self) -> &[NoiseSchedule] {
-        if self.sweep.schedule.is_empty() {
-            std::slice::from_ref(&self.schedule)
-        } else {
-            &self.sweep.schedule
-        }
-    }
-
-    /// The clock models a run will actually use (base or swept).
-    fn effective_clocks(&self) -> &[ClockSpec] {
-        if self.sweep.clock.is_empty() {
-            std::slice::from_ref(&self.clock)
-        } else {
-            &self.sweep.clock
-        }
-    }
-
-    /// Checks temporal-axis/kind/topology/fault/backend consistency
-    /// statically, mirroring the simulator's own admission rules so churn
-    /// and schedule campaigns fail at spec validation instead of per grid
-    /// cell at run time.
-    fn validate_temporal(&self) -> Result<(), SpecError> {
-        let enabled = !self.churn.is_none()
-            || !self.schedule.is_const()
-            || !self.clock.is_sync()
-            || !self.sweep.churn.is_empty()
-            || !self.sweep.schedule.is_empty()
-            || !self.sweep.clock.is_empty();
-        if !enabled {
-            return Ok(());
-        }
-        if !self.kind.is_protocol() {
-            return Err(SpecError::Invalid(format!(
-                "churn / schedule / clock apply only to protocol scenarios \
-                 (rumor, plurality, stage2), not {}",
-                self.kind.name()
-            )));
-        }
-        let ks = if self.sweep.k.is_empty() {
-            std::slice::from_ref(&self.k)
-        } else {
-            &self.sweep.k
-        };
-        for churn in self.effective_churns() {
-            for &k in ks {
-                churn
-                    .check(k)
-                    .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            }
-            if churn.has_population_churn() {
-                if let Some(bad) = self.effective_topologies().iter().find(|t| !t.is_complete())
-                {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} reshapes the population, which requires the \
-                         complete graph, not topology {bad}"
-                    )));
-                }
-                if let Some(bad) = self.effective_faults().iter().find(|f| {
-                    f.crash.is_some() || f.byzantine.is_some() || f.delay > 0.0
-                }) {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} cannot compose with the identity-pinning fault \
-                         {bad} (crash, byzantine and delay track per-agent identity \
-                         that arrivals and departures would scramble)"
-                    )));
-                }
-            }
-            if churn.has_edge_churn() {
-                if let Some(bad) =
-                    self.effective_topologies().iter().find(|t| !t.is_resampleable())
-                {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} rewires edges, which requires a resampleable \
-                         random topology (regular(d) or gnp(p)), not {bad}"
-                    )));
-                }
-                if self.delivery != DeliverySemantics::Exact {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} rewires edges between rounds, which requires \
-                         exact delivery (process O), not {}",
-                        self.delivery.spec_name()
-                    )));
-                }
-                if matches!(
-                    self.backend,
-                    ExecutionBackend::Counting | ExecutionBackend::BlockCounting
-                ) {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} rewires edges, which only the agent backend \
-                         simulates; use agent or auto"
-                    )));
-                }
-            }
-        }
-        for schedule in self.effective_schedules() {
-            schedule
-                .check()
-                .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            // Every ε the schedule will inject must keep the uniform noise
-            // matrix valid (ε ≤ 1 − 1/k) for every k in the grid.
-            let epsilons = match *schedule {
-                NoiseSchedule::Const => vec![],
-                NoiseSchedule::Step { epsilon, .. } | NoiseSchedule::Burst { epsilon, .. } => {
-                    vec![epsilon]
-                }
-                NoiseSchedule::Ramp { start, end, .. } => vec![start, end],
-            };
-            for eps in epsilons {
-                for &k in ks {
-                    NoiseMatrix::uniform(k, eps).map_err(|e| {
-                        SpecError::Invalid(format!("schedule {schedule}: {e}"))
-                    })?;
-                }
-            }
-            if matches!(schedule, NoiseSchedule::Ramp { .. }) && !self.sweep.eps.is_empty() {
-                return Err(SpecError::Invalid(format!(
-                    "schedule {schedule} overrides ε in every phase, so sweep.eps \
+                    "schedule {ramp} overrides ε in every phase, so sweep.eps \
                      would have no observable effect"
                 )));
             }
         }
-        for clock in self.effective_clocks() {
-            clock
-                .check()
-                .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            if clock.is_sync() {
-                continue;
-            }
-            if matches!(
-                self.backend,
-                ExecutionBackend::Counting | ExecutionBackend::BlockCounting
-            ) {
-                return Err(SpecError::Invalid(format!(
-                    "clock {clock} desynchronizes agents, which the aggregate \
-                     counting backends cannot represent; use agent or auto"
-                )));
-            }
-            if self.delivery != DeliverySemantics::Exact {
-                if let Some(bad) =
-                    self.effective_topologies().iter().find(|t| !t.is_complete())
-                {
-                    return Err(SpecError::Invalid(format!(
-                        "clock {clock} on topology {bad} requires exact delivery \
-                         (process O), not {}",
-                        self.delivery.spec_name()
-                    )));
-                }
-            }
+        Ok(())
+    }
+
+    /// Builds the simulator configuration of every grid point and admits
+    /// it against the backend the runner will use there, so a spec that
+    /// validates never fails admission at run time.
+    fn validate_grid(&self) -> Result<(), SpecError> {
+        let Some(backend) = runner::network_backend(self) else {
+            return Ok(());
+        };
+        let invalid = |e: SimError| SpecError::Invalid(e.to_string());
+        for point in runner::expand_grid(self) {
+            let config = runner::point_config(&point).build().map_err(invalid)?;
+            pushsim::admit(&config, backend).map_err(invalid)?;
         }
         Ok(())
     }
@@ -1214,7 +986,7 @@ impl ScenarioSpec {
         if !self.clock.is_sync() {
             line("clock", self.clock.to_string());
         }
-        line("backend", backend_name(self.backend).to_string());
+        line("backend", self.backend.to_string());
         line("trials", self.trials.to_string());
         line("seed", self.seed.to_string());
         let defaults = ProtocolConstants::default();
@@ -1514,15 +1286,6 @@ fn init_lines(line: &mut impl FnMut(&str, String), init: &InitSpec) {
     match init {
         InitSpec::Biased { bias } => line("bias", bias.to_string()),
         InitSpec::Counts(counts) => line("counts", join(counts)),
-    }
-}
-
-fn backend_name(backend: ExecutionBackend) -> &'static str {
-    match backend {
-        ExecutionBackend::Agent => "agent",
-        ExecutionBackend::Counting => "counting",
-        ExecutionBackend::BlockCounting => "blockcounting",
-        ExecutionBackend::Auto => "auto",
     }
 }
 

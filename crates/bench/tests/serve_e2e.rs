@@ -150,3 +150,37 @@ fn sweep_cells_are_reused_across_submissions() {
     assert_eq!(json_u64(&after_single, "cell_misses"), warmed_misses, "{after_single}");
     handle.shutdown_and_wait();
 }
+
+/// A spec that fails backend admission is refused at POST time with a
+/// 400, before it can reach (and kill) the only worker: the next job
+/// still runs to completion.
+#[test]
+fn specs_failing_admission_are_refused_and_the_worker_stays_free() {
+    let refused = "scenario = rumor\nn = 256\nk = 2\nepsilon = 0.3\n\
+                   delivery = poisson\ntopology = ring\nbackend = agent\n";
+    let handle = Server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        SpecService,
+    )
+    .expect("server starts");
+    let addr = handle.addr();
+    let response =
+        http::request(addr, "POST", "/v1/runs", refused.as_bytes()).expect("submit completes");
+    assert_eq!(response.status, 400, "{}", response.text());
+    assert!(
+        response.text().contains("agent backend"),
+        "{}",
+        response.text()
+    );
+
+    let next = submit(
+        addr,
+        &refused.replace("backend = agent", "backend = blockcounting"),
+    );
+    wait_for_done(addr, json_u64(&next.text(), "id"));
+    handle.shutdown_and_wait();
+}

@@ -46,7 +46,7 @@ fn topology_strategy() -> impl Strategy<Value = TopologySpec> {
 /// Fault specs valid for a `k`-opinion protocol by construction:
 /// probabilities stay inside `[0, 1]`, the Byzantine opinion is below
 /// `k`, and the crashed + Byzantine fractions sum below 1 (each stays
-/// under 0.5). Crash phases are small so they can be clamped against any
+/// under 0.5). Crash phases are small, so most activate before a
 /// generated `stop.max_rounds`. All-disabled specs (`none`) are generated
 /// too and must round-trip like any other value.
 fn fault_strategy(k: usize) -> impl Strategy<Value = FaultSpec> {
@@ -69,19 +69,18 @@ fn fault_strategy(k: usize) -> impl Strategy<Value = FaultSpec> {
         })
 }
 
-/// Population-churn specs valid for a `k`-opinion protocol by
-/// construction: rates stay below 0.3 (so `leave + burst.fraction < 1`),
-/// the optional join opinion is below `k`, and `rewire` stays 0 — edge
-/// churn composes only with resampleable topologies and is covered by the
-/// spec module's unit tests instead. All-disabled specs (`none`) are
-/// generated too and must round-trip like any other value.
+/// Churn specs valid for a `k`-opinion protocol by construction: rates
+/// stay below 0.3 (so `leave + burst.fraction < 1`) and the optional join
+/// opinion is below `k`. All-disabled specs (`none`) are generated too and
+/// must round-trip like any other value.
 fn churn_strategy(k: usize) -> impl Strategy<Value = ChurnSpec> {
     (
         prop::option::of(((0.01f64..0.3), prop::option::of(0..k))),
         prop::option::of(0.01f64..0.3),
         prop::option::of(((0.01f64..0.3), 0u64..4)),
+        prop::option::of(0.01f64..1.0),
     )
-        .prop_map(|(join, leave, burst)| ChurnSpec {
+        .prop_map(|(join, leave, burst, rewire)| ChurnSpec {
             join: join.map_or(0.0, |(rate, _)| rate),
             join_opinion: join.and_then(|(_, opinion)| opinion),
             leave: leave.unwrap_or(0.0),
@@ -89,7 +88,7 @@ fn churn_strategy(k: usize) -> impl Strategy<Value = ChurnSpec> {
                 fraction,
                 after_phase,
             }),
-            rewire: 0.0,
+            rewire: rewire.unwrap_or(0.0),
         })
 }
 
@@ -255,6 +254,16 @@ fn metrics_strategy(kind: &ScenarioKind) -> BoxedStrategy<Vec<Metric>> {
     prop::collection::vec(prop::sample::select(pool), 0..5).boxed()
 }
 
+/// Applies `set` to a copy of `spec` and adopts the copy only if it still
+/// validates.
+fn keep_if_valid(spec: &mut ScenarioSpec, set: impl FnOnce(&mut ScenarioSpec)) {
+    let mut candidate = spec.clone();
+    set(&mut candidate);
+    if candidate.validate().is_ok() {
+        *spec = candidate;
+    }
+}
+
 fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (2usize..6)
         .prop_flat_map(|k| (Just(k), kind_strategy(k)))
@@ -263,17 +272,10 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
             let metrics = metrics_strategy(&kind);
             let observe = observe_strategy(&kind);
             let stop = stop_strategy(&kind);
-            // Faults apply only to protocol scenarios; everything else
-            // keeps the all-disabled default.
-            let faults: BoxedStrategy<(FaultSpec, Vec<FaultSpec>)> = if kind.is_protocol() {
-                (
-                    fault_strategy(k),
-                    prop::collection::vec(fault_strategy(k), 0..3),
-                )
-                    .boxed()
-            } else {
-                Just((FaultSpec::none(), Vec::new())).boxed()
-            };
+            let faults = (
+                fault_strategy(k),
+                prop::collection::vec(fault_strategy(k), 0..3),
+            );
             (
                 (Just(k), Just(kind), 100usize..100_000, 0.01f64..0.9),
                 (
@@ -282,6 +284,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                     prop::sample::select(vec![
                         ExecutionBackend::Agent,
                         ExecutionBackend::Counting,
+                        ExecutionBackend::BlockCounting,
                         ExecutionBackend::Auto,
                     ]),
                 ),
@@ -318,85 +321,6 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
             spec.trials = trials;
             spec.seed = seed;
             spec.sweep = sweep;
-            // Delayed delivery needs a backend that can buffer messages
-            // across phases (not counting), and a crash must be able to
-            // activate before any round budget stops the run; repair the
-            // generated faults where those static checks would fire.
-            fn fix_fault(fault: &mut FaultSpec, counting: bool, max_rounds: Option<u64>) {
-                if counting {
-                    fault.delay = 0.0;
-                }
-                if let Some(max) = max_rounds {
-                    match &mut fault.crash {
-                        Some(crash) if max >= 2 => {
-                            crash.after_phase = crash.after_phase.min(max - 2);
-                        }
-                        Some(_) => fault.crash = None,
-                        None => {}
-                    }
-                }
-            }
-            spec.fault = fault;
-            spec.sweep.fault = fault_axis;
-            let counting = spec.backend == ExecutionBackend::Counting;
-            fix_fault(&mut spec.fault, counting, stop.max_rounds);
-            for fault in &mut spec.sweep.fault {
-                fix_fault(fault, counting, stop.max_rounds);
-            }
-            let faults_enabled = !spec.fault.is_none() || !spec.sweep.fault.is_empty();
-            // Non-complete topologies are only valid with exact delivery
-            // on a non-counting backend, without faults (which require the
-            // complete graph), and `gap` has no network at all; apply the
-            // generated topology where it is consistent.
-            let simulates = spec.kind.is_protocol()
-                || matches!(
-                    spec.kind,
-                    ScenarioKind::DynamicsRule { .. } | ScenarioKind::PhaseStats { .. }
-                );
-            if simulates
-                && spec.delivery == DeliverySemantics::Exact
-                && spec.backend != ExecutionBackend::Counting
-                && spec.sweep.delivery.is_empty()
-                && !faults_enabled
-            {
-                spec.topology = topology;
-                spec.sweep.topology = topology_axis;
-            }
-            // Temporal axes are protocol-only. Population churn further
-            // requires the complete graph and no identity-pinning fault
-            // (crash/byzantine/delay), a ramp schedule excludes an eps
-            // sweep (it would override every swept ε), and non-sync
-            // clocks cannot run on the counting backend; apply the
-            // generated temporal values where they are consistent.
-            if spec.kind.is_protocol() {
-                let pins_identity = |f: &FaultSpec| {
-                    f.crash.is_some() || f.byzantine.is_some() || f.delay > 0.0
-                };
-                if spec.topology.is_complete()
-                    && spec.sweep.topology.is_empty()
-                    && !pins_identity(&spec.fault)
-                    && spec.sweep.fault.iter().all(|f| !pins_identity(f))
-                {
-                    spec.churn = churn;
-                    spec.sweep.churn = churn_axis;
-                }
-                let eps_swept = !spec.sweep.eps.is_empty();
-                fn fix_schedule(s: NoiseSchedule, eps_swept: bool) -> NoiseSchedule {
-                    if eps_swept && matches!(s, NoiseSchedule::Ramp { .. }) {
-                        NoiseSchedule::Const
-                    } else {
-                        s
-                    }
-                }
-                spec.schedule = fix_schedule(schedule, eps_swept);
-                spec.sweep.schedule = schedule_axis
-                    .into_iter()
-                    .map(|s| fix_schedule(s, eps_swept))
-                    .collect();
-                if spec.backend != ExecutionBackend::Counting {
-                    spec.clock = clock;
-                }
-            }
             // The observe mode fixes the columns; explicit metrics are
             // only valid in summary mode.
             spec.observe = observe;
@@ -410,6 +334,26 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
             spec.constants.set("s", s);
             spec.constants.set("beta", s + gap);
             spec.constants.set("phi", s + 2.0 * gap);
+            // The network axes go in last, each generated value kept only
+            // if the spec still validates with it: validation is the one
+            // statement of which combinations run.
+            keep_if_valid(&mut spec, |s| s.topology = topology);
+            for t in topology_axis {
+                keep_if_valid(&mut spec, |s| s.sweep.topology.push(t));
+            }
+            keep_if_valid(&mut spec, |s| s.fault = fault);
+            for f in fault_axis {
+                keep_if_valid(&mut spec, |s| s.sweep.fault.push(f));
+            }
+            keep_if_valid(&mut spec, |s| s.churn = churn);
+            for c in churn_axis {
+                keep_if_valid(&mut spec, |s| s.sweep.churn.push(c));
+            }
+            keep_if_valid(&mut spec, |s| s.schedule = schedule);
+            for e in schedule_axis {
+                keep_if_valid(&mut spec, |s| s.sweep.schedule.push(e));
+            }
+            keep_if_valid(&mut spec, |s| s.clock = clock);
             spec
         })
 }
@@ -597,7 +541,7 @@ fn drifting_clocks_cannot_be_forced_onto_counting_backends() {
          clock = drift(20000)\nbackend = counting\n",
     );
     assert!(
-        err.contains("counting backends"),
+        err.contains("counting backend"),
         "expected a clock-vs-backend error, got: {err}"
     );
 }

@@ -77,7 +77,9 @@ pub use observe::{
 };
 pub use params::{ProtocolConstants, ProtocolParams, ProtocolParamsBuilder, Schedule};
 pub use protocol::{
-    run_plurality_consensus, run_rumor_spreading, ExecutionBackend, Outcome, Session,
-    TwoStageProtocol,
+    run_plurality_consensus, run_rumor_spreading, Outcome, Session, TwoStageProtocol,
 };
+/// Which backend a run executes on (defined by `pushsim`'s admission
+/// table, re-exported here because every run entry point takes one).
+pub use pushsim::ExecutionBackend;
 pub use record::{PhaseRecord, StageId};

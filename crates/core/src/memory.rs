@@ -18,7 +18,6 @@
 
 /// Records the per-node register sizes observed during a protocol execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryMeter {
     max_phase_counter: u64,
     max_sample_size: u64,

@@ -12,7 +12,6 @@ use pushsim::{ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule,
 /// the experiment harness simulates (see EXPERIMENTS.md); they can be
 /// overridden through the [`ProtocolParamsBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConstants {
     /// Stage 1, phase 0 length multiplier: phase 0 has `(s/ε²)·ln n` rounds.
     pub s: f64,
@@ -110,7 +109,6 @@ impl ProtocolConstants {
 /// Stage 1 phase lengths are in rounds. Stage 2 phases are described by
 /// their sample sizes `ℓ`; each such phase lasts `2ℓ` rounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     stage1_phase_lengths: Vec<u64>,
     stage2_sample_sizes: Vec<u64>,
@@ -173,7 +171,6 @@ impl Schedule {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolParams {
     num_nodes: usize,
     num_opinions: usize,

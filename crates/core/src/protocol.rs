@@ -8,222 +8,13 @@ use crate::record::{PhaseRecord, StageId};
 use crate::{stage1, stage2};
 use noisy_channel::NoiseMatrix;
 use pushsim::{
-    BlockCountingNetwork, ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec,
-    Network, Opinion, OpinionDistribution, PushBackend, SimConfig, TopologySpec,
+    BackendVisitor, ExecutionBackend, Opinion, OpinionDistribution, PushBackend, SimConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Calibrated agent-backend phase cost: nanoseconds per (agent × opinion).
-/// From `BENCH_pushsim.json` (`pushsim_phase_scaling/agent_batched_B`:
-/// ≈ 460 µs per phase at n = 10⁵, k = 3).
-const AGENT_NS_PER_AGENT_OPINION: f64 = 1.5;
-
-/// Calibrated counting-backend phase cost: nanoseconds per noise-matrix
-/// cell. From `BENCH_pushsim.json` (`pushsim_phase_scaling/counting_P`:
-/// ≈ 470 ns per phase at k = 3, independent of n).
-const COUNTING_NS_PER_CELL: f64 = 50.0;
-
-/// Which simulation backend a protocol run executes on.
-///
-/// * [`Agent`](ExecutionBackend::Agent) — the agent-level [`Network`]:
-///   every agent is tracked individually, all three delivery semantics
-///   (processes O, B, P) are available, and per-phase cost scales with the
-///   message volume. This is the reference backend.
-/// * [`Counting`](ExecutionBackend::Counting) — the count-based
-///   [`CountingNetwork`]: the population is a `k`-vector of opinion counts,
-///   each phase costs O(k²) random draws regardless of `n`, and the
-///   dynamics follow the paper's Poissonized process P (Definition 4); at
-///   phase granularity this is the process the paper's own analysis
-///   transfers to the real push process (Claim 1, Lemma 3). Use it for
-///   population sizes the agent-level backend cannot touch (`n = 10⁷⁺`).
-///   Two bounded approximations apply at large scale: Poisson tails beyond
-///   mean 600 use a normal approximation (error < 10⁻³ — reached by the
-///   final Stage 2 phase once `ℓ′ > 300`), and sample-majority adoption
-///   beyond 65 536 switchers per phase uses an empirical-frequency bulk
-///   split (≈ 0.4% perturbation); see the `pushsim::counting` docs.
-/// * [`BlockCounting`](ExecutionBackend::BlockCounting) — the degree-class
-///   [`BlockCountingNetwork`]: the population is a `C × k` matrix of
-///   (degree-class, opinion) counts, each phase costs O(k²·C) draws
-///   regardless of `n`, and the dynamics follow process P restricted by the
-///   class-to-class edge structure of the configured topology. It is the
-///   Poissonized engine for sparse vertex-transitive graphs (ring, torus,
-///   random-regular), where `C = 1` and phases are bit-for-bit the counting
-///   backend's; see the `pushsim::blockcounting` docs.
-/// * [`Auto`](ExecutionBackend::Auto) — picks one of the three per run from
-///   the topology's capability requirements and a calibrated cost model;
-///   see [`resolve`](ExecutionBackend::resolve).
-///
-/// All concrete backends implement the same
-/// [`PushBackend`](pushsim::PushBackend) trait, so the protocol stages are
-/// a single generic code path; this enum is the thin front door that
-/// chooses the monomorphization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum ExecutionBackend {
-    /// Agent-level simulation (exact for the configured delivery process).
-    #[default]
-    Agent,
-    /// Count-based simulation (process P at population level, O(k²)/phase).
-    Counting,
-    /// Degree-class block-counting simulation (process P per degree class,
-    /// O(k²·C)/phase on sparse vertex-transitive topologies).
-    BlockCounting,
-    /// Choose automatically per run, **without changing semantics**: the
-    /// count-based backends are only eligible when the run already requests
-    /// their native Poissonized delivery on a topology they certify
-    /// ([`TopologyCapability`](pushsim::TopologyCapability)); everything
-    /// else stays agent-level. Among eligible backends the calibrated cost
-    /// model picks the cheaper one.
-    Auto,
-}
-
-impl ExecutionBackend {
-    /// Resolves this request to a concrete backend ([`Agent`],
-    /// [`Counting`](Self::Counting) or
-    /// [`BlockCounting`](Self::BlockCounting) — never [`Auto`](Self::Auto))
-    /// for a run with `num_nodes` agents, `num_opinions` opinions, the
-    /// given delivery semantics, communication topology and fault spec.
-    ///
-    /// [`Agent`]: Self::Agent
-    ///
-    /// The `Auto` policy is **semantics-preserving**: it is a *speed*
-    /// choice among backends that implement the requested process, never a
-    /// silent change of process.
-    ///
-    /// 1. **Delivery semantics first.** The count-based backends implement
-    ///    only the Poissonized process P, so requests for process O or B
-    ///    resolve to `Agent` at *any* scale. (Historically Auto silently
-    ///    switched exact runs above `n = 10⁵` to the counting backend's
-    ///    process-P law — a semantics change, not a speed choice. Callers
-    ///    that want an O(k²)-per-phase engine at scale request Poissonized
-    ///    delivery or a count-based backend explicitly; Claim 1 + Lemma 3
-    ///    justify that substitution *statistically*, but it is now the
-    ///    caller's stated intent instead of a hidden fallback.)
-    /// 2. **Topology capability.** Each backend certifies a topology set
-    ///    through [`PushBackend::TOPOLOGY_CAPABILITY`]: the counting
-    ///    backend is complete-graph-only, the block-counting backend
-    ///    certifies the vertex-transitive families (ring, torus,
-    ///    random-regular, complete), and the agent backend takes anything.
-    ///    A Poissonized run on a sparse vertex-transitive topology
-    ///    resolves to `BlockCounting` — the only backend that implements
-    ///    process P on those graphs (the agent backend's deferred delivery
-    ///    is complete-graph-only by construction).
-    /// 3. **Faults.** Any enabled fault keeps a sparse run agent-level
-    ///    (the block-counting backend rejects all faults), and
-    ///    delayed-delivery faults resolve complete-graph runs to `Agent` —
-    ///    the counting backend cannot buffer individual messages across
-    ///    phase boundaries ([`PushBackend::SUPPORTS_DELAY_FAULTS`] is
-    ///    `false` for it). The aggregatable fault families (drop,
-    ///    duplication, crash, Byzantine) leave the counting backend
-    ///    eligible on the complete graph.
-    /// 4. **Temporal axes.** Edge churn (`rewire`) and non-`sync` clocks
-    ///    need per-agent identity
-    ///    ([`PushBackend::TEMPORAL_CAPABILITY`]), so they resolve to
-    ///    `Agent` on every topology; population churn and noise schedules
-    ///    are aggregate operations that keep the count-based backends
-    ///    eligible.
-    /// 5. **Cost model.** For Poissonized complete-graph runs, per-phase
-    ///    cost is estimated as `1.5 ns · n · k` for the agent backend
-    ///    (message volume dominates) vs `50 ns · k²` for the counting
-    ///    backend (one multinomial per noise-matrix row); the cheaper
-    ///    backend wins. Constants are calibrated from the archived
-    ///    `BENCH_pushsim.json` baseline.
-    ///
-    /// Explicit `Agent` / `Counting` / `BlockCounting` requests are never
-    /// overridden (an infeasible explicit request — counting on a ring —
-    /// fails at network construction with
-    /// [`SimError::UnsupportedTopology`](pushsim::SimError) instead of
-    /// being silently rerouted).
-    // One parameter per resolution-relevant configuration axis; bundling
-    // them into a struct would just move the field list one call up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve(
-        self,
-        num_nodes: usize,
-        num_opinions: usize,
-        delivery: DeliverySemantics,
-        topology: TopologySpec,
-        fault: FaultSpec,
-        churn: ChurnSpec,
-        clock: ClockSpec,
-    ) -> ExecutionBackend {
-        match self {
-            ExecutionBackend::Agent
-            | ExecutionBackend::Counting
-            | ExecutionBackend::BlockCounting => self,
-            ExecutionBackend::Auto => {
-                // Per-agent temporal axes first: edge churn resamples a
-                // materialized graph and clock models gate individual
-                // agents' pushes — both exist only at agent level
-                // (`TemporalCapability::AGGREGATE` rejects them).
-                if !clock.is_sync() || churn.has_edge_churn() {
-                    return ExecutionBackend::Agent;
-                }
-                // Count-based engines only ever represent the Poissonized
-                // delivery law; anything else is agent-level territory.
-                if !matches!(delivery, DeliverySemantics::Poissonized) {
-                    return ExecutionBackend::Agent;
-                }
-                if !topology.is_complete() {
-                    // Sparse Poissonized runs belong to the block-counting
-                    // backend whenever it certifies the topology and no
-                    // fault is enabled (it rejects all faults). The agent
-                    // fallback fails loudly at construction — deferred
-                    // delivery is complete-graph-only there — rather than
-                    // silently ignoring the graph.
-                    let block_eligible = <BlockCountingNetwork as PushBackend>::TOPOLOGY_CAPABILITY
-                        .supports(topology)
-                        && fault.is_none();
-                    return if block_eligible {
-                        ExecutionBackend::BlockCounting
-                    } else {
-                        ExecutionBackend::Agent
-                    };
-                }
-                // Complete graph: the counting backend is eligible unless
-                // the fault spec needs per-message delay buffering.
-                let counting_eligible = fault.aggregatable()
-                    || <CountingNetwork as PushBackend>::SUPPORTS_DELAY_FAULTS;
-                if !counting_eligible {
-                    return ExecutionBackend::Agent;
-                }
-                let agent_cost =
-                    AGENT_NS_PER_AGENT_OPINION * num_nodes as f64 * num_opinions as f64;
-                let counting_cost =
-                    COUNTING_NS_PER_CELL * (num_opinions * num_opinions) as f64;
-                if agent_cost <= counting_cost {
-                    ExecutionBackend::Agent
-                } else {
-                    ExecutionBackend::Counting
-                }
-            }
-        }
-    }
-}
-
-impl std::str::FromStr for ExecutionBackend {
-    type Err = String;
-
-    /// Parses `"agent"`, `"counting"`, `"blockcounting"` (also spelled
-    /// `"block-counting"` or `"block"`) or `"auto"` (case-insensitive) —
-    /// the spelling used by the experiment binaries' `--backend` flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "agent" => Ok(ExecutionBackend::Agent),
-            "counting" => Ok(ExecutionBackend::Counting),
-            "blockcounting" | "block-counting" | "block" => Ok(ExecutionBackend::BlockCounting),
-            "auto" => Ok(ExecutionBackend::Auto),
-            other => Err(format!(
-                "unknown backend {other:?} (expected agent, counting, blockcounting or auto)"
-            )),
-        }
-    }
-}
-
 /// The result of one protocol execution.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Outcome {
     correct_opinion: Opinion,
     final_distribution: OpinionDistribution,
@@ -391,21 +182,6 @@ impl TwoStageProtocol {
         }
     }
 
-    /// Seeds and runs a rumor-spreading instance on an already-built
-    /// backend network.
-    fn run_rumor_spreading_generic<B: PushBackend>(
-        &self,
-        mut net: B,
-        source_opinion: Opinion,
-        observer: &mut dyn Observer,
-        stop: &StopCondition,
-    ) -> Result<Outcome, ProtocolError> {
-        let mut rng = self.protocol_rng();
-        let source = rng.gen_range(0..self.params.num_nodes());
-        net.seed_rumor_at(source, source_opinion)?;
-        Ok(self.execute(net, rng, source_opinion, observer, stop))
-    }
-
     /// Runs the noisy **plurality consensus** instance: for every opinion
     /// `i`, `initial_counts[i]` nodes initially support `i` (chosen uniformly
     /// at random), the remaining nodes are undecided, and the protocol must
@@ -440,21 +216,6 @@ impl TwoStageProtocol {
             .run_plurality_consensus_on(backend, initial_counts, &mut NoObserver)
     }
 
-    /// Seeds and runs a plurality-consensus instance on an already-built
-    /// backend network.
-    fn run_plurality_generic<B: PushBackend>(
-        &self,
-        mut net: B,
-        initial_counts: &[usize],
-        reference: Opinion,
-        observer: &mut dyn Observer,
-        stop: &StopCondition,
-    ) -> Result<Outcome, ProtocolError> {
-        let rng = self.protocol_rng();
-        net.seed_counts(initial_counts)?;
-        Ok(self.execute(net, rng, reference, observer, stop))
-    }
-
     /// Runs only Stage 2 on an explicitly seeded network. This is the
     /// "majority consensus subroutine" view of the protocol and is used by
     /// the Appendix D experiment (F7), where Stage 1 is deliberately
@@ -480,60 +241,6 @@ impl TwoStageProtocol {
     ) -> Result<Outcome, ProtocolError> {
         self.session()
             .run_stage2_only_on(backend, initial_counts, &mut NoObserver)
-    }
-
-    /// Resolves `backend` and runs the matching continuation on a freshly
-    /// built network of the chosen kind — the single place the
-    /// `ExecutionBackend` enum is matched on. Each continuation is usually
-    /// the same generic function, monomorphized per backend; the observer
-    /// is handed through so the closures can share the one `&mut`
-    /// borrow. A future fourth backend adds one arm here instead of one
-    /// per entry point.
-    fn dispatch<T>(
-        &self,
-        backend: ExecutionBackend,
-        observer: &mut dyn Observer,
-        agent: impl FnOnce(Network, &mut dyn Observer) -> Result<T, ProtocolError>,
-        counting: impl FnOnce(CountingNetwork, &mut dyn Observer) -> Result<T, ProtocolError>,
-        block: impl FnOnce(BlockCountingNetwork, &mut dyn Observer) -> Result<T, ProtocolError>,
-    ) -> Result<T, ProtocolError> {
-        match self.resolve(backend) {
-            ExecutionBackend::Agent => agent(self.build_network()?, observer),
-            ExecutionBackend::Counting => counting(self.build_counting_network()?, observer),
-            ExecutionBackend::BlockCounting => {
-                block(self.build_block_counting_network()?, observer)
-            }
-            ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
-        }
-    }
-
-    fn run_stage2_generic<B: PushBackend>(
-        &self,
-        mut net: B,
-        initial_counts: &[usize],
-        reference: Opinion,
-        observer: &mut dyn Observer,
-        stop: &StopCondition,
-    ) -> Result<Outcome, ProtocolError> {
-        let mut rng = self.protocol_rng();
-        net.seed_counts(initial_counts)?;
-        let schedule = self.params.schedule();
-        let mut meter = MemoryMeter::new(self.params.num_opinions());
-        let mut progress = RunProgress::for_stop(stop);
-        progress.sync(0, net.is_consensus());
-        let records = stage2::run(
-            &mut net,
-            schedule.stage2_sample_sizes(),
-            reference,
-            &mut rng,
-            &mut meter,
-            observer,
-            stop,
-            &mut progress,
-        );
-        let outcome = self.outcome_from(net, records, meter, reference);
-        observer.on_finish();
-        Ok(outcome)
     }
 
     /// Resolves an [`ExecutionBackend`] request against this protocol's
@@ -595,8 +302,8 @@ impl TwoStageProtocol {
         Ok(Opinion::new(plurality[0]))
     }
 
-    /// The run's [`SimConfig`], shared by all three network builders (the
-    /// single place the protocol parameters map onto simulator knobs).
+    /// The run's [`SimConfig`] (the single place the protocol parameters
+    /// map onto simulator knobs).
     fn sim_config(&self) -> Result<SimConfig, ProtocolError> {
         Ok(SimConfig::builder(self.params.num_nodes(), self.params.num_opinions())
             .seed(self.params.seed())
@@ -609,21 +316,6 @@ impl TwoStageProtocol {
             .build()?)
     }
 
-    /// Builds the simulation network for one run.
-    fn build_network(&self) -> Result<Network, ProtocolError> {
-        Ok(Network::new(self.sim_config()?, self.noise.clone())?)
-    }
-
-    /// Builds the count-based network for one run.
-    fn build_counting_network(&self) -> Result<CountingNetwork, ProtocolError> {
-        Ok(CountingNetwork::new(self.sim_config()?, self.noise.clone())?)
-    }
-
-    /// Builds the degree-class block-counting network for one run.
-    fn build_block_counting_network(&self) -> Result<BlockCountingNetwork, ProtocolError> {
-        Ok(BlockCountingNetwork::new(self.sim_config()?, self.noise.clone())?)
-    }
-
     /// The RNG used for the protocol's own decisions (distinct from the
     /// network's delivery RNG but derived from the same seed so whole runs
     /// are reproducible).
@@ -631,10 +323,10 @@ impl TwoStageProtocol {
         StdRng::seed_from_u64(self.params.seed().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66)
     }
 
-    /// Runs both stages on an already-seeded network — the single generic
-    /// execution path shared by every backend. The observer is notified at
-    /// every phase boundary and the stop condition is evaluated there;
-    /// with [`NoObserver`] and
+    /// Runs the schedule on an already-seeded network — both stages, or
+    /// Stage 2 alone — the single generic execution path shared by every
+    /// backend. The observer is notified at every phase boundary and the
+    /// stop condition is evaluated there; with [`NoObserver`] and
     /// [`StopCondition::ScheduleExhausted`] this is byte-for-byte the
     /// schedule-driven execution (observation touches no RNG stream).
     fn execute<B: PushBackend>(
@@ -642,6 +334,7 @@ impl TwoStageProtocol {
         mut net: B,
         mut rng: StdRng,
         reference: Opinion,
+        with_stage1: bool,
         observer: &mut dyn Observer,
         stop: &StopCondition,
     ) -> Outcome {
@@ -649,18 +342,21 @@ impl TwoStageProtocol {
         let mut meter = MemoryMeter::new(self.params.num_opinions());
         let mut progress = RunProgress::for_stop(stop);
         progress.sync(0, net.is_consensus());
-        let mut records = stage1::run(
-            &mut net,
-            schedule.stage1_phase_lengths(),
-            reference,
-            &mut rng,
-            &mut meter,
-            observer,
-            stop,
-            &mut progress,
-        );
-        if !stop.should_stop(&progress) {
-            observer.on_stage_transition(StageId::One, StageId::Two);
+        let mut records = Vec::new();
+        if with_stage1 {
+            records = stage1::run(
+                &mut net,
+                schedule.stage1_phase_lengths(),
+                reference,
+                &mut rng,
+                &mut meter,
+                observer,
+                stop,
+                &mut progress,
+            );
+            if !stop.should_stop(&progress) {
+                observer.on_stage_transition(StageId::One, StageId::Two);
+            }
         }
         records.extend(stage2::run(
             &mut net,
@@ -782,19 +478,7 @@ impl Session<'_> {
                 num_opinions: protocol.params.num_opinions(),
             });
         }
-        protocol.dispatch(
-            backend,
-            observer,
-            |net, observer| {
-                protocol.run_rumor_spreading_generic(net, source_opinion, observer, &self.stop)
-            },
-            |net, observer| {
-                protocol.run_rumor_spreading_generic(net, source_opinion, observer, &self.stop)
-            },
-            |net, observer| {
-                protocol.run_rumor_spreading_generic(net, source_opinion, observer, &self.stop)
-            },
-        )
+        self.dispatch(backend, Instance::Rumor(source_opinion), observer)
     }
 
     /// Observable variant of
@@ -809,20 +493,11 @@ impl Session<'_> {
         initial_counts: &[usize],
         observer: &mut dyn Observer,
     ) -> Result<Outcome, ProtocolError> {
-        let protocol = self.protocol;
-        let reference = protocol.validate_initial_counts(initial_counts)?;
-        protocol.dispatch(
+        let reference = self.protocol.validate_initial_counts(initial_counts)?;
+        self.dispatch(
             backend,
+            Instance::Plurality(initial_counts, reference),
             observer,
-            |net, observer| {
-                protocol.run_plurality_generic(net, initial_counts, reference, observer, &self.stop)
-            },
-            |net, observer| {
-                protocol.run_plurality_generic(net, initial_counts, reference, observer, &self.stop)
-            },
-            |net, observer| {
-                protocol.run_plurality_generic(net, initial_counts, reference, observer, &self.stop)
-            },
         )
     }
 
@@ -837,21 +512,74 @@ impl Session<'_> {
         initial_counts: &[usize],
         observer: &mut dyn Observer,
     ) -> Result<Outcome, ProtocolError> {
-        let protocol = self.protocol;
-        let reference = protocol.validate_initial_counts(initial_counts)?;
-        protocol.dispatch(
+        let reference = self.protocol.validate_initial_counts(initial_counts)?;
+        self.dispatch(
             backend,
+            Instance::Stage2(initial_counts, reference),
             observer,
-            |net, observer| {
-                protocol.run_stage2_generic(net, initial_counts, reference, observer, &self.stop)
-            },
-            |net, observer| {
-                protocol.run_stage2_generic(net, initial_counts, reference, observer, &self.stop)
-            },
-            |net, observer| {
-                protocol.run_stage2_generic(net, initial_counts, reference, observer, &self.stop)
-            },
         )
+    }
+
+    /// Admits `backend` against the run's configuration and executes
+    /// `instance` on a freshly built network of the resolved kind.
+    fn dispatch(
+        &self,
+        backend: ExecutionBackend,
+        instance: Instance<'_>,
+        observer: &mut dyn Observer,
+    ) -> Result<Outcome, ProtocolError> {
+        let protocol = self.protocol;
+        let run = Run {
+            protocol,
+            instance,
+            observer,
+            stop: &self.stop,
+        };
+        pushsim::build_and_visit(protocol.sim_config()?, protocol.noise.clone(), backend, run)?
+    }
+}
+
+/// Which instance a session run executes, with its validated inputs.
+#[derive(Clone, Copy)]
+enum Instance<'a> {
+    /// Rumor spreading from the source opinion.
+    Rumor(Opinion),
+    /// Plurality consensus from the initial counts, towards the reference.
+    Plurality(&'a [usize], Opinion),
+    /// Stage 2 alone from the initial counts, towards the reference.
+    Stage2(&'a [usize], Opinion),
+}
+
+/// One protocol run waiting for its network.
+struct Run<'a> {
+    protocol: &'a TwoStageProtocol,
+    instance: Instance<'a>,
+    observer: &'a mut dyn Observer,
+    stop: &'a StopCondition,
+}
+
+impl BackendVisitor<Result<Outcome, ProtocolError>> for Run<'_> {
+    /// Seeds `net` for the instance and runs it, drawing the rumor source
+    /// from the protocol's own decision RNG.
+    fn visit<B: PushBackend>(self, mut net: B) -> Result<Outcome, ProtocolError> {
+        let protocol = self.protocol;
+        let mut rng = protocol.protocol_rng();
+        let (reference, with_stage1) = match self.instance {
+            Instance::Rumor(opinion) => {
+                let source = rng.gen_range(0..protocol.params.num_nodes());
+                net.seed_rumor_at(source, opinion)?;
+                (opinion, true)
+            }
+            Instance::Plurality(counts, reference) => {
+                net.seed_counts(counts)?;
+                (reference, true)
+            }
+            Instance::Stage2(counts, reference) => {
+                net.seed_counts(counts)?;
+                (reference, false)
+            }
+        };
+        Ok(protocol.execute(net, rng, reference, with_stage1, self.observer, self.stop))
     }
 }
 
@@ -888,6 +616,7 @@ pub fn run_plurality_consensus(
 mod tests {
     use super::*;
     use crate::params::ProtocolConstants;
+    use pushsim::{ChurnSpec, ClockSpec, FaultSpec, TopologySpec};
 
     fn uniform_noise(k: usize, eps: f64) -> NoiseMatrix {
         NoiseMatrix::uniform(k, eps).unwrap()

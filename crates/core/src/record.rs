@@ -4,7 +4,6 @@ use pushsim::{Opinion, OpinionDistribution};
 
 /// Which of the two protocol stages a phase belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StageId {
     /// Stage 1: opinion acquisition / rumor spreading.
     One,
@@ -25,7 +24,6 @@ impl std::fmt::Display for StageId {
 /// experiment harness to reconstruct activation-growth and bias
 /// trajectories (experiments F5, T3).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseRecord {
     stage: StageId,
     phase: usize,

@@ -96,12 +96,10 @@ impl AliasTable {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseMatrix {
     /// Row-major entries.
     rows: Vec<Vec<f64>>,
     /// Per-row alias tables for O(1) sampling.
-    #[cfg_attr(feature = "serde", serde(skip))]
     alias: Vec<AliasTable>,
 }
 

@@ -31,7 +31,6 @@ use noisy_lp::{LinearProgram, LpError, Relation};
 /// The worst-case margin for one "competitor" opinion `i ≠ m`:
 /// the minimum of `(c · P)_m − (c · P)_i` over all δ-biased distributions.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairwiseMargin {
     /// The competitor opinion `i`.
     pub competitor: usize,
@@ -47,7 +46,6 @@ pub struct PairwiseMargin {
 ///
 /// Produced by [`NoiseMatrix::majority_preservation`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MpReport {
     plurality: usize,
     delta: f64,

@@ -26,9 +26,9 @@
 //!   `regular(d)`; `C = 1` there). Its [`PhaseObservation`] is
 //!   [`BlockPhaseTally`].
 //!
-//! Which topologies a backend is certified for is a static capability
-//! ([`TopologyCapability`]) that backend-selection policies consult
-//! instead of hard-coding backend names.
+//! What each backend accepts is its row of the
+//! [`admission`] table; the capability constants of
+//! [`PushBackend`] read that row.
 //!
 //! ## The phase lifecycle
 //!
@@ -63,6 +63,7 @@
 //! protocol can keep its own reproducible decision stream, separate from
 //! the network's delivery RNG.
 
+use crate::admission::{self, FaultSupport};
 use crate::blockcounting::{BlockCountingNetwork, BlockPhaseTally};
 use crate::config::SimConfig;
 use crate::counting::{
@@ -212,21 +213,9 @@ impl PhaseObservation for BlockPhaseTally {
     }
 }
 
-/// The set of topology families a backend is statically certified for.
-///
-/// Ordered by inclusion: `Complete ⊂ VertexTransitive ⊂ Any`. Each backend
-/// declares its capability as
-/// [`PushBackend::TOPOLOGY_CAPABILITY`]; backend-selection policies (the
-/// `Auto` resolver in the core crate) consult [`supports`](Self::supports)
-/// instead of hard-coding backend names, so adding a backend never changes
-/// the policy code.
-///
-/// The capability is the *certified* set — the families on which the
-/// backend's law provably matches the agent-level model, hence the only
-/// families an automatic policy may route to it. A backend may still
-/// *accept* more at construction time as an explicit opt-in (the
-/// block-counting backend accepts `er(p)` by exact-degree bucketing, a
-/// documented mean-field approximation).
+/// A set of topology families, ordered by inclusion:
+/// `Complete ⊂ VertexTransitive ⊂ Any`. The [`admission`]
+/// table uses it for the topologies each backend certifies and accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyCapability {
     /// Only the complete graph (the paper's model): the backend needs
@@ -273,44 +262,19 @@ pub trait PushBackend {
     /// The phase result type ([`Inboxes`] or [`PhaseTally`]).
     type Observation: PhaseObservation;
 
-    /// Static capability: the set of topology families this backend is
-    /// certified for. The agent backend handles [`TopologyCapability::Any`]
-    /// (it pushes along explicit neighbor lists); the counting backend only
-    /// [`TopologyCapability::Complete`] — its whole O(k²)-per-phase
-    /// reformulation rests on global agent exchangeability; the
-    /// block-counting backend [`TopologyCapability::VertexTransitive`] —
-    /// within-class exchangeability on degree-homogeneous families.
-    /// Constructors reject configurations outside their certified set
-    /// (modulo documented opt-ins) and backend-selection policies consult
-    /// this constant instead of hard-coding backend names.
+    /// The topology families this backend is certified for: its
+    /// [`Capability::certified`](crate::admission::Capability::certified)
+    /// entry in the admission table.
     const TOPOLOGY_CAPABILITY: TopologyCapability;
 
-    /// Static capability: `true` if the backend can simulate the `delay`
-    /// family of [`FaultSpec`](crate::FaultSpec) (messages deferred to the
-    /// next phase). The agent backend can (it buffers the delayed
-    /// post-noise counts and scatters them at the next `begin_phase`); the
-    /// counting backend cannot — deferring individual messages across the
-    /// phase boundary needs per-message identity its aggregate
-    /// reformulation gives up — and its constructor rejects such
-    /// configurations. All other fault families (drop, dup, crash,
-    /// Byzantine) are supported by both backends. Backend-selection
-    /// policies consult this constant instead of hard-coding backend
-    /// names.
+    /// `true` if the backend simulates the `delay` fault family: its
+    /// [`Capability::faults`](crate::admission::Capability::faults) entry
+    /// is [`FaultSupport::All`].
     const SUPPORTS_DELAY_FAULTS: bool;
 
-    /// Static capability: which temporal features
-    /// ([`ChurnSpec`](crate::ChurnSpec),
-    /// [`NoiseSchedule`](crate::NoiseSchedule),
-    /// [`ClockSpec`](crate::ClockSpec)) the backend can simulate. The agent
-    /// backend supports everything
-    /// ([`TemporalCapability::FULL`]); the counting backends support the
-    /// aggregate subset ([`TemporalCapability::AGGREGATE`]): population
-    /// churn and noise schedules are O(k) bulk operations on the count
-    /// vectors, but edge churn and clock skew need per-agent identity
-    /// (explicit adjacency, per-agent clock rates) that the count-level
-    /// reformulation gives up. Constructors reject configurations outside
-    /// their capability and backend-selection policies consult this
-    /// constant instead of hard-coding backend names.
+    /// The temporal features the backend simulates: its
+    /// [`Capability::temporal`](crate::admission::Capability::temporal)
+    /// entry.
     const TEMPORAL_CAPABILITY: TemporalCapability;
 
     /// The simulation configuration.
@@ -424,11 +388,9 @@ pub trait PushBackend {
 impl PushBackend for Network {
     type Observation = Inboxes;
 
-    const TOPOLOGY_CAPABILITY: TopologyCapability = TopologyCapability::Any;
-
-    const SUPPORTS_DELAY_FAULTS: bool = true;
-
-    const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::FULL;
+    const TOPOLOGY_CAPABILITY: TopologyCapability = admission::AGENT.certified;
+    const SUPPORTS_DELAY_FAULTS: bool = matches!(admission::AGENT.faults, FaultSupport::All);
+    const TEMPORAL_CAPABILITY: TemporalCapability = admission::AGENT.temporal;
 
     fn config(&self) -> &SimConfig {
         Network::config(self)
@@ -579,11 +541,9 @@ impl PushBackend for Network {
 impl PushBackend for CountingNetwork {
     type Observation = PhaseTally;
 
-    const TOPOLOGY_CAPABILITY: TopologyCapability = TopologyCapability::Complete;
-
-    const SUPPORTS_DELAY_FAULTS: bool = false;
-
-    const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::AGGREGATE;
+    const TOPOLOGY_CAPABILITY: TopologyCapability = admission::COUNTING.certified;
+    const SUPPORTS_DELAY_FAULTS: bool = matches!(admission::COUNTING.faults, FaultSupport::All);
+    const TEMPORAL_CAPABILITY: TemporalCapability = admission::COUNTING.temporal;
 
     fn config(&self) -> &SimConfig {
         CountingNetwork::config(self)
@@ -688,11 +648,10 @@ impl PushBackend for CountingNetwork {
 impl PushBackend for BlockCountingNetwork {
     type Observation = BlockPhaseTally;
 
-    const TOPOLOGY_CAPABILITY: TopologyCapability = TopologyCapability::VertexTransitive;
-
-    const SUPPORTS_DELAY_FAULTS: bool = false;
-
-    const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::AGGREGATE;
+    const TOPOLOGY_CAPABILITY: TopologyCapability = admission::BLOCK_COUNTING.certified;
+    const SUPPORTS_DELAY_FAULTS: bool =
+        matches!(admission::BLOCK_COUNTING.faults, FaultSupport::All);
+    const TEMPORAL_CAPABILITY: TemporalCapability = admission::BLOCK_COUNTING.temporal;
 
     fn num_nodes(&self) -> usize {
         // The live population (population churn moves it away from the

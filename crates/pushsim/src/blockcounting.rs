@@ -47,20 +47,13 @@
 //! literature but *not* certified, so automatic backend selection never
 //! routes `er(p)` here.
 //!
-//! Faults are rejected wholesale ([`SimError::UnsupportedFault`]): the
-//! aggregatable fault reformulation of the counting backend is
-//! complete-graph-only (crash/Byzantine pools are carved from the global
-//! population), and `SimConfig` independently rejects faults on sparse
-//! topologies.
-//!
-//! Temporal axes follow the counting backend's
-//! [`TemporalCapability::AGGREGATE`](crate::TemporalCapability::AGGREGATE)
-//! contract: population churn and noise schedules are supported as
-//! aggregate phase-boundary operations (churn is complete-topology-only by
-//! `SimConfig` validation, hence single-class here), while edge churn
-//! (`rewire`) and non-`sync` clocks are rejected at construction
-//! ([`SimError::UnsupportedTemporal`]).
+//! Faults are rejected wholesale: the counting backend's crash/Byzantine
+//! pools are carved from the global population and do not localize to
+//! degree classes. The full list of what the backend accepts is its row
+//! of the admission table,
+//! [`BLOCK_COUNTING`](crate::admission::BLOCK_COUNTING).
 
+use crate::admission::{self, ExecutionBackend};
 use crate::config::SimConfig;
 use crate::counting::{
     median_plan, proportional_split, sample_majority_plan, sample_one_plan, undecided_state_plan,
@@ -238,43 +231,12 @@ impl BlockCountingNetwork {
     ///
     /// * [`SimError::NoiseDimensionMismatch`] if the noise matrix is not
     ///   defined over exactly `config.num_opinions()` opinions.
-    /// * [`SimError::UnsupportedFault`] if the configuration enables *any*
-    ///   fault family: the aggregatable fault pools of the counting
-    ///   backend are global-population constructs that do not localize to
-    ///   degree classes.
-    /// * [`SimError::UnsupportedTemporal`] if the configuration enables a
-    ///   temporal axis outside
-    ///   [`TemporalCapability::AGGREGATE`](crate::TemporalCapability::AGGREGATE):
-    ///   edge churn (`rewire`)
-    ///   and non-`sync` clocks need per-agent identity. Population churn
-    ///   and noise schedules are supported as aggregate operations.
-    /// * [`SimError::InvalidTemporal`] if a scheduled ε falls outside the
-    ///   uniform noise family's domain for the configured `k`.
+    /// * The [`admission`] error if the block-counting
+    ///   backend's capabilities do not cover the configuration.
     /// * [`SimError::InvalidTopology`] if the topology parameters are
     ///   infeasible (propagated from [`DegreeClasses::build`]).
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
-        if noise.num_opinions() != config.num_opinions() {
-            return Err(SimError::NoiseDimensionMismatch {
-                expected: config.num_opinions(),
-                found: noise.num_opinions(),
-            });
-        }
-        if !config.fault().is_none() {
-            return Err(SimError::UnsupportedFault {
-                fault: config.fault().label(),
-                context: "the block-counting backend".to_string(),
-            });
-        }
-        if let Some(feature) = <Self as crate::PushBackend>::TEMPORAL_CAPABILITY.first_unsupported(
-            &config.churn(),
-            &config.schedule(),
-            &config.clock(),
-        ) {
-            return Err(SimError::UnsupportedTemporal {
-                feature: feature.to_string(),
-                context: "the block-counting backend".to_string(),
-            });
-        }
+        admission::check_construction(&config, &noise, ExecutionBackend::BlockCounting)?;
         let mut topology_rng = StdRng::seed_from_u64(config.seed() ^ TOPOLOGY_SEED_SALT);
         let classes = DegreeClasses::build(config.topology(), config.num_nodes(), &mut topology_rng)?;
         let c = classes.num_classes();
@@ -284,7 +246,7 @@ impl BlockCountingNetwork {
             .collect();
         let undecided: Vec<u64> = (0..c).map(|cls| classes.size(cls)).collect();
         let tally = BlockPhaseTally::empty(&classes, k);
-        let schedule = ScheduledNoise::build(config.schedule(), k, &noise)?;
+        let schedule = ScheduledNoise::build(config.schedule(), &noise);
         let churn = ChurnState::build(config.churn(), config.seed());
         let temporal = (churn.is_some() || schedule.is_some()).then_some(BlockTemporal {
             churn,

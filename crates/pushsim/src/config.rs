@@ -1,9 +1,11 @@
 //! Simulation configuration.
 
+use crate::admission;
 use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::temporal::{ChurnSpec, ClockSpec, NoiseSchedule};
 use crate::topology::TopologySpec;
+use noisy_channel::NoiseMatrix;
 
 /// How messages pushed during a phase are delivered to the agents.
 ///
@@ -13,7 +15,6 @@ use crate::topology::TopologySpec;
 /// (process O); the other two exist to validate the paper's Poissonization
 /// argument empirically and to speed up very large simulations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeliverySemantics {
     /// Process **O**: each message is noised and delivered to a uniformly
     /// random agent in the round it is pushed.
@@ -78,7 +79,6 @@ impl std::str::FromStr for DeliverySemantics {
 ///
 /// Use [`SimConfig::builder`] to construct one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     num_nodes: usize,
     num_opinions: usize,
@@ -183,34 +183,23 @@ impl SimConfigBuilder {
     }
 
     /// Sets the communication topology (default
-    /// [`TopologySpec::Complete`], the paper's model). Non-complete
-    /// topologies allow [`DeliverySemantics::Exact`] (agent-level push
-    /// along neighbor lists) and — on degree-homogeneous families
-    /// ([`TopologySpec::is_vertex_transitive`]) —
-    /// [`DeliverySemantics::Poissonized`], realized per degree class by
-    /// the block-counting backend. Process B stays complete-graph-only:
-    /// its balls-into-bins scatter is a *uniform*-bin notion no backend
-    /// localizes to a sparse graph.
+    /// [`TopologySpec::Complete`], the paper's model). Which delivery
+    /// processes, faults and churn a sparse topology composes with is
+    /// decided by the [`admission`] rules.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
         self.topology = topology;
         self
     }
 
     /// Sets the injected faults (default [`FaultSpec::none`], i.e. the
-    /// fault-free paper model). Enabled faults require the complete
-    /// graph: a duplicated or delayed message is re-scattered *uniformly*,
-    /// which only makes sense when every agent can reach every other.
+    /// fault-free paper model).
     pub fn fault(mut self, fault: FaultSpec) -> Self {
         self.fault = fault;
         self
     }
 
     /// Sets the population/edge churn (default [`ChurnSpec::none`], i.e.
-    /// the static-population paper model). Population churn (`join`,
-    /// `leave`, `burst`) requires the complete graph and does not
-    /// compose with crash/Byzantine/delay faults; edge churn (`rewire`)
-    /// requires a re-sampleable randomized topology (`regular(d)` or
-    /// `er(p)`) under exact delivery.
+    /// the static-population paper model).
     pub fn churn(mut self, churn: ChurnSpec) -> Self {
         self.churn = churn;
         self
@@ -218,17 +207,15 @@ impl SimConfigBuilder {
 
     /// Sets the noise schedule (default [`NoiseSchedule::Const`], the
     /// paper's constant channel). Non-constant schedules swap in the
-    /// uniform ε-noise family per phase; scheduled ε values must lie in
-    /// `(0, 1 − 1/k]` (the upper bound is checked when the backend is
-    /// built).
+    /// uniform ε-noise family per phase, so scheduled ε values must lie
+    /// in `(0, 1 − 1/k]`.
     pub fn schedule(mut self, schedule: NoiseSchedule) -> Self {
         self.schedule = schedule;
         self
     }
 
     /// Sets the activation clock (default [`ClockSpec::Sync`], the
-    /// paper's lockstep rounds). Non-`sync` clocks need the agent
-    /// backend.
+    /// paper's lockstep rounds).
     pub fn clock(mut self, clock: ClockSpec) -> Self {
         self.clock = clock;
         self
@@ -240,22 +227,15 @@ impl SimConfigBuilder {
     ///
     /// * [`SimError::TooFewNodes`] if fewer than 2 nodes are requested.
     /// * [`SimError::TooFewOpinions`] if fewer than 2 opinions are requested.
-    /// * [`SimError::InvalidTopology`] if the topology parameters are
-    ///   infeasible for the node count ([`TopologySpec::check`]).
-    /// * [`SimError::UnsupportedTopology`] if a non-complete topology is
-    ///   combined with process B, or a non-vertex-transitive one (`er(p)`)
-    ///   with process P.
-    /// * [`SimError::InvalidFault`] if the fault parameters are infeasible
-    ///   ([`FaultSpec::check`]).
-    /// * [`SimError::UnsupportedFault`] if enabled faults are combined
-    ///   with a non-complete topology.
-    /// * [`SimError::InvalidTemporal`] if the churn, schedule or clock
-    ///   parameters are infeasible ([`ChurnSpec::check`],
-    ///   [`NoiseSchedule::check`], [`ClockSpec::check`]).
-    /// * [`SimError::UnsupportedTemporal`] if population churn is
-    ///   combined with a non-complete topology or with
-    ///   crash/Byzantine/delay faults, or edge churn (`rewire`) with a
-    ///   non-resampleable topology or deferred delivery.
+    /// * [`SimError::InvalidTopology`], [`SimError::InvalidFault`] or
+    ///   [`SimError::InvalidTemporal`] if an axis's parameters are
+    ///   infeasible ([`TopologySpec::check`], [`FaultSpec::check`],
+    ///   [`ChurnSpec::check`], [`NoiseSchedule::check`],
+    ///   [`ClockSpec::check`]), or a scheduled ε lies outside the uniform
+    ///   noise family's domain `(0, 1 − 1/k]`.
+    /// * [`SimError::UnsupportedTopology`], [`SimError::UnsupportedFault`]
+    ///   or [`SimError::UnsupportedTemporal`] if the combination breaks a
+    ///   model rule of the [`admission`] module.
     pub fn build(self) -> Result<SimConfig, SimError> {
         if self.num_nodes < 2 {
             return Err(SimError::TooFewNodes {
@@ -268,80 +248,30 @@ impl SimConfigBuilder {
             });
         }
         self.topology.check(self.num_nodes)?;
-        // Process B is a uniform-bins notion no backend localizes to a
-        // sparse graph; process P localizes per degree class, so it is
-        // admitted exactly on the degree-homogeneous families the
-        // block-counting backend is certified for. Keeping `er(p) + P`
-        // out here guarantees automatic backend selection never faces a
-        // Poissonized configuration it cannot route faithfully.
-        if !self.topology.is_complete() {
-            let admitted = match self.delivery {
-                DeliverySemantics::Exact => true,
-                DeliverySemantics::Poissonized => self.topology.is_vertex_transitive(),
-                DeliverySemantics::BallsIntoBins => false,
-            };
-            if !admitted {
-                return Err(SimError::UnsupportedTopology {
-                    topology: self.topology.label(),
-                    context: format!("deferred delivery (process {})", self.delivery.label()),
-                });
-            }
-        }
         self.fault.check(self.num_opinions)?;
-        if !self.fault.is_none() && !self.topology.is_complete() {
-            return Err(SimError::UnsupportedFault {
-                fault: self.fault.label(),
-                context: format!("the non-complete topology {}", self.topology.label()),
-            });
-        }
         self.churn.check(self.num_opinions)?;
         self.schedule.check()?;
+        for eps in self.schedule.scheduled_epsilons() {
+            if NoiseMatrix::uniform(self.num_opinions, eps).is_err() {
+                return Err(SimError::InvalidTemporal {
+                    reason: format!(
+                        "schedule {}: epsilon {eps} is outside the uniform noise family's \
+                         domain (0, 1 - 1/k] for k = {}",
+                        self.schedule, self.num_opinions
+                    ),
+                });
+            }
+        }
         self.clock.check()?;
-        if self.churn.has_population_churn() {
-            // Join/leave/burst reshape the population; on a sparse graph
-            // that is graph surgery with no canonical semantics, and
-            // crash/Byzantine/delay faults pin per-agent identity that
-            // arrivals and departures would scramble.
-            if !self.topology.is_complete() {
-                return Err(SimError::UnsupportedTemporal {
-                    feature: "population churn".to_string(),
-                    context: format!("the non-complete topology {}", self.topology.label()),
-                });
-            }
-            if self.fault.crash.is_some()
-                || self.fault.byzantine.is_some()
-                || self.fault.delay != 0.0
-            {
-                return Err(SimError::UnsupportedTemporal {
-                    feature: "population churn".to_string(),
-                    context: format!(
-                        "the identity-pinning fault spec {}",
-                        self.fault.label()
-                    ),
-                });
-            }
-        }
-        if self.churn.has_edge_churn() {
-            if !self.topology.is_resampleable() {
-                return Err(SimError::UnsupportedTemporal {
-                    feature: "edge churn (rewire)".to_string(),
-                    context: format!(
-                        "the non-resampleable topology {}",
-                        self.topology.label()
-                    ),
-                });
-            }
-            if self.delivery != DeliverySemantics::Exact {
-                return Err(SimError::UnsupportedTemporal {
-                    feature: "edge churn (rewire)".to_string(),
-                    context: format!(
-                        "deferred delivery (process {})",
-                        self.delivery.label()
-                    ),
-                });
-            }
-        }
-        Ok(SimConfig {
+        let config = self.unchecked();
+        admission::check_model(&config)?;
+        Ok(config)
+    }
+
+    /// The configuration as set, without validation (for evaluating the
+    /// `Auto` policy on raw axis values).
+    pub(crate) fn unchecked(self) -> SimConfig {
+        SimConfig {
             num_nodes: self.num_nodes,
             num_opinions: self.num_opinions,
             seed: self.seed,
@@ -351,7 +281,7 @@ impl SimConfigBuilder {
             churn: self.churn,
             schedule: self.schedule,
             clock: self.clock,
-        })
+        }
     }
 }
 

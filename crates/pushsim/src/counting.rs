@@ -39,6 +39,7 @@
 //! processes, and `pushsim/tests/equivalence.rs` checks the agreement
 //! empirically against the agent-level backend.
 
+use crate::admission::{self, ExecutionBackend};
 use crate::config::SimConfig;
 use crate::distribution::OpinionDistribution;
 use crate::error::SimError;
@@ -343,63 +344,12 @@ impl CountingNetwork {
     ///
     /// * [`SimError::NoiseDimensionMismatch`] if the noise matrix is not
     ///   defined over exactly `config.num_opinions()` opinions.
-    /// * [`SimError::UnsupportedTopology`] if the configuration requests a
-    ///   non-complete topology: the count-based backend is statically
-    ///   complete-graph-only (its
-    ///   [`PushBackend::TOPOLOGY_CAPABILITY`](crate::PushBackend::TOPOLOGY_CAPABILITY)
-    ///   is [`TopologyCapability::Complete`](crate::TopologyCapability);
-    ///   sparse degree-homogeneous families go through
-    ///   [`BlockCountingNetwork`](crate::BlockCountingNetwork)).
-    /// * [`SimError::UnsupportedFault`] if the configuration enables the
-    ///   `delay` fault: deferring individual messages across the phase
-    ///   boundary needs per-message identity, which the count-based
-    ///   backend gives up (see
-    ///   [`PushBackend::SUPPORTS_DELAY_FAULTS`](crate::PushBackend::SUPPORTS_DELAY_FAULTS)).
-    /// * [`SimError::UnsupportedTemporal`] if the configuration enables a
-    ///   temporal feature outside
-    ///   [`TemporalCapability::AGGREGATE`](crate::TemporalCapability::AGGREGATE):
-    ///   edge churn (`rewire`) and non-`sync` clocks need per-agent
-    ///   identity. Population churn and noise schedules are supported as
-    ///   O(k) aggregate operations.
-    /// * [`SimError::InvalidTemporal`] if a scheduled ε falls outside the
-    ///   uniform noise family's domain for the configured `k`.
+    /// * The [`admission`] error if the counting
+    ///   backend's capabilities do not cover the configuration.
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
-        if noise.num_opinions() != config.num_opinions() {
-            return Err(SimError::NoiseDimensionMismatch {
-                expected: config.num_opinions(),
-                found: noise.num_opinions(),
-            });
-        }
-        // The whole-population reformulation is built on global agent
-        // exchangeability, which only the complete graph provides: on a
-        // sparse topology the paper's `h_j` totals do not determine any
-        // agent's inbox law. (The same fact is declared statically as
-        // `PushBackend::TOPOLOGY_CAPABILITY`, which backend-selection
-        // policies consult.)
-        if !<Self as crate::PushBackend>::TOPOLOGY_CAPABILITY.supports(config.topology()) {
-            return Err(SimError::UnsupportedTopology {
-                topology: config.topology().label(),
-                context: "the count-based backend".to_string(),
-            });
-        }
-        if !<Self as crate::PushBackend>::SUPPORTS_DELAY_FAULTS && config.fault().delay > 0.0 {
-            return Err(SimError::UnsupportedFault {
-                fault: config.fault().label(),
-                context: "the count-based backend".to_string(),
-            });
-        }
-        if let Some(feature) = <Self as crate::PushBackend>::TEMPORAL_CAPABILITY.first_unsupported(
-            &config.churn(),
-            &config.schedule(),
-            &config.clock(),
-        ) {
-            return Err(SimError::UnsupportedTemporal {
-                feature: feature.to_string(),
-                context: "the count-based backend".to_string(),
-            });
-        }
+        admission::check_construction(&config, &noise, ExecutionBackend::Counting)?;
         let k = config.num_opinions();
-        let schedule = ScheduledNoise::build(config.schedule(), k, &noise)?;
+        let schedule = ScheduledNoise::build(config.schedule(), &noise);
         let churn = ChurnState::build(config.churn(), config.seed());
         let temporal = (churn.is_some() || schedule.is_some()).then_some(CountingTemporal {
             churn,

@@ -21,7 +21,6 @@ use std::fmt;
 /// assert!(!d.is_consensus());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpinionDistribution {
     counts: Vec<usize>,
     undecided: usize,

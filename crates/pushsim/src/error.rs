@@ -51,11 +51,8 @@ pub enum SimError {
         /// What made the parameters infeasible.
         reason: String,
     },
-    /// The requested topology is not supported in this configuration:
-    /// process B and the count-based backend are complete-graph-only, the
-    /// agent backend's deferred delivery and the block-counting backend's
-    /// process P have their own boundaries (see
-    /// [`TopologyCapability`](crate::TopologyCapability)).
+    /// The requested topology is not supported in this configuration (an
+    /// [`admission`](crate::admission) rule).
     UnsupportedTopology {
         /// The offending topology's label.
         topology: String,
@@ -69,10 +66,8 @@ pub enum SimError {
         /// What made the parameters infeasible.
         reason: String,
     },
-    /// The requested fault spec is not supported in this configuration:
-    /// fault injection is complete-graph-only, delayed delivery is
-    /// agent-backend-only, and the block-counting backend rejects all
-    /// faults.
+    /// The requested fault spec is not supported in this configuration (an
+    /// [`admission`](crate::admission) rule).
     UnsupportedFault {
         /// The offending fault spec's label.
         fault: String,
@@ -87,11 +82,7 @@ pub enum SimError {
         reason: String,
     },
     /// The requested temporal feature is not supported in this
-    /// configuration: population churn is complete-graph-only and does
-    /// not compose with crash/Byzantine/delay faults, edge churn
-    /// (`rewire`) needs a re-sampleable randomized topology on the agent
-    /// backend, and clock skew needs the agent backend (see
-    /// [`TemporalCapability`](crate::TemporalCapability)).
+    /// configuration (an [`admission`](crate::admission) rule).
     UnsupportedTemporal {
         /// The offending temporal feature's label.
         feature: String,
@@ -133,30 +124,21 @@ impl fmt::Display for SimError {
             SimError::InvalidTopology { reason } => {
                 write!(f, "invalid topology: {reason}")
             }
-            SimError::UnsupportedTopology { topology, context } => write!(
-                f,
-                "topology {topology} is not supported by {context} \
-                 (non-complete topologies run on the agent backend with exact delivery, \
-                 or — if vertex-transitive — on the block-counting backend with process P)"
-            ),
+            SimError::UnsupportedTopology { topology, context } => {
+                write!(f, "topology {topology} is not supported by {context}")
+            }
             SimError::InvalidFault { reason } => {
                 write!(f, "invalid fault spec: {reason}")
             }
-            SimError::UnsupportedFault { fault, context } => write!(
-                f,
-                "fault spec {fault} is not supported by {context} \
-                 (faults are complete-graph-only; delayed delivery needs the agent backend; \
-                 the block-counting backend rejects all faults)"
-            ),
+            SimError::UnsupportedFault { fault, context } => {
+                write!(f, "fault spec {fault} is not supported by {context}")
+            }
             SimError::InvalidTemporal { reason } => {
                 write!(f, "invalid temporal spec: {reason}")
             }
-            SimError::UnsupportedTemporal { feature, context } => write!(
-                f,
-                "{feature} is not supported by {context} \
-                 (population churn is complete-graph-only and excludes crash/byz/delay faults; \
-                 edge churn and clock skew need the agent backend)"
-            ),
+            SimError::UnsupportedTemporal { feature, context } => {
+                write!(f, "{feature} is not supported by {context}")
+            }
         }
     }
 }

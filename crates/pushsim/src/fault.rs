@@ -28,17 +28,13 @@
 //!
 //! ## Support boundaries
 //!
-//! Fault injection is defined on the complete graph only (a duplicated or
-//! delayed message is re-scattered *uniformly*, which is a complete-graph
-//! notion), and the count-based
-//! [`CountingNetwork`](crate::CountingNetwork) supports the *aggregatable*
-//! subset: drop/dup as binomial thinning/inflation of the post-noise
-//! per-opinion counts, crash/Byzantine as count transfers between pools.
-//! Delayed delivery needs per-message identity across the phase boundary
-//! and is agent-backend-only (see
-//! [`PushBackend::SUPPORTS_DELAY_FAULTS`](crate::PushBackend::SUPPORTS_DELAY_FAULTS)).
-//! Both boundaries are enforced at construction time
-//! ([`SimError::UnsupportedFault`]).
+//! The count-based [`CountingNetwork`](crate::CountingNetwork) simulates
+//! the *aggregatable* families: drop/dup as binomial thinning/inflation of
+//! the post-noise per-opinion counts, crash/Byzantine as count transfers
+//! between pools. Delayed delivery needs per-message identity across the
+//! phase boundary. Which backend takes which family, and that faults need
+//! the complete graph, are rules of the [`admission`](crate::admission)
+//! module.
 //!
 //! All fault randomness is drawn from a **dedicated seed-derived RNG**
 //! (`seed ^ FAULT_SEED_SALT`), so an all-disabled spec leaves every
@@ -52,7 +48,6 @@ use std::str::FromStr;
 /// Crashed agents: a fraction of the population falls silent at the end
 /// of a given phase.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrashFault {
     /// The fraction of agents that crash, in `[0, 1]`.
     pub fraction: f64,
@@ -65,7 +60,6 @@ pub struct CrashFault {
 /// Byzantine agents: a fraction of the population always pushes a fixed
 /// opinion and never changes its own.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ByzantineFault {
     /// The fraction of agents that are Byzantine, in `[0, 1]`.
     pub fraction: f64,
@@ -82,7 +76,6 @@ pub struct ByzantineFault {
 /// round-trips exactly; families are joined with `+` in the fixed order
 /// `drop`, `dup`, `delay`, `crash`, `byz`.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpec {
     /// Per-message drop probability in `[0, 1]` (applied post-noise).
     pub drop: f64,

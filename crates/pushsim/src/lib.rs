@@ -68,9 +68,11 @@
 //!   `regular(d)` — where `C = 1`); `er(p)` is accepted as an explicit,
 //!   documented mean-field opt-in. See the [`blockcounting`] module.
 //!
-//! Which topology families each backend is *certified* for is a static
-//! capability ([`TopologyCapability`]: `Complete ⊂ VertexTransitive ⊂
-//! Any`) that automatic backend selection consults.
+//! What each backend accepts — topologies, delivery processes, fault
+//! families, temporal features — is one row of the [`admission`] table,
+//! which also holds the semantics-preserving `Auto` policy
+//! ([`ExecutionBackend`]) and the one generic build-and-visit dispatch
+//! ([`build_and_visit`]).
 //!
 //! Code written against `PushBackend` (the `plurality-core` protocol
 //! stages, every `opinion-dynamics` rule, the experiment harness) runs
@@ -78,28 +80,13 @@
 //! through the [`PhaseObservation`] trait ([`Inboxes`] vs [`PhaseTally`]
 //! vs [`BlockPhaseTally`]).
 //!
-//! ### Backend × delivery semantics support matrix
-//!
-//! | delivery semantics | `Network` (agent-level) | `CountingNetwork` (count-based) | `BlockCountingNetwork` (block-counting) |
-//! |---|---|---|---|
-//! | **O** `Exact` | exact, per-message delivery in [`push_round`](Network::push_round) | runs as process P (equivalent at phase granularity: Claim 1 + Lemma 3) | runs as per-class process P (same equivalence, per class) |
-//! | **B** `BallsIntoBins` | exact; noise applied in O(k²) multinomial draws at [`end_phase`](Network::end_phase), then a uniform scatter; complete graph only | runs as process P (equivalent at phase granularity: Lemma 3) | runs as per-class process P |
-//! | **P** `Poissonized` | exact; k aggregate `Poisson(h_i)` draws + uniform scatter (Poisson superposition); complete graph only | **exact** — the native semantics of the backend | **exact** per degree class — the native semantics |
-//!
-//! ### Backend × topology support matrix
-//!
-//! | topology | `Network` | `CountingNetwork` | `BlockCountingNetwork` |
-//! |---|---|---|---|
-//! | `complete` | ✓ (any delivery) | ✓ certified | ✓ certified (`C = 1`) |
-//! | `ring`, `torus`, `regular(d)` | ✓ (process O only) | ✗ rejected | ✓ certified (`C = 1`) |
-//! | `er(p)` | ✓ (process O only) | ✗ rejected | accepted opt-in (degree-bucketed, mean-field; never auto-selected) |
-//!
-//! "Exact" means the backend samples the process's distribution exactly
-//! (the batched paths are distribution-preserving reformulations, checked
-//! empirically in `tests/equivalence.rs`); "equivalent at phase
-//! granularity" means the per-phase aggregate law is the process-P one the
-//! paper transfers to the other processes w.h.p. Three bounded
-//! approximations qualify the counting backend's "exact": the Poisson
+//! A backend simulates a delivery process *natively* when it samples the
+//! process's distribution exactly (the batched paths are
+//! distribution-preserving reformulations, checked empirically in
+//! `tests/equivalence.rs`); the count-based backends run every other
+//! process as process P, whose per-phase aggregate law the paper transfers
+//! to the other processes w.h.p. Three bounded approximations qualify the
+//! counting backend's exactness: the Poisson
 //! upper tail switches to a continuity-corrected normal approximation
 //! beyond mean 600 (absolute error < 10⁻³; see
 //! [`counting::poisson_tail_ge`]), bulk sample-majority adoption beyond
@@ -112,8 +99,7 @@
 //!
 //! Beyond the ε-noisy channel, runs can inject classical faults through a
 //! [`FaultSpec`] (`drop`, `dup`, `delay`, `crash`, `byz` — see the
-//! [`fault`] module): the agent backend supports everything, the counting
-//! backend the aggregatable subset (no `delay`). All fault randomness is
+//! [`fault`] module). All fault randomness is
 //! drawn from a dedicated seed-derived RNG, so a disabled spec keeps every
 //! RNG stream above bit-for-bit identical to the fault-free simulator.
 //!
@@ -126,12 +112,8 @@
 //! resamples a `regular(d)`/`er(p)` topology between phases); a
 //! [`NoiseSchedule`] moves ε over phases (`step`/`burst`/`ramp`); a
 //! [`ClockSpec`] desynchronizes the rounds themselves (`drift(ppm)` /
-//! `skew(p)` per-agent participation). What each backend supports is a
-//! static [`TemporalCapability`] — the agent backend everything, the
-//! counting backend the aggregate subset (population churn and schedules;
-//! its rounds are synchronous by construction), the block-counting
-//! backend nothing — and automatic backend selection consults it. Like
-//! faults, all temporal randomness comes from dedicated seed-salted RNGs,
+//! `skew(p)` per-agent participation). Like faults, all temporal
+//! randomness comes from dedicated seed-salted RNGs,
 //! so `ChurnSpec::none()` + `NoiseSchedule::Const` + `ClockSpec::Sync`
 //! (the defaults) are **bit-for-bit** the static simulator (pinned by
 //! `tests/temporal_network.rs`).
@@ -172,6 +154,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod backend;
 pub mod blockcounting;
 mod config;
@@ -186,6 +169,7 @@ pub mod poisson;
 pub mod temporal;
 pub mod topology;
 
+pub use admission::{admit, build_and_visit, BackendVisitor, ExecutionBackend, Resolved};
 pub use backend::{AdoptionScope, PhaseObservation, PushBackend, TopologyCapability};
 pub use blockcounting::{BlockCountingNetwork, BlockPhaseTally};
 pub use config::{DeliverySemantics, SimConfig, SimConfigBuilder};

@@ -1,5 +1,6 @@
 //! The network simulator: agents, rounds and phase-level message delivery.
 
+use crate::admission::{self, ExecutionBackend};
 use crate::config::{DeliverySemantics, SimConfig};
 use crate::distribution::OpinionDistribution;
 use crate::error::SimError;
@@ -194,34 +195,13 @@ pub(crate) struct ScheduledNoise {
 }
 
 impl ScheduledNoise {
-    /// Validates and materializes a non-constant schedule for a system
-    /// with `k` opinions; `Ok(None)` for the constant schedule.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidTemporal`] if a scheduled ε falls outside the
-    /// uniform noise family's k-dependent domain `(0, 1 − 1/k]` —
-    /// checked here, once, so phase-boundary swaps can never fail.
-    pub(crate) fn build(
-        schedule: NoiseSchedule,
-        k: usize,
-        base: &NoiseMatrix,
-    ) -> Result<Option<Self>, SimError> {
-        if schedule.is_const() {
-            return Ok(None);
-        }
-        for eps in schedule.scheduled_epsilons() {
-            NoiseMatrix::uniform(k, eps).map_err(|_| SimError::InvalidTemporal {
-                reason: format!(
-                    "scheduled epsilon {eps} is outside the uniform noise family's \
-                     domain (0, 1 - 1/k] for k = {k}"
-                ),
-            })?;
-        }
-        Ok(Some(Self {
+    /// Materializes a non-constant schedule; `None` for the constant
+    /// schedule.
+    pub(crate) fn build(schedule: NoiseSchedule, base: &NoiseMatrix) -> Option<Self> {
+        (!schedule.is_const()).then(|| Self {
             schedule,
             base: base.clone(),
-        }))
+        })
     }
 
     /// The noise matrix phase `phase` runs under: the scheduled uniform
@@ -229,7 +209,7 @@ impl ScheduledNoise {
     pub(crate) fn matrix_for(&self, phase: u64, k: usize) -> NoiseMatrix {
         match self.schedule.epsilon_at(phase) {
             Some(eps) => NoiseMatrix::uniform(k, eps)
-                .expect("scheduled epsilons are validated at construction"),
+                .expect("SimConfigBuilder::build validates scheduled epsilons"),
             None => self.base.clone(),
         }
     }
@@ -257,7 +237,6 @@ pub(crate) fn membership_count(fraction: f64, num_nodes: usize) -> usize {
 
 /// Statistics of a single executed round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoundReport {
     round: u64,
     messages_sent: u64,
@@ -334,30 +313,12 @@ impl Network {
     ///
     /// * [`SimError::NoiseDimensionMismatch`] if the noise matrix is not
     ///   defined over exactly `config.num_opinions()` opinions.
+    /// * The [`admission`] error if the agent backend's
+    ///   capabilities do not cover the configuration.
     /// * [`SimError::InvalidTopology`] if the configured topology cannot
     ///   be realized (see [`Topology::build`]).
-    /// * [`SimError::UnsupportedTopology`] if a non-complete topology is
-    ///   combined with deferred delivery (process B or P): the agent
-    ///   backend's deferred path scatters phase messages into *uniform*
-    ///   bins, which would silently ignore the graph. Sparse Poissonized
-    ///   runs belong to
-    ///   [`BlockCountingNetwork`](crate::BlockCountingNetwork).
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
-        if noise.num_opinions() != config.num_opinions() {
-            return Err(SimError::NoiseDimensionMismatch {
-                expected: config.num_opinions(),
-                found: noise.num_opinions(),
-            });
-        }
-        if !config.topology().is_complete() && config.delivery() != DeliverySemantics::Exact {
-            return Err(SimError::UnsupportedTopology {
-                topology: config.topology().label(),
-                context: format!(
-                    "the agent backend with deferred delivery (process {})",
-                    config.delivery().label()
-                ),
-            });
-        }
+        admission::check_construction(&config, &noise, ExecutionBackend::Agent)?;
         let n = config.num_nodes();
         let k = config.num_opinions();
         // A dedicated RNG for graph construction: the delivery stream
@@ -367,7 +328,7 @@ impl Network {
         let topology = Topology::build(config.topology(), n, &mut topology_rng)?;
         let faults = (!config.fault().is_none())
             .then(|| AgentFaults::new(config.fault(), config.seed(), n, k));
-        let schedule = ScheduledNoise::build(config.schedule(), k, &noise)?;
+        let schedule = ScheduledNoise::build(config.schedule(), &noise);
         let churn = ChurnState::build(config.churn(), config.seed());
         let clock = (!config.clock().is_sync())
             .then(|| AgentClock::new(config.clock(), config.seed(), n));

@@ -14,7 +14,6 @@ use std::fmt;
 /// assert_eq!(o.index(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Opinion(u32);
 
 impl Opinion {
@@ -48,7 +47,6 @@ impl From<Opinion> for usize {
 /// The state of a single agent: either undecided (holds no opinion, may not
 /// push) or opinionated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeState {
     /// The agent holds no opinion yet and does not push messages.
     #[default]

@@ -45,20 +45,9 @@
 //!
 //! ## Support boundaries
 //!
-//! Which temporal features a backend admits is a static capability
-//! ([`TemporalCapability`] on
-//! [`PushBackend`](crate::PushBackend::TEMPORAL_CAPABILITY)): the
-//! agent-level backend supports everything; the count-based and
-//! block-counting backends support population churn and noise schedules
-//! as O(k)/O(k²·C) aggregate operations and reject edge churn and clock
-//! skew (there are no per-agent clocks or materialized edges to skew or
-//! rewire). Cross-feature boundaries are enforced when the
-//! configuration is built ([`SimConfig::builder`](crate::SimConfig)):
-//! population churn is complete-graph-only and does not compose with
-//! crash/Byzantine/delay faults (identity bookkeeping across arrivals
-//! and departures would be ambiguous), edge churn requires a
-//! re-sampleable randomized topology (`regular(d)` or `er(p)`) under
-//! exact delivery.
+//! Which backend simulates which temporal feature, and how the features
+//! compose with topologies, delivery and faults, are rules of the
+//! [`admission`](crate::admission) module.
 
 use crate::error::SimError;
 use std::fmt;
@@ -76,7 +65,6 @@ pub(crate) const CLOCK_SEED_SALT: u64 = 0xC10C_05EE_DD21_F7AD;
 /// A departure burst: a fraction of the population leaves at once at a
 /// scheduled phase boundary.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BurstChurn {
     /// The fraction of the population that departs, in `(0, 1)`.
     pub fraction: f64,
@@ -126,7 +114,6 @@ pub struct PopulationDelta {
 /// only which agents leave and what joiners believe is random, drawn
 /// from the dedicated churn RNG.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChurnSpec {
     /// Per-boundary join rate in `[0, 1)`: `⌊join·p⌋` agents arrive at
     /// every boundary.
@@ -469,7 +456,6 @@ impl FromStr for ChurnSpec {
 /// family's domain `(0, 1 − 1/k]`; the upper bound is checked when the
 /// backend is built (where `k` is known).
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NoiseSchedule {
     /// The configured noise matrix is used for every phase (the paper's
     /// constant-channel model).
@@ -786,7 +772,6 @@ impl FromStr for NoiseSchedule {
 /// backends have no per-agent identity to attach a clock to
 /// ([`TemporalCapability::clock`]).
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ClockSpec {
     /// Lockstep synchronous rounds (the paper's model).
     #[default]
@@ -936,10 +921,8 @@ impl FromStr for ClockSpec {
     }
 }
 
-/// Which temporal features a backend supports, as a static capability
-/// (like [`TopologyCapability`](crate::TopologyCapability)): automatic
-/// backend selection consults it, and each backend's constructor
-/// enforces it ([`SimError::UnsupportedTemporal`]).
+/// Which temporal features a backend supports: one column of the
+/// [`admission`](crate::admission) table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporalCapability {
     /// Agents may join and leave at phase boundaries (`join`, `leave`,

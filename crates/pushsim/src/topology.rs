@@ -38,10 +38,8 @@
 //! ([`CountingNetwork`](crate::CountingNetwork)), per (degree class,
 //! opinion) on degree-homogeneous families
 //! ([`BlockCountingNetwork`](crate::BlockCountingNetwork), via
-//! [`DegreeClasses`]). Which backend is certified for which family is
-//! expressed by [`TopologyCapability`](crate::TopologyCapability); the
-//! boundaries are enforced at construction time
-//! ([`SimError::UnsupportedTopology`]).
+//! [`DegreeClasses`]). Which backend is certified for which family is a
+//! rule of the [`admission`](crate::admission) table.
 
 use crate::error::SimError;
 use rand::rngs::StdRng;
@@ -56,7 +54,6 @@ use std::str::FromStr;
 /// The textual form (`Display` / [`FromStr`]) round-trips exactly and is
 /// the spelling scenario spec files use (`topology = regular(8)`).
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologySpec {
     /// The complete graph: every push lands on a uniformly random node
     /// (the paper's model; the default).
