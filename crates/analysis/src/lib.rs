@@ -13,8 +13,9 @@
 //! * [`stats::SampleStats`] — online mean / variance / min / max.
 //! * [`ci::WilsonInterval`] — Wilson score intervals for success
 //!   probabilities ("w.h.p." claims are checked through these).
-//! * [`sweep`] — a tiny harness for running a closure over a parameter grid
-//!   with repetitions and collecting rows.
+//! * [`sweep`] — derived per-cell seeds ([`sweep::derive_seed`]) and the
+//!   ordered parallel map ([`sweep::par_map`]) that the experiment
+//!   harness runs its trials and campaign seeds through.
 //! * [`table`] — fixed-width plain-text tables and CSV output for
 //!   EXPERIMENTS.md.
 //! * [`observe`] — ready-made observers for the core observation layer:

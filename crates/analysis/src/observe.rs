@@ -89,7 +89,7 @@ pub fn trajectory_row(snapshot: &PhaseSnapshot, previous_bias: Option<f64>) -> V
 /// ```
 /// use gossip_analysis::observe::TrajectoryRecorder;
 /// use noisy_channel::NoiseMatrix;
-/// use plurality_core::{ExecutionBackend, ProtocolParams, TwoStageProtocol};
+/// use plurality_core::{ExecutionBackend, Instance, ProtocolParams, TwoStageProtocol};
 /// use pushsim::Opinion;
 ///
 /// # fn main() -> Result<(), plurality_core::ProtocolError> {
@@ -97,9 +97,9 @@ pub fn trajectory_row(snapshot: &PhaseSnapshot, previous_bias: Option<f64>) -> V
 /// let params = ProtocolParams::builder(400, 2).epsilon(0.35).seed(5).build()?;
 /// let protocol = TwoStageProtocol::new(params, noise)?;
 /// let mut recorder = TrajectoryRecorder::new();
-/// let outcome = protocol.session().run_rumor_spreading_on(
+/// let outcome = protocol.session().run(
 ///     ExecutionBackend::Auto,
-///     Opinion::new(0),
+///     Instance::Rumor(Opinion::new(0)),
 ///     &mut recorder,
 /// )?;
 /// assert_eq!(recorder.len(), outcome.phase_records().len());
@@ -317,7 +317,7 @@ impl Observer for OnlineStats {
 /// ```
 /// use gossip_analysis::observe::StreamSink;
 /// use noisy_channel::NoiseMatrix;
-/// use plurality_core::{ExecutionBackend, ProtocolParams, TwoStageProtocol};
+/// use plurality_core::{ExecutionBackend, Instance, ProtocolParams, TwoStageProtocol};
 /// use pushsim::Opinion;
 ///
 /// # fn main() -> Result<(), plurality_core::ProtocolError> {
@@ -326,9 +326,9 @@ impl Observer for OnlineStats {
 /// let protocol = TwoStageProtocol::new(params, noise)?;
 /// let mut out = Vec::new();
 /// let mut sink = StreamSink::new(&mut out);
-/// protocol.session().run_rumor_spreading_on(
+/// protocol.session().run(
 ///     ExecutionBackend::Auto,
-///     Opinion::new(0),
+///     Instance::Rumor(Opinion::new(0)),
 ///     &mut sink,
 /// )?;
 /// assert!(sink.error().is_none());

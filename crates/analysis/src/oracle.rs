@@ -439,8 +439,8 @@ impl plurality_core::Observer for OracleSuite {
 mod tests {
     use super::*;
     use noisy_channel::NoiseMatrix;
-    use plurality_core::{ExecutionBackend, ProtocolParams, TwoStageProtocol};
-    use plurality_core::{Observer, StageId};
+    use plurality_core::{ExecutionBackend, Instance, ProtocolParams, TwoStageProtocol};
+    use plurality_core::{NoObserver, Observer, StageId};
     use pushsim::OpinionDistribution;
 
     fn snapshot(counts: Vec<usize>, undecided: usize, bias: Option<f64>) -> PhaseSnapshot {
@@ -458,7 +458,12 @@ mod tests {
         let protocol =
             TwoStageProtocol::new(params, NoiseMatrix::uniform(3, eps).unwrap()).unwrap();
         protocol
-            .run_plurality_consensus(&[200, 120, 80])
+            .session()
+            .run(
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[200, 120, 80]),
+                &mut NoObserver,
+            )
             .unwrap()
     }
 
@@ -549,7 +554,11 @@ mod tests {
         let mut suite = OracleSuite::standard(500, eps, 1.0, 100.0);
         let outcome = protocol
             .session()
-            .run_plurality_consensus_on(ExecutionBackend::Agent, &[200, 120, 80], &mut suite)
+            .run(
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[200, 120, 80]),
+                &mut suite,
+            )
             .unwrap();
         assert_eq!(
             suite.observed_phases() as usize,

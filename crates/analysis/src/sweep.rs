@@ -1,19 +1,15 @@
-//! Parameter sweeps with repetitions — sequential or multi-threaded, with
-//! deterministic per-repetition seed derivation.
+//! Deterministic parallel sweeps: derived per-cell seeds and one ordered
+//! parallel map.
 //!
-//! Every `(point, repetition)` pair gets a seed derived purely from
-//! `(base_seed, point_index, rep)` by [`derive_seed`], so the statistics of
-//! a sweep are a function of the base seed alone: running sequentially
-//! ([`Sweep::run_seeded`]) or across any number of threads
-//! ([`Sweep::run_par`]) produces **identical** rows (results are merged in
-//! `(point, rep)` order regardless of completion order, and
-//! [`SampleStats::merge`] of per-repetition rows is exactly equivalent to
-//! sequential accumulation).
+//! Every `(point, repetition)` cell of a sweep gets a seed derived purely
+//! from `(base_seed, point_index, rep)` by [`derive_seed`], and
+//! [`par_map`] returns its results in index order whatever the thread
+//! count or completion order, so a sweep's statistics are a function of
+//! its inputs alone: running it across all cores produces exactly the
+//! rows of a sequential loop.
 
-use crate::stats::SampleStats;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Derives the RNG seed of one `(point, repetition)` cell from the sweep's
 /// base seed — a SplitMix64-style mix, so neighbouring cells get unrelated
@@ -27,257 +23,61 @@ pub fn derive_seed(base_seed: u64, point_index: usize, rep: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One repetition's identity within a sweep: which point, which rep, and
-/// the derived RNG seed the body should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepContext {
-    /// Index of the parameter point in the sweep's point list.
-    pub point_index: usize,
-    /// Repetition number within the point (`0..repetitions`).
-    pub rep: u64,
-    /// The seed derived from `(base_seed, point_index, rep)`.
-    pub seed: u64,
-}
-
-/// One row of a sweep: a parameter point plus named metric accumulators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
-    label: String,
-    metrics: BTreeMap<String, SampleStats>,
-}
-
-impl SweepRow {
-    /// Creates an empty row for the parameter point described by `label`.
-    pub fn new(label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            metrics: BTreeMap::new(),
-        }
-    }
-
-    /// The label of the parameter point (e.g. `"n=10000,k=3"`).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Records one observation of metric `name`.
-    pub fn record(&mut self, name: &str, value: f64) {
-        self.metrics.entry(name.to_string()).or_default().push(value);
-    }
-
-    /// The accumulator of metric `name`, if any observation was recorded.
-    pub fn metric(&self, name: &str) -> Option<&SampleStats> {
-        self.metrics.get(name)
-    }
-
-    /// The names of all recorded metrics, in sorted order.
-    pub fn metric_names(&self) -> impl Iterator<Item = &str> {
-        self.metrics.keys().map(|s| s.as_str())
-    }
-
-    /// Merges another row's accumulators into this one (used to combine
-    /// per-repetition rows; metric-wise [`SampleStats::merge`]).
-    pub fn merge(&mut self, other: &SweepRow) {
-        for (name, stats) in &other.metrics {
-            self.metrics
-                .entry(name.clone())
-                .or_default()
-                .merge(stats);
-        }
-    }
-}
-
-/// A parameter sweep: a list of parameter points, each repeated several
-/// times, producing one [`SweepRow`] per point.
+/// Maps `f` over `0..count` on one worker per available core and returns
+/// the results in index order: exactly `(0..count).map(f).collect()`, for
+/// an `f` whose result depends on its index alone.
+///
+/// Workers take the next index from a shared counter, so uneven jobs
+/// balance themselves. The result vector grows as results arrive; nothing
+/// is reserved up front, so a huge `count` costs memory only for the
+/// results actually produced.
 ///
 /// ```
-/// use gossip_analysis::sweep::Sweep;
+/// use gossip_analysis::sweep::{derive_seed, par_map};
 ///
-/// // Estimate the mean of x^2 for x = 1, 2, 3 with 4 "repetitions" each.
-/// let rows = Sweep::over(vec![1.0f64, 2.0, 3.0])
-///     .repetitions(4)
-///     .run(|&x, _rep, row| {
-///         row.record("square", x * x);
-///     });
-/// assert_eq!(rows.len(), 3);
-/// assert_eq!(rows[1].metric("square").unwrap().mean(), 4.0);
+/// let seeds = par_map(8, |rep| derive_seed(42, 0, rep));
+/// let sequential: Vec<u64> = (0..8).map(|rep| derive_seed(42, 0, rep)).collect();
+/// assert_eq!(seeds, sequential);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Sweep<P> {
-    points: Vec<P>,
-    repetitions: u64,
-}
-
-impl<P: std::fmt::Debug> Sweep<P> {
-    /// Creates a sweep over the given parameter points.
-    pub fn over(points: Vec<P>) -> Self {
-        Self {
-            points,
-            repetitions: 1,
+///
+/// # Panics
+///
+/// Re-raises a panic of `f` once every worker has stopped.
+pub fn par_map<T, F>(count: u64, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+{
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get() as u64)
+        .min(count);
+    let next = AtomicU64::new(0);
+    let finished = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= count {
+                    break;
+                }
+                let result = f(index);
+                finished
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((index, result));
+            });
         }
-    }
-
-    /// Sets how many times each parameter point is repeated (default 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repetitions == 0`.
-    pub fn repetitions(mut self, repetitions: u64) -> Self {
-        assert!(repetitions > 0, "need at least one repetition");
-        self.repetitions = repetitions;
-        self
-    }
-
-    /// Runs `body` for every (point, repetition) pair; the body records
-    /// metrics into the row for its point. Returns one row per point, in
-    /// the original order, labelled with the point's `Debug` representation.
-    pub fn run<F>(self, mut body: F) -> Vec<SweepRow>
-    where
-        F: FnMut(&P, u64, &mut SweepRow),
-    {
-        let mut rows = Vec::with_capacity(self.points.len());
-        for point in &self.points {
-            let mut row = SweepRow::new(format!("{point:?}"));
-            for rep in 0..self.repetitions {
-                body(point, rep, &mut row);
-            }
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// Sequential sweep with derived per-repetition seeds: `body` receives
-    /// the point and a [`RepContext`] carrying the seed it must use for all
-    /// of that repetition's randomness.
-    ///
-    /// Produces rows identical to [`run_par`](Self::run_par) with the same
-    /// base seed (both merge per-repetition rows in `(point, rep)` order).
-    pub fn run_seeded<F>(self, base_seed: u64, mut body: F) -> Vec<SweepRow>
-    where
-        F: FnMut(&P, RepContext, &mut SweepRow),
-    {
-        let repetitions = self.repetitions;
-        let mut rows: Vec<SweepRow> = self
-            .points
-            .iter()
-            .map(|p| SweepRow::new(format!("{p:?}")))
-            .collect();
-        for (point_index, point) in self.points.iter().enumerate() {
-            for rep in 0..repetitions {
-                let ctx = RepContext {
-                    point_index,
-                    rep,
-                    seed: derive_seed(base_seed, point_index, rep),
-                };
-                let mut rep_row = SweepRow::new(String::new());
-                body(point, ctx, &mut rep_row);
-                rows[point_index].merge(&rep_row);
-            }
-        }
-        rows
-    }
-
-    /// Multi-threaded sweep over all `(point, repetition)` cells.
-    ///
-    /// `threads = 0` means one worker per available CPU core. Each cell
-    /// runs `body` with its [`derive_seed`]-derived seed into a private
-    /// row; finished rows are merged in `(point, rep)` order, so the result
-    /// is identical to [`run_seeded`](Self::run_seeded) with the same base
-    /// seed — regardless of the thread count or completion order.
-    pub fn run_par<F>(self, base_seed: u64, threads: usize, body: F) -> Vec<SweepRow>
-    where
-        P: Sync,
-        F: Fn(&P, RepContext, &mut SweepRow) + Sync,
-    {
-        let repetitions = self.repetitions;
-        let num_points = self.points.len();
-        let total_jobs = num_points * repetitions as usize;
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(total_jobs.max(1));
-
-        let points = &self.points;
-        let next_job = AtomicUsize::new(0);
-        let finished: Mutex<Vec<(usize, u64, SweepRow)>> =
-            Mutex::new(Vec::with_capacity(total_jobs));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let job = next_job.fetch_add(1, Ordering::Relaxed);
-                    if job >= total_jobs {
-                        break;
-                    }
-                    let point_index = job / repetitions as usize;
-                    let rep = (job % repetitions as usize) as u64;
-                    let ctx = RepContext {
-                        point_index,
-                        rep,
-                        seed: derive_seed(base_seed, point_index, rep),
-                    };
-                    let mut rep_row = SweepRow::new(String::new());
-                    body(&points[point_index], ctx, &mut rep_row);
-                    finished
-                        .lock()
-                        .expect("sweep worker poisoned the result lock")
-                        .push((point_index, rep, rep_row));
-                });
-            }
-        });
-
-        let mut cells = finished.into_inner().expect("all workers joined");
-        cells.sort_by_key(|&(point_index, rep, _)| (point_index, rep));
-        let mut rows: Vec<SweepRow> = self
-            .points
-            .iter()
-            .map(|p| SweepRow::new(format!("{p:?}")))
-            .collect();
-        for (point_index, _rep, rep_row) in &cells {
-            rows[*point_index].merge(rep_row);
-        }
-        rows
-    }
+    });
+    let mut results = finished
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_visits_every_point_and_repetition() {
-        let mut visits = Vec::new();
-        let rows = Sweep::over(vec!["a", "b"]).repetitions(3).run(|p, rep, row| {
-            visits.push((p.to_string(), rep));
-            row.record("reps", rep as f64);
-        });
-        assert_eq!(rows.len(), 2);
-        assert_eq!(visits.len(), 6);
-        assert_eq!(rows[0].metric("reps").unwrap().len(), 3);
-        assert_eq!(rows[0].label(), "\"a\"");
-    }
-
-    #[test]
-    fn rows_accumulate_multiple_metrics() {
-        let mut row = SweepRow::new("point");
-        row.record("x", 1.0);
-        row.record("x", 3.0);
-        row.record("y", 10.0);
-        assert_eq!(row.metric("x").unwrap().mean(), 2.0);
-        assert_eq!(row.metric("y").unwrap().len(), 1);
-        assert!(row.metric("z").is_none());
-        let names: Vec<&str> = row.metric_names().collect();
-        assert_eq!(names, vec!["x", "y"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "repetition")]
-    fn zero_repetitions_is_rejected() {
-        let _ = Sweep::over(vec![1]).repetitions(0);
-    }
 
     #[test]
     fn derived_seeds_are_deterministic_and_distinct() {
@@ -292,54 +92,65 @@ mod tests {
         }
     }
 
-    /// A deterministic pseudo-experiment: the metric is a pure function of
-    /// the cell's derived seed, so sequential and parallel sweeps must
+    /// A deterministic pseudo-experiment: the result is a pure function of
+    /// the index's derived seed, so the parallel and sequential maps must
     /// agree bit for bit.
-    fn seed_driven_body(scale: &f64, ctx: RepContext, row: &mut SweepRow) {
-        let noise = (ctx.seed % 1_000) as f64 / 1_000.0;
-        row.record("value", scale * noise);
-        if ctx.rep.is_multiple_of(2) {
-            row.record("even_rep_value", scale + noise);
-        }
+    fn seed_driven(index: u64) -> (u64, f64) {
+        let seed = derive_seed(42, (index / 16) as usize, index % 16);
+        (seed, (seed % 1_000) as f64 / 1_000.0)
     }
 
     #[test]
     fn parallel_and_sequential_sweeps_agree_exactly() {
-        let points = vec![1.0f64, 2.0, 3.0];
-        let base_seed = 42;
-        let sequential = Sweep::over(points.clone())
-            .repetitions(16)
-            .run_seeded(base_seed, seed_driven_body);
-        for threads in [1, 2, 4, 0] {
-            let parallel = Sweep::over(points.clone())
-                .repetitions(16)
-                .run_par(base_seed, threads, seed_driven_body);
-            assert_eq!(parallel.len(), sequential.len());
-            for (p, s) in parallel.iter().zip(&sequential) {
-                assert_eq!(p.label(), s.label());
-                let names: Vec<&str> = s.metric_names().collect();
-                assert_eq!(p.metric_names().collect::<Vec<_>>(), names);
-                for name in names {
-                    let (pm, sm) = (p.metric(name).unwrap(), s.metric(name).unwrap());
-                    assert_eq!(pm.len(), sm.len());
-                    assert_eq!(pm.mean(), sm.mean(), "thread count {threads}");
-                    assert_eq!(pm.sample_variance(), sm.sample_variance());
-                    assert_eq!(pm.min(), sm.min());
-                    assert_eq!(pm.max(), sm.max());
-                }
-            }
-        }
+        let sequential: Vec<(u64, f64)> = (0..48).map(seed_driven).collect();
+        assert_eq!(par_map(48, seed_driven), sequential);
+    }
+
+    #[test]
+    fn sweep_visits_every_point_and_repetition() {
+        // A 10-point × 7-rep sweep flattened to one index per cell: every
+        // cell runs exactly once and the results come back in (point, rep)
+        // order.
+        let reps = 7;
+        let visits: Vec<AtomicU64> = (0..70).map(|_| AtomicU64::new(0)).collect();
+        let cells = par_map(70, |index| {
+            visits[index as usize].fetch_add(1, Ordering::Relaxed);
+            (index / reps, index % reps)
+        });
+        let expected: Vec<(u64, u64)> = (0..10)
+            .flat_map(|point| (0..reps).map(move |rep| (point, rep)))
+            .collect();
+        assert_eq!(cells, expected);
+        assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn run_par_visits_every_cell_once() {
-        let rows = Sweep::over(vec![10u64, 20])
-            .repetitions(5)
-            .run_par(7, 3, |&p, ctx, row| {
-                row.record("reps", ctx.rep as f64 + p as f64);
-            });
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].metric("reps").unwrap().len(), 5);
-        assert_eq!(rows[1].metric("reps").unwrap().len(), 5);
+        // Points 10 and 20, five reps each; later cells finish first, so
+        // completion order differs from index order.
+        let points = [10u64, 20];
+        let reps = 5;
+        let visits: Vec<AtomicU64> = (0..10).map(|_| AtomicU64::new(0)).collect();
+        let values = par_map(10, |index| {
+            visits[index as usize].fetch_add(1, Ordering::Relaxed);
+            for _ in 0..(10 - index) {
+                std::thread::yield_now();
+            }
+            points[(index / reps) as usize] + index % reps
+        });
+        assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+        assert_eq!(values, vec![10, 11, 12, 13, 14, 20, 21, 22, 23, 24]);
+    }
+
+    #[test]
+    fn par_map_handles_empty_and_smaller_than_pool_counts() {
+        assert!(par_map(0, |index| index).is_empty());
+        assert_eq!(par_map(1, |index| index + 7), vec![7]);
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get() as u64);
+        let count = workers.saturating_sub(1).max(1);
+        assert_eq!(
+            par_map(count, |index| index * 2),
+            (0..count).map(|i| i * 2).collect::<Vec<_>>()
+        );
     }
 }

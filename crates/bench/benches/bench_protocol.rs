@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noisy_channel::NoiseMatrix;
-use plurality_core::{ProtocolParams, TwoStageProtocol};
+use plurality_core::{ExecutionBackend, Instance, NoObserver, ProtocolParams, TwoStageProtocol};
 use pushsim::Opinion;
 use std::hint::black_box;
 use std::time::Duration;
@@ -24,7 +24,12 @@ fn bench_rumor_spreading_end_to_end(c: &mut Criterion) {
             let protocol = TwoStageProtocol::new(params, noise).expect("compatible");
             b.iter(|| {
                 let outcome = protocol
-                    .run_rumor_spreading(Opinion::new(0))
+                    .session()
+                    .run(
+                        ExecutionBackend::Agent,
+                        Instance::Rumor(Opinion::new(0)),
+                        &mut NoObserver,
+                    )
                     .expect("run completes");
                 black_box(outcome.rounds())
             });
@@ -46,7 +51,12 @@ fn bench_plurality_consensus_end_to_end(c: &mut Criterion) {
         let counts = [600, 400, 400, 300, 300];
         b.iter(|| {
             let outcome = protocol
-                .run_plurality_consensus(&counts)
+                .session()
+                .run(
+                    ExecutionBackend::Agent,
+                    Instance::Plurality(&counts),
+                    &mut NoObserver,
+                )
                 .expect("run completes");
             black_box(outcome.succeeded())
         });

@@ -24,16 +24,18 @@
 //! own `stop.*` keys: the round envelope oracle then measures actual
 //! convergence time instead of the fixed schedule length.
 
-use crate::runner::{axis_cells, axis_columns, expand_grid, resolve_counts, GridPoint, ProtocolRun};
-use crate::spec::{ScenarioKind, ScenarioSpec, SpecError};
+use crate::runner::{
+    axis_cells, axis_columns, expand_grid, point_counts, point_protocol, protocol_instance,
+    run_protocol, validate_counts, GridPoint,
+};
+use crate::spec::{ScenarioSpec, SpecError};
 use gossip_analysis::observe::TrajectoryRecorder;
 use gossip_analysis::oracle::{OracleSuite, Violation};
-use gossip_analysis::sweep::derive_seed;
+use gossip_analysis::sweep::{derive_seed, par_map};
 use gossip_analysis::table::Table;
 use noisy_channel::NoiseMatrix;
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
-use plurality_core::{Outcome, ProtocolParams, TwoStageProtocol};
-use pushsim::Opinion;
+use plurality_core::ProtocolParams;
 
 /// Default number of seeds per campaign cell.
 pub const DEFAULT_SEEDS: u64 = 100;
@@ -213,12 +215,14 @@ pub struct ReplayOutcome {
     pub trajectory: TrajectoryRecorder,
 }
 
-/// A campaign cell with everything its runs share pre-built (and
-/// pre-validated, so the parallel workers cannot fail).
+/// A campaign cell with everything its runs share pre-built and
+/// pre-validated: the runner's parameters (at the spec's base seed) and
+/// noise for the point, and its initial counts.
 struct CellPlan {
     point: GridPoint,
+    params: ProtocolParams,
     noise: NoiseMatrix,
-    counts: Option<Vec<usize>>,
+    counts: Vec<usize>,
 }
 
 /// Runs the campaign: every grid cell × every seed in `0..options.seeds`,
@@ -229,7 +233,8 @@ struct CellPlan {
 /// # Errors
 ///
 /// [`SpecError::Invalid`] if the spec is not a protocol scenario (rumor,
-/// plurality, stage2) or fails its own validation; construction errors
+/// plurality, stage2), fails its own validation, or asks for more runs
+/// (cells × seeds) than a `u64` counts; construction errors
 /// ([`SpecError::Protocol`], [`SpecError::Noise`]) for the offending cell.
 pub fn run_campaign(
     spec: &ScenarioSpec,
@@ -237,65 +242,42 @@ pub fn run_campaign(
 ) -> Result<CampaignReport, SpecError> {
     let plans = prepare(spec, options)?;
     let seeds = options.seeds;
-    let total = plans.len() as u64 * seeds;
+    let total = (plans.len() as u64).checked_mul(seeds).ok_or_else(|| {
+        SpecError::Invalid(format!(
+            "{} cells × {seeds} seeds is more runs than a campaign can count",
+            plans.len()
+        ))
+    })?;
     let stop = campaign_stop(spec);
 
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let finished: std::sync::Mutex<Vec<(u64, Vec<Violation>)>> =
-        std::sync::Mutex::new(Vec::with_capacity(total as usize));
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get() as u64)
-        .unwrap_or(1)
-        .min(total);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let flat = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if flat >= total {
-                    break;
-                }
-                let plan = &plans[(flat / seeds) as usize];
-                let seed_index = flat % seeds;
-                let seed = derive_seed(spec.seed, plan.point.index, seed_index);
-                let (_, violations) =
-                    execute_one(spec, options, plan, &stop, seed, &mut NoObserver);
-                finished
-                    .lock()
-                    .expect("campaign worker poisoned the result lock")
-                    .push((flat, violations));
-            });
-        }
-    });
-    let mut outcomes = finished.into_inner().expect("all workers joined");
-    outcomes.sort_by_key(|&(flat, _)| flat);
+    let verdicts = par_map(total, |flat| {
+        let plan = &plans[(flat / seeds) as usize];
+        let seed = derive_seed(spec.seed, plan.point.index, flat % seeds);
+        execute_one(spec, options, plan, &stop, seed, &mut NoObserver)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
-    let mut cells = Vec::with_capacity(plans.len());
-    for (cell_index, plan) in plans.iter().enumerate() {
-        let mut failures = 0;
-        let mut first_failure = None;
-        for (flat, violations) in &outcomes
-            [(cell_index as u64 * seeds) as usize..((cell_index as u64 + 1) * seeds) as usize]
-        {
-            if violations.is_empty() {
-                continue;
-            }
-            failures += 1;
-            if first_failure.is_none() {
-                let seed_index = flat % seeds;
-                first_failure = Some(FirstFailure {
+    let cells = plans
+        .iter()
+        .zip(verdicts.chunks(seeds as usize))
+        .map(|(plan, verdicts)| {
+            let first_failure = verdicts.iter().position(|v| !v.is_empty()).map(|index| {
+                let seed_index = index as u64;
+                FirstFailure {
                     seed_index,
                     seed: derive_seed(spec.seed, plan.point.index, seed_index),
-                    violations: violations.clone(),
-                });
+                    violations: verdicts[index].clone(),
+                }
+            });
+            CellOutcome {
+                point: plan.point,
+                runs: seeds,
+                failures: verdicts.iter().filter(|v| !v.is_empty()).count() as u64,
+                first_failure,
             }
-        }
-        cells.push(CellOutcome {
-            point: plan.point,
-            runs: seeds,
-            failures,
-            first_failure,
-        });
-    }
+        })
+        .collect();
     Ok(CampaignReport {
         spec: spec.clone(),
         options: *options,
@@ -334,7 +316,7 @@ pub fn replay(
     };
     let stop = campaign_stop(spec);
     let mut recorder = TrajectoryRecorder::new();
-    let (_, violations) = execute_one(spec, options, plan, &stop, seed, &mut recorder);
+    let violations = execute_one(spec, options, plan, &stop, seed, &mut recorder)?;
     Ok(ReplayOutcome {
         point: plan.point,
         seed_index,
@@ -357,55 +339,23 @@ fn prepare(spec: &ScenarioSpec, options: &CampaignOptions) -> Result<Vec<CellPla
     if options.seeds == 0 {
         return Err(SpecError::Invalid("campaigns need at least one seed".into()));
     }
-    let eps_swept = !spec.sweep.eps.is_empty();
     let mut plans = Vec::new();
     for point in expand_grid(spec) {
-        let noise_spec = if eps_swept {
-            spec.noise.with_epsilon(point.eps)
-        } else {
-            spec.noise.clone()
-        };
-        let noise = noise_spec.build(point.k)?;
-        let params = cell_params(spec, &point, spec.seed)?;
-        let counts = match &spec.kind {
-            ScenarioKind::PluralityConsensus { init } | ScenarioKind::Stage2Only { init } => {
-                let counts = resolve_counts(init, point);
-                // Surface count/parameter mismatches per cell, before the
-                // parallel sweep starts.
-                let protocol = TwoStageProtocol::new(params, noise.clone())?;
-                protocol.validate_initial_counts(&counts)?;
-                Some(counts)
-            }
-            ScenarioKind::RumorSpreading { .. } => None,
-            _ => unreachable!("campaigns reject non-protocol kinds above"),
-        };
+        let (params, noise) = point_protocol(spec, &point)?;
+        let counts = point_counts(&spec.kind, point);
+        if !counts.is_empty() {
+            // Surface count/parameter mismatches per cell, before the
+            // parallel sweep starts.
+            validate_counts(&params, &noise, &counts)?;
+        }
         plans.push(CellPlan {
             point,
+            params,
             noise,
             counts,
         });
     }
     Ok(plans)
-}
-
-/// Protocol parameters of one cell at one seed (mirrors the runner's
-/// parameter construction, plus the cell's fault model).
-fn cell_params(
-    spec: &ScenarioSpec,
-    point: &GridPoint,
-    seed: u64,
-) -> Result<ProtocolParams, SpecError> {
-    Ok(ProtocolParams::builder(point.n, point.k)
-        .epsilon(point.eps)
-        .seed(seed)
-        .delivery(spec.delivery)
-        .topology(point.topology)
-        .fault(point.fault)
-        .churn(point.churn)
-        .noise_schedule(point.schedule)
-        .clock(point.clock)
-        .constants(spec.constants)
-        .build()?)
 }
 
 /// The campaign's effective stop condition: the spec's `stop.*` keys plus
@@ -422,8 +372,7 @@ fn campaign_stop(spec: &ScenarioSpec) -> StopCondition {
 
 /// Executes one `(cell, seed)` run under the standard oracle suite, with
 /// `extra` observing alongside it (the replay path's trajectory recorder;
-/// [`NoObserver`] during the sweep). Returns the outcome and the
-/// violations.
+/// [`NoObserver`] during the sweep). Returns the violations.
 fn execute_one(
     spec: &ScenarioSpec,
     options: &CampaignOptions,
@@ -431,21 +380,10 @@ fn execute_one(
     stop: &StopCondition,
     seed: u64,
     extra: &mut dyn Observer,
-) -> (Outcome, Vec<Violation>) {
+) -> Result<Vec<Violation>, SpecError> {
     let point = &plan.point;
-    let params = cell_params(spec, point, seed).expect("prepare() validated this cell");
-    let protocol = TwoStageProtocol::new(params, plan.noise.clone())
-        .expect("prepare() validated this cell");
-    let run = match &spec.kind {
-        ScenarioKind::RumorSpreading { source } => ProtocolRun::Rumor(Opinion::new(*source)),
-        ScenarioKind::PluralityConsensus { .. } => {
-            ProtocolRun::Plurality(plan.counts.as_deref().expect("plurality plans carry counts"))
-        }
-        ScenarioKind::Stage2Only { .. } => {
-            ProtocolRun::Stage2(plan.counts.as_deref().expect("stage2 plans carry counts"))
-        }
-        _ => unreachable!("prepare() rejects non-protocol kinds"),
-    };
+    let instance =
+        protocol_instance(&spec.kind, &plan.counts).expect("prepare() admits protocol kinds only");
     // The churn-aware suite: count conservation tracks the cell's
     // deterministic population trajectory instead of a fixed node count.
     let mut suite = OracleSuite::standard_with_churn(
@@ -457,11 +395,17 @@ fn execute_one(
     );
     let outcome = {
         let mut fanout = Fanout::new(vec![&mut suite as &mut dyn Observer, extra]);
-        run.execute(&protocol, spec.backend, stop, &mut fanout)
-            .expect("prepare() validated this cell")
+        run_protocol(
+            &plan.params,
+            &plan.noise,
+            seed,
+            spec.backend,
+            instance,
+            stop,
+            &mut fanout,
+        )?
     };
-    let violations = suite.judge(&outcome);
-    (outcome, violations)
+    Ok(suite.judge(&outcome))
 }
 
 /// A short human label of one cell ("k=3 fault=drop(0.2)", or "cell 0"
@@ -487,7 +431,7 @@ fn cell_label(spec: &ScenarioSpec, point: &GridPoint) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::InitSpec;
+    use crate::spec::{InitSpec, ScenarioKind};
     use noisy_channel::NoiseSpec;
     use pushsim::FaultSpec;
 
@@ -652,6 +596,19 @@ mod tests {
         let expected: Vec<String> =
             failure.violations.iter().map(|v| v.to_string()).collect();
         assert_eq!(rendered, expected, "replay reproduces the churn-induced violations");
+    }
+
+    #[test]
+    fn run_counts_past_u64_are_rejected_at_once() {
+        let mut spec = campaign_spec();
+        spec.sweep.fault = vec![FaultSpec::none(), "drop(0.2)".parse().unwrap()];
+        let options = CampaignOptions {
+            seeds: u64::MAX,
+            ..CampaignOptions::default()
+        };
+        let err = run_campaign(&spec, &options).unwrap_err();
+        assert!(matches!(err, SpecError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("2 cells"), "{err}");
     }
 
     #[test]

@@ -43,10 +43,9 @@ pub use spec::ScenarioSpec;
 
 use gossip_analysis::ci::WilsonInterval;
 use gossip_analysis::stats::SampleStats;
+use gossip_analysis::sweep::par_map;
 use gossip_analysis::table::Table;
-use noisy_channel::NoiseMatrix;
-use plurality_core::{ExecutionBackend, Outcome, ProtocolParams, TwoStageProtocol};
-use pushsim::Opinion;
+use plurality_core::{ExecutionBackend, Outcome, ProtocolError, ProtocolParams};
 
 /// Scale of an experiment run: a reduced grid for quick checks or the full
 /// grid documented in EXPERIMENTS.md.
@@ -328,155 +327,23 @@ pub struct TrialSummary {
     pub stage1_bias: SampleStats,
 }
 
-/// Runs `trials` independent rumor-spreading executions (source opinion 0)
-/// and aggregates them.
+/// Runs `trials` independent protocol executions across all cores and
+/// aggregates them. `run(t)` executes trial `t`; the outcomes are merged in
+/// trial order ([`par_map`]), so the summary is bit-identical to a
+/// sequential run whatever the worker count or completion order. The first
+/// failing trial's error is returned instead.
 ///
 /// # Panics
 ///
-/// Panics if the parameters and noise matrix are incompatible — experiment
-/// binaries construct both from the same `k`, so a mismatch is a programming
-/// error in the harness itself.
-pub fn rumor_spreading_trials(
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    trials: u64,
-) -> TrialSummary {
-    rumor_spreading_trials_on(ExecutionBackend::Agent, params, noise, trials)
-}
-
-/// [`rumor_spreading_trials`] on an explicit [`ExecutionBackend`]
-/// ([`ExecutionBackend::Auto`] resolves per run from the cost model).
-///
-/// # Panics
-///
-/// Same as [`rumor_spreading_trials`].
-pub fn rumor_spreading_trials_on(
-    backend: ExecutionBackend,
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    trials: u64,
-) -> TrialSummary {
-    rumor_spreading_trials_from(backend, params, noise, Opinion::new(0), trials)
-}
-
-/// [`rumor_spreading_trials_on`] from an arbitrary source opinion.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range for the parameters, or on a
-/// params/noise mismatch (both are harness programming errors).
-pub fn rumor_spreading_trials_from(
-    backend: ExecutionBackend,
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    source: Opinion,
-    trials: u64,
-) -> TrialSummary {
-    run_trials(params, noise, trials, |protocol| {
-        protocol
-            .run_rumor_spreading_on(backend, source)
-            .expect("harness supplies a valid source opinion")
-    })
-}
-
-/// Runs `trials` independent plurality-consensus executions from the given
-/// initial counts and aggregates them.
-///
-/// # Panics
-///
-/// Panics if the counts are invalid for the parameters (harness programming
-/// error).
-pub fn plurality_trials(
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    initial_counts: &[usize],
-    trials: u64,
-) -> TrialSummary {
-    plurality_trials_on(ExecutionBackend::Agent, params, noise, initial_counts, trials)
-}
-
-/// [`plurality_trials`] on an explicit [`ExecutionBackend`]
-/// ([`ExecutionBackend::Auto`] resolves per run from the cost model).
-///
-/// # Panics
-///
-/// Same as [`plurality_trials`].
-pub fn plurality_trials_on(
-    backend: ExecutionBackend,
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    initial_counts: &[usize],
-    trials: u64,
-) -> TrialSummary {
-    run_trials(params, noise, trials, |protocol| {
-        protocol
-            .run_plurality_consensus_on(backend, initial_counts)
-            .expect("harness supplies valid counts")
-    })
-}
-
-/// Runs `trials` independent Stage-2-only executions (the amplification
-/// stage alone, from the given initial counts) and aggregates them.
-///
-/// # Panics
-///
-/// Panics if the counts are invalid for the parameters (harness programming
-/// error).
-pub fn stage2_only_trials_on(
-    backend: ExecutionBackend,
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    initial_counts: &[usize],
-    trials: u64,
-) -> TrialSummary {
-    run_trials(params, noise, trials, |protocol| {
-        protocol
-            .run_stage2_only_on(backend, initial_counts)
-            .expect("harness supplies valid counts")
-    })
-}
-
-pub(crate) fn run_trials<F>(
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    trials: u64,
-    run: F,
-) -> TrialSummary
+/// Panics if `trials == 0` (spec validation rejects it).
+pub(crate) fn run_trials<F>(trials: u64, run: F) -> Result<TrialSummary, ProtocolError>
 where
-    F: Fn(&TwoStageProtocol) -> Outcome + Sync,
+    F: Fn(u64) -> Result<Outcome, ProtocolError> + Sync,
 {
     assert!(trials > 0, "need at least one trial");
-    // Trials are independent and each is deterministic in its derived seed,
-    // so they run across all cores; results are merged in trial order, which
-    // makes the summary bit-identical to a sequential run regardless of the
-    // worker count or completion order.
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get() as u64)
-        .unwrap_or(1)
-        .min(trials);
-    let next_trial = std::sync::atomic::AtomicU64::new(0);
-    let finished: std::sync::Mutex<Vec<(u64, Outcome)>> =
-        std::sync::Mutex::new(Vec::with_capacity(trials as usize));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let trial = next_trial.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if trial >= trials {
-                    break;
-                }
-                let seeded = reseed(params, params.seed().wrapping_add(trial));
-                let protocol = TwoStageProtocol::new(seeded, noise.clone())
-                    .expect("dimensions match by construction");
-                let outcome = run(&protocol);
-                finished
-                    .lock()
-                    .expect("trial worker poisoned the result lock")
-                    .push((trial, outcome));
-            });
-        }
-    });
-    let mut outcomes = finished.into_inner().expect("all workers joined");
-    outcomes.sort_by_key(|&(trial, _)| trial);
+    let outcomes = par_map(trials, run)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut successes = 0u64;
     let mut consensus = 0u64;
@@ -486,7 +353,7 @@ where
     let mut messages = SampleStats::new();
     let mut memory_bits = SampleStats::new();
     let mut stage1_bias = SampleStats::new();
-    for (_, outcome) in &outcomes {
+    for outcome in &outcomes {
         if outcome.succeeded() {
             successes += 1;
         }
@@ -511,7 +378,7 @@ where
             stage1_bias.push(last_stage1);
         }
     }
-    TrialSummary {
+    Ok(TrialSummary {
         success: WilsonInterval::from_trials(successes, trials),
         consensus: WilsonInterval::from_trials(consensus, trials),
         correct: WilsonInterval::from_trials(correct, trials),
@@ -520,23 +387,13 @@ where
         messages,
         memory_bits,
         stage1_bias,
-    }
+    })
 }
 
-/// Clones `params` with a different seed (all other fields preserved).
+/// Clones `params` with a different seed (all other fields preserved; see
+/// [`ProtocolParams::with_seed`]).
 pub fn reseed(params: &ProtocolParams, seed: u64) -> ProtocolParams {
-    ProtocolParams::builder(params.num_nodes(), params.num_opinions())
-        .epsilon(params.epsilon())
-        .delivery(params.delivery())
-        .topology(params.topology())
-        .fault(params.fault())
-        .churn(params.churn())
-        .noise_schedule(params.noise_schedule())
-        .clock(params.clock())
-        .constants(*params.constants())
-        .seed(seed)
-        .build()
-        .expect("re-seeding preserves validity")
+    params.with_seed(seed)
 }
 
 /// Initial counts for a plurality instance over `k` opinions where the
@@ -583,6 +440,9 @@ pub fn biased_counts(s: usize, k: usize, bias: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noisy_channel::NoiseMatrix;
+    use plurality_core::{Instance, NoObserver, StopCondition};
+    use pushsim::Opinion;
 
     #[test]
     fn scale_pick_selects_correctly() {
@@ -665,6 +525,29 @@ mod tests {
         }
     }
 
+    /// `trials` unobserved, schedule-long runs of `instance` on `backend`,
+    /// seeded like the runner's summary path.
+    fn trials_of(
+        backend: ExecutionBackend,
+        params: &ProtocolParams,
+        noise: &NoiseMatrix,
+        instance: Instance<'_>,
+        trials: u64,
+    ) -> TrialSummary {
+        run_trials(trials, |trial| {
+            runner::run_protocol(
+                params,
+                noise,
+                runner::trial_seed(params, trial),
+                backend,
+                instance,
+                &StopCondition::ScheduleExhausted,
+                &mut NoObserver,
+            )
+        })
+        .unwrap()
+    }
+
     #[test]
     fn backend_parameterized_trials_run_on_the_counting_backend() {
         let eps = 0.4;
@@ -675,16 +558,11 @@ mod tests {
             .delivery(pushsim::DeliverySemantics::Poissonized)
             .build()
             .unwrap();
-        let summary =
-            rumor_spreading_trials_on(ExecutionBackend::Counting, &params, &noise, 2);
+        let rumor = Instance::Rumor(Opinion::new(0));
+        let summary = trials_of(ExecutionBackend::Counting, &params, &noise, rumor, 2);
         assert_eq!(summary.success.trials(), 2);
-        let plurality = plurality_trials_on(
-            ExecutionBackend::Auto,
-            &params,
-            &noise,
-            &[300, 150],
-            2,
-        );
+        let counts = Instance::Plurality(&[300, 150]);
+        let plurality = trials_of(ExecutionBackend::Auto, &params, &noise, counts, 2);
         assert_eq!(plurality.success.trials(), 2);
     }
 
@@ -705,7 +583,8 @@ mod tests {
         let eps = 0.4;
         let noise = NoiseMatrix::uniform(2, eps).unwrap();
         let params = ProtocolParams::builder(200, 2).epsilon(eps).seed(1).build().unwrap();
-        let summary = rumor_spreading_trials(&params, &noise, 3);
+        let rumor = Instance::Rumor(Opinion::new(0));
+        let summary = trials_of(ExecutionBackend::Agent, &params, &noise, rumor, 3);
         assert_eq!(summary.success.trials(), 3);
         assert_eq!(summary.rounds.len(), 3);
         assert_eq!(summary.memory_bits.len(), 3);
@@ -721,9 +600,43 @@ mod tests {
         let noise = NoiseMatrix::uniform(3, eps).unwrap();
         let params = ProtocolParams::builder(300, 3).epsilon(eps).seed(2).build().unwrap();
         let counts = biased_counts(300, 3, 0.2);
-        let summary = plurality_trials(&params, &noise, &counts, 2);
+        let instance = Instance::Plurality(&counts);
+        let summary = trials_of(ExecutionBackend::Agent, &params, &noise, instance, 2);
         assert_eq!(summary.success.trials(), 2);
         assert!(summary.stage1_bias.len() <= 2);
+    }
+
+    #[test]
+    fn the_first_failing_trial_is_reported() {
+        let eps = 0.4;
+        let noise = NoiseMatrix::uniform(3, eps).unwrap();
+        let params = ProtocolParams::builder(300, 3)
+            .epsilon(eps)
+            .seed(2)
+            .build()
+            .unwrap();
+        // Trials 1 and 3 fail with different reasons; trial 1's error wins.
+        let err = run_trials(4, |trial| {
+            let counts: &[usize] = match trial {
+                1 => &[400, 1, 1],
+                3 => &[1, 2],
+                _ => &[200, 50, 50],
+            };
+            runner::run_protocol(
+                &params,
+                &noise,
+                runner::trial_seed(&params, trial),
+                ExecutionBackend::Agent,
+                Instance::Plurality(counts),
+                &StopCondition::ScheduleExhausted,
+                &mut NoObserver,
+            )
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::BadInitialCounts { reason } if reason.contains("sum")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -23,7 +23,9 @@ use crate::{Cli, Scale, TrialSummary};
 use gossip_analysis::table::Table;
 use noisy_channel::{NoiseMatrix, NoiseSpec};
 use opinion_dynamics::RuleSpec;
-use plurality_core::{bounds, ExecutionBackend, ProtocolParams, TwoStageProtocol};
+use plurality_core::{
+    bounds, ExecutionBackend, Instance, NoObserver, ProtocolParams, TwoStageProtocol,
+};
 use pushsim::{ChurnSpec, DeliverySemantics, NoiseSchedule, TopologySpec};
 use std::error::Error;
 use std::time::Instant;
@@ -942,7 +944,11 @@ fn run_scale(cli: &Cli) -> Result<(), Box<dyn Error>> {
 
         // xlint: allow(determinism-source) — the scale experiment reports wall-clock throughput; timing is the measurement, never an input to the run
         let start = Instant::now();
-        let outcome = protocol.run_plurality_consensus_on(cli.backend_or_auto(), &counts)?;
+        let outcome = protocol.session().run(
+            cli.backend_or_auto(),
+            Instance::Plurality(&counts),
+            &mut NoObserver,
+        )?;
         let elapsed = start.elapsed().as_secs_f64();
 
         let dist = outcome.final_distribution();

@@ -45,7 +45,9 @@ use gossip_analysis::table::{json_line, Table};
 use noisy_channel::NoiseMatrix;
 use opinion_dynamics::{DynamicsOutcome, RuleSpec};
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
-use plurality_core::{bounds, ExecutionBackend, ProtocolParams, TwoStageProtocol};
+use plurality_core::{
+    bounds, ExecutionBackend, Instance, Outcome, ProtocolError, ProtocolParams, TwoStageProtocol,
+};
 use pushsim::{
     BackendVisitor, ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, Network, NoiseSchedule,
     Opinion, PhaseObservation, PushBackend, SimConfig, SimConfigBuilder, SimError, TopologySpec,
@@ -427,38 +429,6 @@ fn format_metric(metric: Metric, result: &PointResult) -> String {
     }
 }
 
-/// How a protocol point runs (shared by the summary and observed paths,
-/// and by the campaign engine's per-seed runs).
-#[derive(Clone, Copy)]
-pub(crate) enum ProtocolRun<'a> {
-    Rumor(Opinion),
-    Plurality(&'a [usize]),
-    Stage2(&'a [usize]),
-}
-
-impl ProtocolRun<'_> {
-    pub(crate) fn execute(
-        self,
-        protocol: &TwoStageProtocol,
-        backend: ExecutionBackend,
-        stop: &StopCondition,
-        observer: &mut dyn Observer,
-    ) -> Result<plurality_core::Outcome, plurality_core::ProtocolError> {
-        let session = protocol.session().stop_when(stop.clone());
-        match self {
-            ProtocolRun::Rumor(source) => {
-                session.run_rumor_spreading_on(backend, source, observer)
-            }
-            ProtocolRun::Plurality(counts) => {
-                session.run_plurality_consensus_on(backend, counts, observer)
-            }
-            ProtocolRun::Stage2(counts) => {
-                session.run_stage2_only_on(backend, counts, observer)
-            }
-        }
-    }
-}
-
 /// Executes a validated [`ScenarioSpec`].
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -517,10 +487,9 @@ impl Runner {
         mut stream: Option<&mut W>,
     ) -> Result<RunReport, SpecError> {
         let spec = &self.spec;
-        let eps_swept = !spec.sweep.eps.is_empty();
         let mut points = Vec::new();
         for point in expand_grid(spec) {
-            let summary = self.run_point(point, eps_swept, stream.as_deref_mut())?;
+            let summary = self.run_point(point, stream.as_deref_mut())?;
             let result = PointResult { point, summary };
             if let Some(out) = stream.as_mut() {
                 // Trajectory rows already streamed live from inside the run.
@@ -539,7 +508,6 @@ impl Runner {
     fn run_point<W: Write + ?Sized>(
         &self,
         point: GridPoint,
-        eps_swept: bool,
         stream: Option<&mut W>,
     ) -> Result<PointSummary, SpecError> {
         let spec = &self.spec;
@@ -550,103 +518,60 @@ impl Runner {
             return Ok(PointSummary::Gap(self.gap_point(point)));
         }
 
-        let GridPoint { k, n, eps, .. } = point;
-        let params = ProtocolParams::builder(n, k)
-            .epsilon(eps)
-            .seed(spec.seed)
-            .delivery(spec.delivery)
-            .topology(point.topology)
-            .fault(point.fault)
-            .churn(point.churn)
-            .noise_schedule(point.schedule)
-            .clock(point.clock)
-            .constants(spec.constants)
-            .build()?;
-        let noise_spec = if eps_swept {
-            spec.noise.with_epsilon(eps)
-        } else {
-            spec.noise.clone()
-        };
-        let noise = noise_spec.build(k)?;
+        let (params, noise) = point_protocol(spec, &point)?;
+        let counts = point_counts(&spec.kind, point);
 
-        if let ScenarioKind::PhaseStats { rounds, init } = &spec.kind {
-            let counts = resolve_counts(init, point);
+        if let ScenarioKind::PhaseStats { rounds, .. } = &spec.kind {
             return Ok(PointSummary::PhaseStats(
                 self.phase_stats_point(point, *rounds, &counts, &noise)?,
             ));
         }
 
         match spec.observe {
-            ObserveMode::Summary => self.summary_point(point, &params, &noise),
+            ObserveMode::Summary => self.summary_point(point, &params, &noise, &counts),
             ObserveMode::Trajectory | ObserveMode::Phases => {
                 self.observed_point(point, &params, &noise, stream)
             }
         }
     }
 
-    /// The default end-of-run summaries (one row per point).
+    /// The default end-of-run summaries (one row per point). Protocol
+    /// trials run in parallel with the spec's stop condition and no
+    /// observer.
     fn summary_point(
         &self,
         point: GridPoint,
         params: &ProtocolParams,
         noise: &NoiseMatrix,
+        counts: &[usize],
     ) -> Result<PointSummary, SpecError> {
         let spec = &self.spec;
         let stop = spec.stop.to_condition();
-        Ok(match &spec.kind {
-            ScenarioKind::RumorSpreading { source } => PointSummary::Protocol(
-                self.protocol_trials(params, noise, &stop, ProtocolRun::Rumor(Opinion::new(*source))),
-            ),
-            ScenarioKind::PluralityConsensus { init } => {
-                let counts = resolve_counts(init, point);
-                validate_counts(params, noise, &counts)?;
-                PointSummary::Protocol(self.protocol_trials(
-                    params,
-                    noise,
-                    &stop,
-                    ProtocolRun::Plurality(&counts),
-                ))
-            }
-            ScenarioKind::Stage2Only { init } => {
-                let counts = resolve_counts(init, point);
-                validate_counts(params, noise, &counts)?;
-                PointSummary::Protocol(self.protocol_trials(
-                    params,
-                    noise,
-                    &stop,
-                    ProtocolRun::Stage2(&counts),
-                ))
-            }
-            ScenarioKind::DynamicsRule { rule, init, rounds } => {
-                let counts = resolve_counts(init, point);
-                let plurality = validate_counts(params, noise, &counts)?;
-                let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
-                PointSummary::Dynamics(self.dynamics_trials(
-                    point, *rule, &counts, plurality, budget, noise,
-                )?)
-            }
-            ScenarioKind::SampleMajorityGap { .. } | ScenarioKind::PhaseStats { .. } => {
-                unreachable!("handled before parameter construction")
-            }
-        })
-    }
-
-    /// Runs the protocol trials of one grid point through the shared
-    /// parallel harness, with the spec's stop condition and no observer —
-    /// bit-identical to the pre-observation harness when no `stop.*` key
-    /// is set.
-    fn protocol_trials(
-        &self,
-        params: &ProtocolParams,
-        noise: &NoiseMatrix,
-        stop: &StopCondition,
-        run: ProtocolRun<'_>,
-    ) -> TrialSummary {
-        let backend = self.spec.backend;
-        run_trials(params, noise, self.spec.trials, |protocol| {
-            run.execute(protocol, backend, stop, &mut NoObserver)
-                .expect("the runner validated the configuration")
-        })
+        if let ScenarioKind::DynamicsRule { rule, rounds, .. } = &spec.kind {
+            let plurality = validate_counts(params, noise, counts)?;
+            let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
+            return Ok(PointSummary::Dynamics(self.dynamics_trials(
+                point, *rule, counts, plurality, budget, noise,
+            )?));
+        }
+        let instance = protocol_instance(&spec.kind, counts)
+            .expect("gap and phase points never reach the protocol path");
+        if !counts.is_empty() {
+            // Fail once, not once per trial.
+            validate_counts(params, noise, counts)?;
+        }
+        let summary = run_trials(spec.trials, |trial| {
+            run_protocol(
+                params,
+                noise,
+                trial_seed(params, trial),
+                spec.backend,
+                instance,
+                &stop,
+                &mut NoObserver,
+            )
+        })?;
+        Ok(PointSummary::Protocol(summary))
     }
 
     /// Runs the observed (trajectory / per-phase aggregate) path of one
@@ -717,11 +642,9 @@ impl Runner {
         })
     }
 
-    /// Executes one observed trial (protocol kinds through a [`Session`],
-    /// dynamics through `run_until`), seeded exactly like the
-    /// unobserved paths.
-    ///
-    /// [`Session`]: plurality_core::Session
+    /// Executes one observed trial (protocol kinds through
+    /// [`run_protocol`], dynamics through `run_until`), seeded exactly like
+    /// the unobserved paths.
     fn run_one_observed(
         &self,
         point: GridPoint,
@@ -732,49 +655,25 @@ impl Runner {
         observer: &mut dyn Observer,
     ) -> Result<(), SpecError> {
         let spec = &self.spec;
-        match &spec.kind {
-            ScenarioKind::RumorSpreading { .. }
-            | ScenarioKind::PluralityConsensus { .. }
-            | ScenarioKind::Stage2Only { .. } => {
-                // Same per-trial seed derivation as the parallel harness.
-                let seeded = crate::reseed(params, params.seed().wrapping_add(trial));
-                let protocol = TwoStageProtocol::new(seeded, noise.clone())?;
-                let counts;
-                let run = match &spec.kind {
-                    ScenarioKind::RumorSpreading { source } => {
-                        ProtocolRun::Rumor(Opinion::new(*source))
-                    }
-                    ScenarioKind::PluralityConsensus { init } => {
-                        counts = resolve_counts(init, point);
-                        ProtocolRun::Plurality(&counts)
-                    }
-                    ScenarioKind::Stage2Only { init } => {
-                        counts = resolve_counts(init, point);
-                        ProtocolRun::Stage2(&counts)
-                    }
-                    _ => unreachable!("outer match covers protocol kinds"),
-                };
-                run.execute(&protocol, spec.backend, stop, observer)?;
-                Ok(())
-            }
-            ScenarioKind::DynamicsRule { rule, init, rounds } => {
-                let counts = resolve_counts(init, point);
-                let plurality = validate_counts(params, noise, &counts)?;
-                let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
-                let stop = dynamics_stop(budget, stop);
-                let dynamics = DynamicsPoint {
-                    rule: *rule,
-                    counts: &counts,
-                    plurality,
-                    stop: &stop,
-                };
-                self.dynamics_trial(point, trial, noise, dynamics, observer)?;
-                Ok(())
-            }
-            ScenarioKind::SampleMajorityGap { .. } | ScenarioKind::PhaseStats { .. } => {
-                unreachable!("observe modes are rejected for these kinds")
-            }
+        let counts = point_counts(&spec.kind, point);
+        if let ScenarioKind::DynamicsRule { rule, rounds, .. } = &spec.kind {
+            let plurality = validate_counts(params, noise, &counts)?;
+            let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
+            let stop = dynamics_stop(budget, stop);
+            let dynamics = DynamicsPoint {
+                rule: *rule,
+                counts: &counts,
+                plurality,
+                stop: &stop,
+            };
+            self.dynamics_trial(point, trial, noise, dynamics, observer)?;
+            return Ok(());
         }
+        let instance = protocol_instance(&spec.kind, &counts)
+            .expect("observe modes are rejected for gap and phase kinds");
+        let seed = trial_seed(params, trial);
+        run_protocol(params, noise, seed, spec.backend, instance, stop, observer)?;
+        Ok(())
     }
 
     /// The Monte-Carlo sample-majority gap of one `(k, ℓ, δ)` grid cell
@@ -992,6 +891,83 @@ pub(crate) fn point_config(point: &GridPoint) -> SimConfigBuilder {
         .clock(point.clock)
 }
 
+/// The protocol parameters (at the spec's base seed) and the noise matrix
+/// of one grid point — the per-point construction the runner and the
+/// campaign engine share. Sweeping `eps` re-parameterizes ε-families of
+/// noise too.
+pub(crate) fn point_protocol(
+    spec: &ScenarioSpec,
+    point: &GridPoint,
+) -> Result<(ProtocolParams, NoiseMatrix), SpecError> {
+    let params = ProtocolParams::builder(point.n, point.k)
+        .epsilon(point.eps)
+        .seed(spec.seed)
+        .delivery(spec.delivery)
+        .topology(point.topology)
+        .fault(point.fault)
+        .churn(point.churn)
+        .noise_schedule(point.schedule)
+        .clock(point.clock)
+        .constants(spec.constants)
+        .build()?;
+    let noise = if spec.sweep.eps.is_empty() {
+        spec.noise.clone()
+    } else {
+        spec.noise.with_epsilon(point.eps)
+    };
+    Ok((params, noise.build(point.k)?))
+}
+
+/// The initial counts of one grid point (empty for the kinds without an
+/// initial configuration).
+pub(crate) fn point_counts(kind: &ScenarioKind, point: GridPoint) -> Vec<usize> {
+    kind.init()
+        .map(|init| resolve_counts(init, point))
+        .unwrap_or_default()
+}
+
+/// The core [`Instance`] a protocol scenario runs, over its point's
+/// initial `counts`; `None` for the kinds that are not protocol runs.
+pub(crate) fn protocol_instance<'a>(
+    kind: &ScenarioKind,
+    counts: &'a [usize],
+) -> Option<Instance<'a>> {
+    match kind {
+        ScenarioKind::RumorSpreading { source } => Some(Instance::Rumor(Opinion::new(*source))),
+        ScenarioKind::PluralityConsensus { .. } => Some(Instance::Plurality(counts)),
+        ScenarioKind::Stage2Only { .. } => Some(Instance::Stage2(counts)),
+        _ => None,
+    }
+}
+
+/// The seed of trial `trial` at a point whose parameters carry the spec's
+/// base seed: the same in the parallel summary path and the sequential
+/// observed path, so both execute identical trials.
+pub(crate) fn trial_seed(params: &ProtocolParams, trial: u64) -> u64 {
+    params.seed().wrapping_add(trial)
+}
+
+/// Runs `instance` once on `params` reseeded to `seed`, on `backend` and
+/// under `stop`, with `observer` attached: the harness's one call into
+/// [`Session::run`], shared by the summary and observed paths and the
+/// campaign engine.
+///
+/// [`Session::run`]: plurality_core::Session::run
+pub(crate) fn run_protocol(
+    params: &ProtocolParams,
+    noise: &NoiseMatrix,
+    seed: u64,
+    backend: ExecutionBackend,
+    instance: Instance<'_>,
+    stop: &StopCondition,
+    observer: &mut dyn Observer,
+) -> Result<Outcome, ProtocolError> {
+    TwoStageProtocol::new(params.with_seed(seed), noise.clone())?
+        .session()
+        .stop_when(stop.clone())
+        .run(backend, instance, observer)
+}
+
 /// The dynamics' effective stop condition: the round budget and consensus
 /// (the classic behavior) plus whatever the spec's `stop.*` keys add.
 fn dynamics_stop(budget: u64, extra: &StopCondition) -> StopCondition {
@@ -1110,10 +1086,9 @@ pub fn expand_grid(spec: &ScenarioSpec) -> Vec<GridPoint> {
 }
 
 /// Surfaces the protocol's own initial-counts validation as a recoverable
-/// [`SpecError`] *before* entering the trial harness (whose entry points
-/// treat invalid counts as a harness programming error and panic), and
-/// returns the validated unique plurality opinion.
-fn validate_counts(
+/// [`SpecError`] once per point, before its trials start, and returns the
+/// validated unique plurality opinion.
+pub(crate) fn validate_counts(
     params: &ProtocolParams,
     noise: &NoiseMatrix,
     counts: &[usize],

@@ -12,7 +12,7 @@
 //! Cell reuse is restricted to `kind.is_protocol()` +
 //! [`ObserveMode::Summary`] because only there is a point's result
 //! independent of its grid position: protocol trials are seeded from
-//! `spec.seed` alone (`run_trials` reseeds per trial), whereas the
+//! `spec.seed` alone (trial `t` runs at seed `spec.seed + t`), whereas the
 //! dynamics/gap/phase paths derive per-`(point.index, trial)` seeds,
 //! making their rows position-dependent and unsafe to share between
 //! sweeps. For eligible specs the decomposed output is byte-identical

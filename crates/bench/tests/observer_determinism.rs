@@ -6,15 +6,15 @@
 //! never touch the protocol's decision RNG or the backend's delivery RNG.
 //! These tests pin that property end to end: fixed-seed runs with and
 //! without a [`TrajectoryRecorder`] (and with a full observer stack)
-//! produce identical [`Outcome`]s on **both** backends, for every run
-//! entry point, and the recorded trajectory agrees with the outcome's own
+//! produce identical [`Outcome`]s on **both** backends, for every
+//! [`Instance`], and the recorded trajectory agrees with the outcome's own
 //! phase records.
 
 use gossip_analysis::observe::{OnlineStats, StreamSink, TrajectoryRecorder};
 use noisy_channel::NoiseMatrix;
 use plurality_core::observe::{Fanout, NoObserver, Observer};
 use plurality_core::{
-    ExecutionBackend, Outcome, ProtocolParams, StopCondition, TwoStageProtocol,
+    ExecutionBackend, Instance, Outcome, ProtocolParams, StopCondition, TwoStageProtocol,
 };
 use pushsim::Opinion;
 
@@ -74,7 +74,7 @@ fn rumor_spreading_is_observation_free_on_both_backends() {
         };
         protocol
             .session()
-            .run_rumor_spreading_on(backend, Opinion::new(1), observer)
+            .run(backend, Instance::Rumor(Opinion::new(1)), observer)
             .expect("valid run")
     });
 }
@@ -89,7 +89,7 @@ fn plurality_consensus_is_observation_free_on_both_backends() {
         };
         protocol
             .session()
-            .run_plurality_consensus_on(backend, &[350, 250, 200], observer)
+            .run(backend, Instance::Plurality(&[350, 250, 200]), observer)
             .expect("valid run")
     });
 }
@@ -104,7 +104,7 @@ fn stage2_only_is_observation_free_on_both_backends() {
         };
         protocol
             .session()
-            .run_stage2_only_on(backend, &[400, 250, 150], observer)
+            .run(backend, Instance::Stage2(&[400, 250, 150]), observer)
             .expect("valid run")
     });
 }
@@ -117,7 +117,11 @@ fn a_full_observer_stack_is_still_observation_free() {
     let bare = protocol(7)
         .session()
         .stop_when(stop.clone())
-        .run_rumor_spreading_on(ExecutionBackend::Agent, Opinion::new(0), &mut NoObserver)
+        .run(
+            ExecutionBackend::Agent,
+            Instance::Rumor(Opinion::new(0)),
+            &mut NoObserver,
+        )
         .expect("valid run");
 
     let mut recorder = TrajectoryRecorder::new();
@@ -129,7 +133,11 @@ fn a_full_observer_stack_is_still_observation_free() {
         protocol(7)
             .session()
             .stop_when(stop)
-            .run_rumor_spreading_on(ExecutionBackend::Agent, Opinion::new(0), &mut fanout)
+            .run(
+                ExecutionBackend::Agent,
+                Instance::Rumor(Opinion::new(0)),
+                &mut fanout,
+            )
             .expect("valid run")
     };
     assert_eq!(bare, observed);
@@ -144,14 +152,17 @@ fn a_full_observer_stack_is_still_observation_free() {
 
 #[test]
 fn the_schedule_exhausted_session_matches_the_plain_entry_points() {
-    // The Session API is a superset, not a fork: a default session run is
-    // bit-identical to the pre-observation entry points.
+    // The named entry points are delegates, not forks: a default session
+    // run is bit-identical to one through `run_rumor_spreading_on` with the
+    // schedule-exhausted stop condition stated explicitly.
     for backend in [ExecutionBackend::Agent, ExecutionBackend::Counting] {
         let plain = protocol(9)
-            .run_rumor_spreading_on(backend, Opinion::new(2))
+            .session()
+            .run(backend, Instance::Rumor(Opinion::new(2)), &mut NoObserver)
             .expect("valid run");
         let session = protocol(9)
             .session()
+            .stop_when(StopCondition::ScheduleExhausted)
             .run_rumor_spreading_on(backend, Opinion::new(2), &mut NoObserver)
             .expect("valid run");
         assert_eq!(plain, session, "{backend:?}");

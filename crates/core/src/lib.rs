@@ -27,13 +27,13 @@
 //!
 //! * [`ProtocolParams`] / [`ProtocolConstants`] / [`Schedule`] — run
 //!   parameters and the phase schedules of both stages.
-//! * [`TwoStageProtocol`] — the protocol itself, with
-//!   [`run_rumor_spreading`](TwoStageProtocol::run_rumor_spreading),
-//!   [`run_plurality_consensus`](TwoStageProtocol::run_plurality_consensus)
-//!   and [`run_stage2_only`](TwoStageProtocol::run_stage2_only).
+//! * [`TwoStageProtocol`] / [`Session`] / [`Instance`] — the protocol
+//!   itself and its one entry point, [`Session::run`], which executes an
+//!   instance (rumor spreading, plurality consensus, or Stage 2 alone) on
+//!   a chosen backend.
 //! * [`Outcome`] / [`PhaseRecord`] — per-run and per-phase results
 //!   (consensus, winner, bias trajectory, message counts).
-//! * [`observe`] / [`Session`] — the observation layer: watch a run phase
+//! * [`observe`] — the observation layer: watch a run phase
 //!   by phase through an [`Observer`] (RNG-free, so attaching one never
 //!   perturbs an execution) and stop it early with a composable
 //!   [`StopCondition`] instead of a hard-coded round budget.
@@ -46,12 +46,18 @@
 //!
 //! ```
 //! use noisy_channel::NoiseMatrix;
-//! use plurality_core::{run_rumor_spreading, ProtocolParams};
+//! use plurality_core::{ExecutionBackend, Instance, NoObserver, ProtocolParams, TwoStageProtocol};
+//! use pushsim::Opinion;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let noise = NoiseMatrix::uniform(3, 0.3)?;
 //! let params = ProtocolParams::builder(500, 3).epsilon(0.3).seed(7).build()?;
-//! let outcome = run_rumor_spreading(&params, &noise)?;
+//! let protocol = TwoStageProtocol::new(params, noise)?;
+//! let outcome = protocol.session().run(
+//!     ExecutionBackend::Agent,
+//!     Instance::Rumor(Opinion::new(0)),
+//!     &mut NoObserver,
+//! )?;
 //! assert!(outcome.succeeded());
 //! # Ok(())
 //! # }
@@ -76,9 +82,7 @@ pub use observe::{
     Fanout, NoObserver, Observer, PhaseSnapshot, RunProgress, StopCondition,
 };
 pub use params::{ProtocolConstants, ProtocolParams, ProtocolParamsBuilder, Schedule};
-pub use protocol::{
-    run_plurality_consensus, run_rumor_spreading, Outcome, Session, TwoStageProtocol,
-};
+pub use protocol::{Instance, Outcome, Session, TwoStageProtocol};
 /// Which backend a run executes on (defined by `pushsim`'s admission
 /// table, re-exported here because every run entry point takes one).
 pub use pushsim::ExecutionBackend;

@@ -226,6 +226,16 @@ impl ProtocolParams {
         self.seed
     }
 
+    /// These parameters with `seed` in place of the run's seed, every
+    /// other field unchanged (how trial harnesses derive per-run
+    /// parameters).
+    #[must_use]
+    pub fn with_seed(&self, seed: u64) -> Self {
+        let mut params = self.clone();
+        params.seed = seed;
+        params
+    }
+
     /// The delivery semantics (process O, B or P) used by the simulation.
     pub fn delivery(&self) -> DeliverySemantics {
         self.delivery
@@ -496,6 +506,20 @@ mod tests {
             ProtocolParams::builder(100, 3).constants(bad).build(),
             Err(ProtocolError::InvalidConstant { .. })
         ));
+    }
+
+    #[test]
+    fn with_seed_changes_only_the_seed() {
+        let builder = ProtocolParams::builder(300, 3)
+            .epsilon(0.3)
+            .topology(TopologySpec::Ring)
+            .fault("drop(0.1)+byz(0.05:0)".parse().unwrap())
+            .churn("join(0.1)+leave(0.05)".parse().unwrap())
+            .noise_schedule("burst(0.4@2:1)".parse().unwrap())
+            .clock("drift(20000)".parse().unwrap());
+        let params = builder.clone().seed(2).build().unwrap();
+        assert_eq!(params.with_seed(99), builder.seed(99).build().unwrap());
+        assert_eq!(params.with_seed(2), params);
     }
 
     #[test]

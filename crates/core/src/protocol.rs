@@ -2,7 +2,7 @@
 
 use crate::error::ProtocolError;
 use crate::memory::MemoryMeter;
-use crate::observe::{NoObserver, Observer, RunProgress, StopCondition};
+use crate::observe::{Observer, RunProgress, StopCondition};
 use crate::params::ProtocolParams;
 use crate::record::{PhaseRecord, StageId};
 use crate::{stage1, stage2};
@@ -90,21 +90,25 @@ impl Outcome {
 /// Fraigniaud & Natale (PODC 2016).
 ///
 /// A `TwoStageProtocol` owns the run parameters and the noise matrix and can
-/// execute independent runs (each run builds a fresh network seeded from the
-/// parameters).
+/// execute independent runs through its [`Session`] (each run builds a
+/// fresh network seeded from the parameters).
 ///
 /// # Example
 ///
 /// ```
 /// use noisy_channel::NoiseMatrix;
-/// use plurality_core::{ProtocolParams, TwoStageProtocol};
+/// use plurality_core::{ExecutionBackend, Instance, NoObserver, ProtocolParams, TwoStageProtocol};
 /// use pushsim::Opinion;
 ///
 /// # fn main() -> Result<(), plurality_core::ProtocolError> {
 /// let noise = NoiseMatrix::uniform(3, 0.3).expect("valid noise");
 /// let params = ProtocolParams::builder(500, 3).epsilon(0.3).seed(1).build()?;
 /// let protocol = TwoStageProtocol::new(params, noise)?;
-/// let outcome = protocol.run_rumor_spreading(Opinion::new(2))?;
+/// let outcome = protocol.session().run(
+///     ExecutionBackend::Agent,
+///     Instance::Rumor(Opinion::new(2)),
+///     &mut NoObserver,
+/// )?;
 /// assert!(outcome.succeeded());
 /// # Ok(())
 /// # }
@@ -142,105 +146,15 @@ impl TwoStageProtocol {
         &self.noise
     }
 
-    /// Runs the noisy **rumor spreading** instance: a uniformly random
-    /// source node initially holds `source_opinion`, every other node is
-    /// undecided, and the protocol must drive the whole system to
-    /// `source_opinion` (Theorem 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::OpinionOutOfRange`] if the opinion index is
-    /// out of range, and propagates simulator errors.
-    pub fn run_rumor_spreading(&self, source_opinion: Opinion) -> Result<Outcome, ProtocolError> {
-        self.run_rumor_spreading_on(ExecutionBackend::Agent, source_opinion)
-    }
-
-    /// Runs the noisy rumor spreading instance on the chosen backend
-    /// ([`ExecutionBackend::Auto`] resolves per
-    /// [`ExecutionBackend::resolve`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_rumor_spreading`](Self::run_rumor_spreading).
-    pub fn run_rumor_spreading_on(
-        &self,
-        backend: ExecutionBackend,
-        source_opinion: Opinion,
-    ) -> Result<Outcome, ProtocolError> {
-        self.session()
-            .run_rumor_spreading_on(backend, source_opinion, &mut NoObserver)
-    }
-
-    /// Starts an observable [`Session`] over this protocol: attach
-    /// [`Observer`]s and a [`StopCondition`] to its run methods. The
-    /// default session (no observer, no stop condition) executes exactly
-    /// like the plain `run_*` entry points.
+    /// Starts a [`Session`] over this protocol, the way every run starts:
+    /// [`Session::run`] executes an [`Instance`] with an [`Observer`]
+    /// attached, under the session's [`StopCondition`] (by default the
+    /// whole schedule).
     pub fn session(&self) -> Session<'_> {
         Session {
             protocol: self,
             stop: StopCondition::ScheduleExhausted,
         }
-    }
-
-    /// Runs the noisy **plurality consensus** instance: for every opinion
-    /// `i`, `initial_counts[i]` nodes initially support `i` (chosen uniformly
-    /// at random), the remaining nodes are undecided, and the protocol must
-    /// drive the whole system to the plurality opinion (Theorem 2).
-    ///
-    /// # Errors
-    ///
-    /// * [`ProtocolError::BadInitialCounts`] if the counts have the wrong
-    ///   length, sum to more than `n`, are all zero, or have no unique
-    ///   plurality opinion.
-    /// * Simulator errors are propagated as [`ProtocolError::Simulation`].
-    pub fn run_plurality_consensus(
-        &self,
-        initial_counts: &[usize],
-    ) -> Result<Outcome, ProtocolError> {
-        self.run_plurality_consensus_on(ExecutionBackend::Agent, initial_counts)
-    }
-
-    /// Runs the noisy plurality consensus instance on the chosen backend
-    /// ([`ExecutionBackend::Auto`] resolves per
-    /// [`ExecutionBackend::resolve`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_plurality_consensus`](Self::run_plurality_consensus).
-    pub fn run_plurality_consensus_on(
-        &self,
-        backend: ExecutionBackend,
-        initial_counts: &[usize],
-    ) -> Result<Outcome, ProtocolError> {
-        self.session()
-            .run_plurality_consensus_on(backend, initial_counts, &mut NoObserver)
-    }
-
-    /// Runs only Stage 2 on an explicitly seeded network. This is the
-    /// "majority consensus subroutine" view of the protocol and is used by
-    /// the Appendix D experiment (F7), where Stage 1 is deliberately
-    /// skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::BadInitialCounts`] under the same conditions
-    /// as [`run_plurality_consensus`](Self::run_plurality_consensus).
-    pub fn run_stage2_only(&self, initial_counts: &[usize]) -> Result<Outcome, ProtocolError> {
-        self.run_stage2_only_on(ExecutionBackend::Agent, initial_counts)
-    }
-
-    /// Runs only Stage 2 on the chosen backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_stage2_only`](Self::run_stage2_only).
-    pub fn run_stage2_only_on(
-        &self,
-        backend: ExecutionBackend,
-        initial_counts: &[usize],
-    ) -> Result<Outcome, ProtocolError> {
-        self.session()
-            .run_stage2_only_on(backend, initial_counts, &mut NoObserver)
     }
 
     /// Resolves an [`ExecutionBackend`] request against this protocol's
@@ -260,10 +174,10 @@ impl TwoStageProtocol {
     /// Validates plurality-instance initial counts and returns the unique
     /// plurality opinion (the run's reference).
     ///
-    /// Public so callers that assemble runs from external data (the
+    /// [`Session::run`] applies it to every counts-seeded [`Instance`];
+    /// public so callers that assemble runs from external data (the
     /// experiment harness's scenario specs) can surface the same
-    /// validation as a recoverable error instead of reaching the
-    /// `run_*` entry points with inputs they will reject.
+    /// validation before they start many runs.
     ///
     /// # Errors
     ///
@@ -326,7 +240,7 @@ impl TwoStageProtocol {
     /// Runs the schedule on an already-seeded network — both stages, or
     /// Stage 2 alone — the single generic execution path shared by every
     /// backend. The observer is notified at every phase boundary and the
-    /// stop condition is evaluated there; with [`NoObserver`] and
+    /// stop condition is evaluated there; with [`NoObserver`](crate::NoObserver) and
     /// [`StopCondition::ScheduleExhausted`] this is byte-for-byte the
     /// schedule-driven execution (observation touches no RNG stream).
     fn execute<B: PushBackend>(
@@ -391,23 +305,23 @@ impl TwoStageProtocol {
     }
 }
 
-/// An observable execution of a [`TwoStageProtocol`]: the same run entry
-/// points, plus an [`Observer`] parameter and a configurable
-/// [`StopCondition`].
+/// An observable execution of a [`TwoStageProtocol`]: [`run`](Self::run)
+/// executes an [`Instance`] with an [`Observer`] attached and stops at the
+/// session's [`StopCondition`].
 ///
 /// Built with [`TwoStageProtocol::session`]. A default session (no stop
-/// condition) with [`NoObserver`] executes bit-for-bit like the plain
-/// `run_*` methods — observation never touches an RNG stream, and the
-/// default stop condition runs the complete schedule.
+/// condition) with [`NoObserver`](crate::NoObserver) executes the whole schedule, and
+/// observation never touches an RNG stream, so attaching observers or a
+/// stop condition that never fires leaves a run bit-for-bit unchanged.
 ///
 /// # Example
 ///
 /// ```
 /// use noisy_channel::NoiseMatrix;
 /// use plurality_core::{
-///     Observer, PhaseSnapshot, ProtocolParams, StopCondition, TwoStageProtocol,
+///     ExecutionBackend, Instance, Observer, PhaseSnapshot, ProtocolParams, StopCondition,
+///     TwoStageProtocol,
 /// };
-/// use plurality_core::ExecutionBackend;
 /// use pushsim::Opinion;
 ///
 /// #[derive(Default)]
@@ -426,7 +340,7 @@ impl TwoStageProtocol {
 /// let outcome = protocol
 ///     .session()
 ///     .stop_when(StopCondition::ConsensusReached)
-///     .run_rumor_spreading_on(ExecutionBackend::Auto, Opinion::new(0), &mut trace)?;
+///     .run(ExecutionBackend::Auto, Instance::Rumor(Opinion::new(0)), &mut trace)?;
 /// assert_eq!(trace.0.len(), outcome.phase_records().len());
 /// # Ok(())
 /// # }
@@ -457,103 +371,109 @@ impl Session<'_> {
         self.protocol
     }
 
-    /// Observable variant of
-    /// [`TwoStageProtocol::run_rumor_spreading_on`]: `observer` is
-    /// notified at every phase boundary and the session's stop condition
-    /// may end the run early.
+    /// Runs `instance` on a freshly built network of `backend`, admitted
+    /// against the run's configuration ([`ExecutionBackend::Auto`]
+    /// resolves per [`ExecutionBackend::resolve`]). `observer` is notified
+    /// at every phase boundary and the session's stop condition may end
+    /// the run early.
     ///
     /// # Errors
     ///
-    /// Same as [`TwoStageProtocol::run_rumor_spreading`].
-    pub fn run_rumor_spreading_on(
-        &self,
-        backend: ExecutionBackend,
-        source_opinion: Opinion,
-        observer: &mut dyn Observer,
-    ) -> Result<Outcome, ProtocolError> {
-        let protocol = self.protocol;
-        if source_opinion.index() >= protocol.params.num_opinions() {
-            return Err(ProtocolError::OpinionOutOfRange {
-                opinion: source_opinion.index(),
-                num_opinions: protocol.params.num_opinions(),
-            });
-        }
-        self.dispatch(backend, Instance::Rumor(source_opinion), observer)
-    }
-
-    /// Observable variant of
-    /// [`TwoStageProtocol::run_plurality_consensus_on`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TwoStageProtocol::run_plurality_consensus`].
-    pub fn run_plurality_consensus_on(
-        &self,
-        backend: ExecutionBackend,
-        initial_counts: &[usize],
-        observer: &mut dyn Observer,
-    ) -> Result<Outcome, ProtocolError> {
-        let reference = self.protocol.validate_initial_counts(initial_counts)?;
-        self.dispatch(
-            backend,
-            Instance::Plurality(initial_counts, reference),
-            observer,
-        )
-    }
-
-    /// Observable variant of [`TwoStageProtocol::run_stage2_only_on`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TwoStageProtocol::run_stage2_only`].
-    pub fn run_stage2_only_on(
-        &self,
-        backend: ExecutionBackend,
-        initial_counts: &[usize],
-        observer: &mut dyn Observer,
-    ) -> Result<Outcome, ProtocolError> {
-        let reference = self.protocol.validate_initial_counts(initial_counts)?;
-        self.dispatch(
-            backend,
-            Instance::Stage2(initial_counts, reference),
-            observer,
-        )
-    }
-
-    /// Admits `backend` against the run's configuration and executes
-    /// `instance` on a freshly built network of the resolved kind.
-    fn dispatch(
+    /// * [`ProtocolError::OpinionOutOfRange`] if a rumor's source opinion
+    ///   is out of range.
+    /// * [`ProtocolError::BadInitialCounts`] if the initial counts have
+    ///   the wrong length, sum to more than `n`, are all zero, or have no
+    ///   unique plurality opinion (see
+    ///   [`TwoStageProtocol::validate_initial_counts`]).
+    /// * Simulator errors, including a backend the admission table
+    ///   rejects, as [`ProtocolError::Simulation`].
+    pub fn run(
         &self,
         backend: ExecutionBackend,
         instance: Instance<'_>,
         observer: &mut dyn Observer,
     ) -> Result<Outcome, ProtocolError> {
         let protocol = self.protocol;
+        let reference = match instance {
+            Instance::Rumor(source) => {
+                let num_opinions = protocol.params.num_opinions();
+                if source.index() >= num_opinions {
+                    return Err(ProtocolError::OpinionOutOfRange {
+                        opinion: source.index(),
+                        num_opinions,
+                    });
+                }
+                source
+            }
+            Instance::Plurality(counts) | Instance::Stage2(counts) => {
+                protocol.validate_initial_counts(counts)?
+            }
+        };
         let run = Run {
             protocol,
             instance,
+            reference,
             observer,
             stop: &self.stop,
         };
         pushsim::build_and_visit(protocol.sim_config()?, protocol.noise.clone(), backend, run)?
     }
+
+    /// [`run`](Self::run) of [`Instance::Rumor`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Self::run).
+    pub fn run_rumor_spreading_on(
+        &self,
+        backend: ExecutionBackend,
+        source_opinion: Opinion,
+        observer: &mut dyn Observer,
+    ) -> Result<Outcome, ProtocolError> {
+        self.run(backend, Instance::Rumor(source_opinion), observer)
+    }
+
+    /// [`run`](Self::run) of [`Instance::Plurality`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Self::run).
+    pub fn run_plurality_consensus_on(
+        &self,
+        backend: ExecutionBackend,
+        initial_counts: &[usize],
+        observer: &mut dyn Observer,
+    ) -> Result<Outcome, ProtocolError> {
+        self.run(backend, Instance::Plurality(initial_counts), observer)
+    }
 }
 
-/// Which instance a session run executes, with its validated inputs.
-#[derive(Clone, Copy)]
-enum Instance<'a> {
-    /// Rumor spreading from the source opinion.
+/// The starting configuration a [`Session`] runs the protocol from: the
+/// one choice that separates the paper's two problems, plus Stage 2 on its
+/// own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Instance<'a> {
+    /// Noisy **rumor spreading** (Theorem 1): a uniformly random source
+    /// node holds the opinion, every other node is undecided, and the
+    /// protocol must drive the whole system to that opinion.
     Rumor(Opinion),
-    /// Plurality consensus from the initial counts, towards the reference.
-    Plurality(&'a [usize], Opinion),
-    /// Stage 2 alone from the initial counts, towards the reference.
-    Stage2(&'a [usize], Opinion),
+    /// Noisy **plurality consensus** (Theorem 2): for every opinion `i`,
+    /// `counts[i]` uniformly random nodes support `i`, the remaining nodes
+    /// are undecided, and the protocol must drive the whole system to the
+    /// plurality opinion.
+    Plurality(&'a [usize]),
+    /// Stage 2 alone from the same initial counts: the "majority
+    /// consensus subroutine" view of the protocol, used by the Appendix D
+    /// experiment (F7), where Stage 1 is deliberately skipped.
+    Stage2(&'a [usize]),
 }
 
 /// One protocol run waiting for its network.
 struct Run<'a> {
     protocol: &'a TwoStageProtocol,
     instance: Instance<'a>,
+    /// The opinion the run measures success against.
+    reference: Opinion,
     observer: &'a mut dyn Observer,
     stop: &'a StopCondition,
 }
@@ -564,62 +484,43 @@ impl BackendVisitor<Result<Outcome, ProtocolError>> for Run<'_> {
     fn visit<B: PushBackend>(self, mut net: B) -> Result<Outcome, ProtocolError> {
         let protocol = self.protocol;
         let mut rng = protocol.protocol_rng();
-        let (reference, with_stage1) = match self.instance {
+        match self.instance {
             Instance::Rumor(opinion) => {
                 let source = rng.gen_range(0..protocol.params.num_nodes());
                 net.seed_rumor_at(source, opinion)?;
-                (opinion, true)
             }
-            Instance::Plurality(counts, reference) => {
-                net.seed_counts(counts)?;
-                (reference, true)
-            }
-            Instance::Stage2(counts, reference) => {
-                net.seed_counts(counts)?;
-                (reference, false)
-            }
-        };
-        Ok(protocol.execute(net, rng, reference, with_stage1, self.observer, self.stop))
+            Instance::Plurality(counts) | Instance::Stage2(counts) => net.seed_counts(counts)?,
+        }
+        let with_stage1 = !matches!(self.instance, Instance::Stage2(_));
+        Ok(protocol.execute(
+            net,
+            rng,
+            self.reference,
+            with_stage1,
+            self.observer,
+            self.stop,
+        ))
     }
-}
-
-/// Convenience wrapper: runs noisy rumor spreading with the source holding
-/// opinion 0.
-///
-/// # Errors
-///
-/// Propagates [`TwoStageProtocol::new`] and
-/// [`TwoStageProtocol::run_rumor_spreading`] errors.
-pub fn run_rumor_spreading(
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-) -> Result<Outcome, ProtocolError> {
-    TwoStageProtocol::new(params.clone(), noise.clone())?.run_rumor_spreading(Opinion::new(0))
-}
-
-/// Convenience wrapper: runs noisy plurality consensus from the given
-/// initial counts.
-///
-/// # Errors
-///
-/// Propagates [`TwoStageProtocol::new`] and
-/// [`TwoStageProtocol::run_plurality_consensus`] errors.
-pub fn run_plurality_consensus(
-    params: &ProtocolParams,
-    noise: &NoiseMatrix,
-    initial_counts: &[usize],
-) -> Result<Outcome, ProtocolError> {
-    TwoStageProtocol::new(params.clone(), noise.clone())?.run_plurality_consensus(initial_counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NoObserver;
     use crate::params::ProtocolConstants;
     use pushsim::{ChurnSpec, ClockSpec, FaultSpec, TopologySpec};
 
     fn uniform_noise(k: usize, eps: f64) -> NoiseMatrix {
         NoiseMatrix::uniform(k, eps).unwrap()
+    }
+
+    /// One unobserved run of the whole schedule.
+    fn run(
+        protocol: &TwoStageProtocol,
+        backend: ExecutionBackend,
+        instance: Instance<'_>,
+    ) -> Result<Outcome, ProtocolError> {
+        protocol.session().run(backend, instance, &mut NoObserver)
     }
 
     #[test]
@@ -631,7 +532,12 @@ mod tests {
             .build()
             .unwrap();
         let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
-        let outcome = protocol.run_rumor_spreading(Opinion::new(1)).unwrap();
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Agent,
+            Instance::Rumor(Opinion::new(1)),
+        )
+        .unwrap();
         assert!(outcome.consensus_reached());
         assert!(outcome.succeeded(), "final: {}", outcome.final_distribution());
         assert_eq!(outcome.winning_opinion(), Some(Opinion::new(1)));
@@ -652,8 +558,17 @@ mod tests {
             .unwrap();
         let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
         // Opinion 2 holds the plurality (but not the absolute majority).
-        let outcome = protocol.run_plurality_consensus(&[180, 150, 270]).unwrap();
-        assert!(outcome.succeeded(), "final: {}", outcome.final_distribution());
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Agent,
+            Instance::Plurality(&[180, 150, 270]),
+        )
+        .unwrap();
+        assert!(
+            outcome.succeeded(),
+            "final: {}",
+            outcome.final_distribution()
+        );
         assert_eq!(outcome.winning_opinion(), Some(Opinion::new(2)));
     }
 
@@ -667,7 +582,12 @@ mod tests {
             .unwrap();
         let schedule = params.schedule();
         let protocol = TwoStageProtocol::new(params, uniform_noise(2, eps)).unwrap();
-        let outcome = protocol.run_rumor_spreading(Opinion::new(0)).unwrap();
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Agent,
+            Instance::Rumor(Opinion::new(0)),
+        )
+        .unwrap();
         let stage1_count = outcome.stage_records(StageId::One).count();
         let stage2_count = outcome.stage_records(StageId::Two).count();
         assert_eq!(stage1_count, schedule.stage1_phases());
@@ -684,23 +604,43 @@ mod tests {
         let params = ProtocolParams::builder(100, 3).epsilon(0.3).build().unwrap();
         let protocol = TwoStageProtocol::new(params.clone(), uniform_noise(3, 0.3)).unwrap();
         assert!(matches!(
-            protocol.run_rumor_spreading(Opinion::new(5)),
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Rumor(Opinion::new(5))
+            ),
             Err(ProtocolError::OpinionOutOfRange { .. })
         ));
         assert!(matches!(
-            protocol.run_plurality_consensus(&[1, 2]),
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[1, 2])
+            ),
             Err(ProtocolError::BadInitialCounts { .. })
         ));
         assert!(matches!(
-            protocol.run_plurality_consensus(&[0, 0, 0]),
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[0, 0, 0])
+            ),
             Err(ProtocolError::BadInitialCounts { .. })
         ));
         assert!(matches!(
-            protocol.run_plurality_consensus(&[50, 50, 0]),
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[50, 50, 0])
+            ),
             Err(ProtocolError::BadInitialCounts { .. })
         ));
         assert!(matches!(
-            protocol.run_plurality_consensus(&[200, 1, 0]),
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[200, 1, 0])
+            ),
             Err(ProtocolError::BadInitialCounts { .. })
         ));
         assert!(matches!(
@@ -718,10 +658,17 @@ mod tests {
             .build()
             .unwrap();
         let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
-        let outcome = protocol
-            .run_plurality_consensus_on(ExecutionBackend::Counting, &[180, 150, 270])
-            .unwrap();
-        assert!(outcome.succeeded(), "final: {}", outcome.final_distribution());
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Counting,
+            Instance::Plurality(&[180, 150, 270]),
+        )
+        .unwrap();
+        assert!(
+            outcome.succeeded(),
+            "final: {}",
+            outcome.final_distribution()
+        );
         assert_eq!(outcome.winning_opinion(), Some(Opinion::new(2)));
         assert_eq!(outcome.final_distribution().num_nodes(), 600);
         assert!(outcome.rounds() > 0);
@@ -737,10 +684,17 @@ mod tests {
             .build()
             .unwrap();
         let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
-        let outcome = protocol
-            .run_rumor_spreading_on(ExecutionBackend::Counting, Opinion::new(1))
-            .unwrap();
-        assert!(outcome.succeeded(), "final: {}", outcome.final_distribution());
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Counting,
+            Instance::Rumor(Opinion::new(1)),
+        )
+        .unwrap();
+        assert!(
+            outcome.succeeded(),
+            "final: {}",
+            outcome.final_distribution()
+        );
     }
 
     #[test]
@@ -751,10 +705,13 @@ mod tests {
                 .seed(99)
                 .build()
                 .unwrap();
-            TwoStageProtocol::new(params, uniform_noise(2, 0.4))
-                .unwrap()
-                .run_plurality_consensus_on(ExecutionBackend::Counting, &[600, 300])
-                .unwrap()
+            let protocol = TwoStageProtocol::new(params, uniform_noise(2, 0.4)).unwrap();
+            run(
+                &protocol,
+                ExecutionBackend::Counting,
+                Instance::Plurality(&[600, 300]),
+            )
+            .unwrap()
         };
         let a = make();
         let b = make();
@@ -909,16 +866,22 @@ mod tests {
             protocol.resolve(ExecutionBackend::Auto),
             ExecutionBackend::Agent
         );
-        let outcome = protocol
-            .run_rumor_spreading_on(ExecutionBackend::Auto, Opinion::new(0))
-            .unwrap();
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Auto,
+            Instance::Rumor(Opinion::new(0)),
+        )
+        .unwrap();
         assert!(outcome.rounds() > 0);
         assert_eq!(outcome.final_distribution().num_nodes(), 400);
         // An explicit counting request on a sparse topology fails loudly
         // instead of silently switching semantics.
-        let err = protocol
-            .run_rumor_spreading_on(ExecutionBackend::Counting, Opinion::new(0))
-            .unwrap_err();
+        let err = run(
+            &protocol,
+            ExecutionBackend::Counting,
+            Instance::Rumor(Opinion::new(0)),
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, ProtocolError::Simulation(msg) if msg.contains("topology")),
             "expected an unsupported-topology error, got {err}"
@@ -953,12 +916,18 @@ mod tests {
             protocol.resolve(ExecutionBackend::Auto),
             ExecutionBackend::Agent
         );
-        let auto = protocol
-            .run_plurality_consensus_on(ExecutionBackend::Auto, &[200, 150, 100])
-            .unwrap();
-        let agent = protocol
-            .run_plurality_consensus_on(ExecutionBackend::Agent, &[200, 150, 100])
-            .unwrap();
+        let auto = run(
+            &protocol,
+            ExecutionBackend::Auto,
+            Instance::Plurality(&[200, 150, 100]),
+        )
+        .unwrap();
+        let agent = run(
+            &protocol,
+            ExecutionBackend::Agent,
+            Instance::Plurality(&[200, 150, 100]),
+        )
+        .unwrap();
         assert_eq!(auto, agent);
 
         // Poissonized run: Auto resolves to Counting.
@@ -973,12 +942,18 @@ mod tests {
             protocol.resolve(ExecutionBackend::Auto),
             ExecutionBackend::Counting
         );
-        let auto = protocol
-            .run_rumor_spreading_on(ExecutionBackend::Auto, Opinion::new(1))
-            .unwrap();
-        let counting = protocol
-            .run_rumor_spreading_on(ExecutionBackend::Counting, Opinion::new(1))
-            .unwrap();
+        let auto = run(
+            &protocol,
+            ExecutionBackend::Auto,
+            Instance::Rumor(Opinion::new(1)),
+        )
+        .unwrap();
+        let counting = run(
+            &protocol,
+            ExecutionBackend::Counting,
+            Instance::Rumor(Opinion::new(1)),
+        )
+        .unwrap();
         assert_eq!(auto, counting);
 
         // Sparse Poissonized run: Auto resolves to BlockCounting.
@@ -994,12 +969,18 @@ mod tests {
             protocol.resolve(ExecutionBackend::Auto),
             ExecutionBackend::BlockCounting
         );
-        let auto = protocol
-            .run_plurality_consensus_on(ExecutionBackend::Auto, &[700, 500, 300])
-            .unwrap();
-        let block = protocol
-            .run_plurality_consensus_on(ExecutionBackend::BlockCounting, &[700, 500, 300])
-            .unwrap();
+        let auto = run(
+            &protocol,
+            ExecutionBackend::Auto,
+            Instance::Plurality(&[700, 500, 300]),
+        )
+        .unwrap();
+        let block = run(
+            &protocol,
+            ExecutionBackend::BlockCounting,
+            Instance::Plurality(&[700, 500, 300]),
+        )
+        .unwrap();
         assert_eq!(auto, block);
     }
 
@@ -1022,9 +1003,12 @@ mod tests {
                 .build()
                 .unwrap();
             let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
-            let outcome = protocol
-                .run_plurality_consensus_on(ExecutionBackend::BlockCounting, &[700, 500, 300])
-                .unwrap();
+            let outcome = run(
+                &protocol,
+                ExecutionBackend::BlockCounting,
+                Instance::Plurality(&[700, 500, 300]),
+            )
+            .unwrap();
             assert!(
                 outcome.consensus_reached(),
                 "no consensus on {topology:?}: {}",
@@ -1046,7 +1030,12 @@ mod tests {
             .unwrap();
         let schedule_rounds = params.schedule().total_rounds();
         let protocol = TwoStageProtocol::new(params, uniform_noise(2, eps)).unwrap();
-        let plain = protocol.run_rumor_spreading(Opinion::new(0)).unwrap();
+        let plain = run(
+            &protocol,
+            ExecutionBackend::Agent,
+            Instance::Rumor(Opinion::new(0)),
+        )
+        .unwrap();
         // A plateau window longer than the whole run can never accumulate
         // enough history: the session must behave exactly like the
         // stop-free run, not stall or stop early.
@@ -1056,9 +1045,9 @@ mod tests {
                 window: 100_000,
                 tolerance: 1.0,
             })
-            .run_rumor_spreading_on(
+            .run(
                 ExecutionBackend::Agent,
-                Opinion::new(0),
+                Instance::Rumor(Opinion::new(0)),
                 &mut NoObserver,
             )
             .unwrap();
@@ -1075,10 +1064,17 @@ mod tests {
             .build()
             .unwrap();
         let protocol = TwoStageProtocol::new(params, uniform_noise(2, eps)).unwrap();
-        let outcome = protocol
-            .run_stage2_only_on(ExecutionBackend::Counting, &[300, 200])
-            .unwrap();
-        assert!(outcome.succeeded(), "final: {}", outcome.final_distribution());
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Counting,
+            Instance::Stage2(&[300, 200]),
+        )
+        .unwrap();
+        assert!(
+            outcome.succeeded(),
+            "final: {}",
+            outcome.final_distribution()
+        );
         assert_eq!(outcome.final_distribution().num_nodes(), 500);
     }
 
@@ -1091,10 +1087,13 @@ mod tests {
                 .seed(99)
                 .build()
                 .unwrap();
-            TwoStageProtocol::new(params, uniform_noise(2, eps))
-                .unwrap()
-                .run_rumor_spreading(Opinion::new(0))
-                .unwrap()
+            let protocol = TwoStageProtocol::new(params, uniform_noise(2, eps)).unwrap();
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Rumor(Opinion::new(0)),
+            )
+            .unwrap()
         };
         let a = make();
         let b = make();
@@ -1113,19 +1112,51 @@ mod tests {
             .build()
             .unwrap();
         let protocol = TwoStageProtocol::new(params, uniform_noise(2, eps)).unwrap();
-        let outcome = protocol.run_stage2_only(&[300, 200]).unwrap();
-        assert!(outcome.succeeded(), "final: {}", outcome.final_distribution());
+        let outcome = run(
+            &protocol,
+            ExecutionBackend::Agent,
+            Instance::Stage2(&[300, 200]),
+        )
+        .unwrap();
+        assert!(
+            outcome.succeeded(),
+            "final: {}",
+            outcome.final_distribution()
+        );
     }
 
     #[test]
-    fn free_functions_mirror_protocol_methods() {
+    fn named_delegates_mirror_session_run() {
         let eps = 0.4;
         let params = ProtocolParams::builder(300, 2).epsilon(eps).seed(5).build().unwrap();
-        let noise = uniform_noise(2, eps);
-        let rumor = run_rumor_spreading(&params, &noise).unwrap();
-        assert_eq!(rumor.correct_opinion(), Opinion::new(0));
-        let plurality = run_plurality_consensus(&params, &noise, &[150, 100]).unwrap();
+        let protocol = TwoStageProtocol::new(params, uniform_noise(2, eps)).unwrap();
+        let session = protocol.session();
+        let rumor = session
+            .run_rumor_spreading_on(ExecutionBackend::Agent, Opinion::new(1), &mut NoObserver)
+            .unwrap();
+        assert_eq!(rumor.correct_opinion(), Opinion::new(1));
+        assert_eq!(
+            rumor,
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Rumor(Opinion::new(1))
+            )
+            .unwrap()
+        );
+        let plurality = session
+            .run_plurality_consensus_on(ExecutionBackend::Agent, &[150, 100], &mut NoObserver)
+            .unwrap();
         assert_eq!(plurality.correct_opinion(), Opinion::new(0));
+        assert_eq!(
+            plurality,
+            run(
+                &protocol,
+                ExecutionBackend::Agent,
+                Instance::Plurality(&[150, 100])
+            )
+            .unwrap()
+        );
     }
 
     #[test]

@@ -48,7 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let protocol = TwoStageProtocol::new(params.clone(), noise.clone())?;
-    let outcome = protocol.run_plurality_consensus(&scout_counts)?;
+    let outcome = protocol.session().run(
+        ExecutionBackend::Agent,
+        Instance::Plurality(&scout_counts),
+        &mut NoObserver,
+    )?;
 
     println!();
     println!("== two-stage protocol ==");

@@ -40,7 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .seed(1_000 + trial)
                 .delivery(semantics)
                 .build()?;
-            let outcome = run_plurality_consensus(&params, &noise, &[450, 350, 200])?;
+            let outcome = TwoStageProtocol::new(params, noise.clone())?
+                .session()
+                .run(
+                    ExecutionBackend::Agent,
+                    Instance::Plurality(&[450, 350, 200]),
+                    &mut NoObserver,
+                )?;
             if outcome.succeeded() {
                 successes += 1;
             }

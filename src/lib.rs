@@ -12,14 +12,17 @@
 //! * [`sim`] — the noisy uniform push model simulator with the three delivery
 //!   semantics (processes **O**, **B**, **P**) used in the paper's analysis.
 //! * [`protocol`] — the paper's two-stage rumor-spreading / plurality
-//!   consensus protocol, phase schedules, theoretical bounds, memory
-//!   accounting, and the observation layer
-//!   ([`Session`](protocol::Session) / [`Observer`](protocol::Observer) /
+//!   consensus protocol with its one entry point
+//!   ([`Session::run`](protocol::Session::run) of an
+//!   [`Instance`](protocol::Instance)), phase schedules, theoretical
+//!   bounds, memory accounting, and the observation layer
+//!   ([`Observer`](protocol::Observer) /
 //!   [`StopCondition`](protocol::StopCondition)) that makes executions
 //!   watchable phase by phase and stoppable early.
 //! * [`dynamics`] — baseline opinion dynamics (voter, 3-majority, h-majority,
 //!   undecided-state, median rule) running on the same substrate.
-//! * [`analysis`] — statistics, sweeps, table emitters and the built-in
+//! * [`analysis`] — statistics, derived seeds and the ordered parallel map
+//!   the harness runs its trials through, table emitters and the built-in
 //!   observers (trajectory recorder, streaming per-phase aggregates, JSONL
 //!   stream sink) used by the experiment harness.
 //! * [`mod@bench`] — the declarative scenario API
@@ -43,7 +46,12 @@
 //!     .epsilon(0.25)
 //!     .seed(7)
 //!     .build()?;
-//! let outcome = run_rumor_spreading(&params, &noise)?;
+//! let protocol = TwoStageProtocol::new(params, noise)?;
+//! let outcome = protocol.session().run(
+//!     ExecutionBackend::Agent,
+//!     Instance::Rumor(Opinion::new(0)),
+//!     &mut NoObserver,
+//! )?;
 //! assert!(outcome.consensus_reached());
 //! assert_eq!(outcome.winning_opinion(), Some(Opinion::new(0)));
 //! # Ok(())
@@ -68,7 +76,6 @@ pub mod prelude {
         ci::WilsonInterval,
         observe::{OnlineStats, StreamSink, TrajectoryRecorder},
         stats::SampleStats,
-        sweep::{Sweep, SweepRow},
         table::Table,
     };
     pub use noisy_bench::{
@@ -83,10 +90,9 @@ pub mod prelude {
         UndecidedState, Voter,
     };
     pub use plurality_core::{
-        bounds, run_plurality_consensus, run_rumor_spreading, ExecutionBackend, MemoryMeter,
-        NoObserver, Observer, Outcome, PhaseRecord, PhaseSnapshot, ProtocolConstants,
-        ProtocolError, ProtocolParams, Schedule, Session, StageId, StopCondition,
-        TwoStageProtocol,
+        bounds, ExecutionBackend, Instance, MemoryMeter, NoObserver, Observer, Outcome,
+        PhaseRecord, PhaseSnapshot, ProtocolConstants, ProtocolError, ProtocolParams, Schedule,
+        Session, StageId, StopCondition, TwoStageProtocol,
     };
     pub use pushsim::{
         AdoptionScope, CountingNetwork, DeliverySemantics, Inboxes, Network, NodeState, Opinion,

@@ -10,6 +10,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One unobserved run of `instance` on the agent backend.
+fn run(
+    params: &ProtocolParams,
+    noise: &NoiseMatrix,
+    instance: Instance<'_>,
+) -> Result<Outcome, ProtocolError> {
+    TwoStageProtocol::new(params.clone(), noise.clone())?
+        .session()
+        .run(ExecutionBackend::Agent, instance, &mut NoObserver)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -37,7 +48,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let outcome = run_plurality_consensus(&params, &noise, &counts).unwrap();
+        let outcome = run(&params, &noise, Instance::Plurality(&counts)).unwrap();
         prop_assert!(outcome.succeeded(), "counts {counts:?}: {}", outcome.final_distribution());
     }
 
@@ -55,7 +66,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let outcome = run_plurality_consensus(&params, &noise, &[120, 90, 60]).unwrap();
+        let outcome = run(&params, &noise, Instance::Plurality(&[120, 90, 60])).unwrap();
 
         // Total messages = sum over phases.
         let total_from_records: u64 = outcome.phase_records().iter().map(|r| r.messages()).sum();

@@ -4,6 +4,17 @@
 
 use noisy_plurality::prelude::*;
 
+/// One unobserved run of `instance` on the agent backend.
+fn run(
+    params: &ProtocolParams,
+    noise: &NoiseMatrix,
+    instance: Instance<'_>,
+) -> Result<Outcome, ProtocolError> {
+    TwoStageProtocol::new(params.clone(), noise.clone())?
+        .session()
+        .run(ExecutionBackend::Agent, instance, &mut NoObserver)
+}
+
 /// The headline claim of Theorem 1 at a simulable scale: rumor spreading
 /// succeeds for k ∈ {2, 3, 5} under uniform ε-noise.
 #[test]
@@ -18,7 +29,12 @@ fn rumor_spreading_succeeds_across_opinion_counts() {
             .expect("valid params");
         let protocol = TwoStageProtocol::new(params, noise).expect("compatible dimensions");
         let outcome = protocol
-            .run_rumor_spreading(Opinion::new(k - 1))
+            .session()
+            .run(
+                ExecutionBackend::Agent,
+                Instance::Rumor(Opinion::new(k - 1)),
+                &mut NoObserver,
+            )
             .expect("run completes");
         assert!(
             outcome.succeeded(),
@@ -41,9 +57,13 @@ fn plurality_consensus_without_absolute_majority() {
         .build()
         .expect("valid params");
     // Plurality (35%) is far from an absolute majority.
-    let outcome = run_plurality_consensus(&params, &noise, &[280, 200, 180, 140])
-        .expect("run completes");
-    assert!(outcome.succeeded(), "final = {}", outcome.final_distribution());
+    let outcome =
+        run(&params, &noise, Instance::Plurality(&[280, 200, 180, 140])).expect("run completes");
+    assert!(
+        outcome.succeeded(),
+        "final = {}",
+        outcome.final_distribution()
+    );
     assert_eq!(outcome.winning_opinion(), Some(Opinion::new(0)));
 }
 
@@ -61,7 +81,7 @@ fn all_delivery_semantics_solve_the_same_instance() {
             .build()
             .expect("valid params");
         let outcome =
-            run_plurality_consensus(&params, &noise, &[200, 150, 150]).expect("run completes");
+            run(&params, &noise, Instance::Plurality(&[200, 150, 150])).expect("run completes");
         assert!(
             outcome.succeeded(),
             "process {} failed: {}",
@@ -87,7 +107,7 @@ fn counterexample_noise_defeats_the_protocol_as_predicted() {
         .seed(31)
         .build()
         .expect("valid params");
-    let outcome = run_plurality_consensus(&params, &bad, &[220, 180, 100]).expect("run completes");
+    let outcome = run(&params, &bad, Instance::Plurality(&[220, 180, 100])).expect("run completes");
     assert!(
         !outcome.succeeded(),
         "the protocol should not recover a plurality the channel destroys: {}",
@@ -122,7 +142,7 @@ fn cyclic_noise_is_mp_and_the_protocol_succeeds_under_it() {
         .build()
         .expect("valid params");
     let outcome =
-        run_plurality_consensus(&params, &mild, &[150, 150, 210, 90]).expect("run completes");
+        run(&params, &mild, Instance::Plurality(&[150, 150, 210, 90])).expect("run completes");
     assert!(outcome.succeeded(), "final = {}", outcome.final_distribution());
     assert_eq!(outcome.winning_opinion(), Some(Opinion::new(2)));
 }
@@ -138,7 +158,7 @@ fn memory_footprint_matches_the_theorem_scale() {
         .seed(51)
         .build()
         .expect("valid params");
-    let outcome = run_rumor_spreading(&params, &noise).expect("run completes");
+    let outcome = run(&params, &noise, Instance::Rumor(Opinion::new(0))).expect("run completes");
     let measured_bits = outcome.memory().bits_per_node() as f64;
     let scale = bounds::memory_bound_bits(800, eps);
     assert!(
@@ -160,7 +180,8 @@ fn rounds_scale_with_log_n_over_eps_squared() {
             .seed(61)
             .build()
             .expect("valid params");
-        let outcome = run_rumor_spreading(&params, &noise).expect("run completes");
+        let outcome =
+            run(&params, &noise, Instance::Rumor(Opinion::new(0))).expect("run completes");
         assert!(outcome.succeeded());
         let normalized = outcome.rounds() as f64 / bounds::rounds_bound(n, eps);
         measured.push(normalized);
@@ -187,7 +208,12 @@ fn stage1_records_show_full_activation_and_positive_bias() {
         .expect("valid params");
     let protocol = TwoStageProtocol::new(params, noise).expect("compatible");
     let outcome = protocol
-        .run_rumor_spreading(Opinion::new(0))
+        .session()
+        .run(
+            ExecutionBackend::Agent,
+            Instance::Rumor(Opinion::new(0)),
+            &mut NoObserver,
+        )
         .expect("run completes");
     let last_stage1 = outcome
         .stage_records(StageId::One)

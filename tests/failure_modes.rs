@@ -3,6 +3,17 @@
 
 use noisy_plurality::prelude::*;
 
+/// One unobserved run of `instance` on the agent backend.
+fn run(
+    params: &ProtocolParams,
+    noise: &NoiseMatrix,
+    instance: Instance<'_>,
+) -> Result<Outcome, ProtocolError> {
+    TwoStageProtocol::new(params.clone(), noise.clone())?
+        .session()
+        .run(ExecutionBackend::Agent, instance, &mut NoObserver)
+}
+
 /// Resetting noise towards a fixed opinion overwhelms any plurality of a
 /// different opinion: the m.p. analysis predicts it, and the protocol indeed
 /// converges to the reset target instead of the initial plurality.
@@ -18,7 +29,7 @@ fn reset_noise_hijacks_consensus_towards_its_target() {
         .build()
         .expect("valid params");
     let outcome =
-        run_plurality_consensus(&params, &noise, &[250, 150, 100]).expect("run completes");
+        run(&params, &noise, Instance::Plurality(&[250, 150, 100])).expect("run completes");
     assert!(!outcome.succeeded());
     // The hijacker wins: the final plurality is the reset target.
     assert_eq!(outcome.winning_opinion(), Some(Opinion::new(2)));
@@ -40,9 +51,9 @@ fn malformed_configurations_are_rejected_cleanly() {
         .epsilon(0.2)
         .build()
         .expect("valid params");
-    assert!(run_plurality_consensus(&params, &noise, &[50, 50]).is_err());
+    assert!(run(&params, &noise, Instance::Plurality(&[50, 50])).is_err());
     // Counts exceeding n.
-    assert!(run_plurality_consensus(&params, &noise, &[90, 20]).is_err());
+    assert!(run(&params, &noise, Instance::Plurality(&[90, 20])).is_err());
     // Mismatched noise dimension.
     let wrong = NoiseMatrix::uniform(3, 0.2).expect("valid noise");
     assert!(TwoStageProtocol::new(params, wrong).is_err());
@@ -57,7 +68,7 @@ fn empty_initial_opinion_set_is_rejected() {
         .epsilon(0.2)
         .build()
         .expect("valid params");
-    let err = run_plurality_consensus(&params, &noise, &[0, 0]).unwrap_err();
+    let err = run(&params, &noise, Instance::Plurality(&[0, 0])).unwrap_err();
     assert!(matches!(err, ProtocolError::BadInitialCounts { .. }));
 }
 
@@ -75,7 +86,7 @@ fn undersized_epsilon_terminates_and_reports_honestly() {
         .build()
         .expect("valid params");
     let schedule_rounds = params.schedule().total_rounds();
-    let outcome = run_plurality_consensus(&params, &noise, &[160, 120]).expect("run completes");
+    let outcome = run(&params, &noise, Instance::Plurality(&[160, 120])).expect("run completes");
     assert_eq!(outcome.rounds(), schedule_rounds);
     // No assertion on success: the point is termination + honest reporting.
     let bias = outcome
@@ -95,7 +106,7 @@ fn node_conservation_under_hostile_noise() {
         .build()
         .expect("valid params");
     let outcome =
-        run_plurality_consensus(&params, &noise, &[100, 90, 90, 80]).expect("run completes");
+        run(&params, &noise, Instance::Plurality(&[100, 90, 90, 80])).expect("run completes");
     let dist = outcome.final_distribution();
     assert_eq!(dist.num_nodes(), 400);
     assert_eq!(dist.counts().iter().sum::<usize>() + dist.undecided(), 400);
@@ -118,7 +129,14 @@ fn stage2_needs_a_large_enough_opinionated_set() {
 
     // Adequate set: most of the network is opinionated with a solid bias —
     // the "majority consensus subroutine" setting of Theorem 2.
-    let good = protocol.run_stage2_only(&[480, 320]).expect("run completes");
+    let good = protocol
+        .session()
+        .run(
+            ExecutionBackend::Agent,
+            Instance::Stage2(&[480, 320]),
+            &mut NoObserver,
+        )
+        .expect("run completes");
     assert!(good.succeeded(), "final = {}", good.final_distribution());
 
     // Tiny set: 8 opinionated nodes. Most agents never collect ell messages
@@ -126,7 +144,14 @@ fn stage2_needs_a_large_enough_opinionated_set() {
     // noise; the protocol should not be able to certify success reliably.
     // We only assert the run terminates and stays in a legal state (the
     // quantitative version is experiment F7 in the bench harness).
-    let tiny = protocol.run_stage2_only(&[5, 3]).expect("run completes");
+    let tiny = protocol
+        .session()
+        .run(
+            ExecutionBackend::Agent,
+            Instance::Stage2(&[5, 3]),
+            &mut NoObserver,
+        )
+        .expect("run completes");
     let dist = tiny.final_distribution();
     assert_eq!(dist.counts().iter().sum::<usize>() + dist.undecided(), 800);
 }
