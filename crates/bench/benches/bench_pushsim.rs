@@ -206,7 +206,7 @@ fn bench_backend_scaling(c: &mut Criterion) {
             net.seed_counts(&[n / 2, n / 4, n / 4]).expect("valid counts");
             b.iter(|| {
                 net.begin_phase();
-                net.push_round_all_opinionated();
+                net.push_opinionated_round();
                 net.end_phase().total()
             });
         });
@@ -272,7 +272,7 @@ fn bench_generic_vs_concrete_dispatch(c: &mut Criterion) {
         let mut net = counting_net();
         b.iter(|| {
             net.begin_phase();
-            net.push_round_all_opinionated();
+            net.push_opinionated_round();
             net.end_phase().total()
         });
     });
@@ -508,7 +508,7 @@ fn bench_topology_phase_scaling(c: &mut Criterion) {
                 net.seed_counts(&[n / 2, n / 4, n / 4]).expect("valid counts");
                 b.iter(|| {
                     net.begin_phase();
-                    net.push_round_all_opinionated();
+                    net.push_opinionated_round();
                     net.end_phase().total()
                 });
             },

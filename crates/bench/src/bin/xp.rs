@@ -18,14 +18,15 @@
 //! [`noisy_serve`] wired to specs by [`noisy_bench::service::SpecService`].
 //!
 //! Exit codes: 0 on success (campaigns: every oracle passed; load: every
-//! response verified), 1 on run failures (campaigns: an oracle violation,
-//! with a ready-to-paste replay command; load: dropped or corrupted
-//! responses), 2 on usage errors (unknown command/experiment, unreadable
-//! spec file, malformed flags).
+//! response verified), 1 on run failures (a spec file that reads but does
+//! not parse or validate; campaigns: an oracle violation, with a
+//! ready-to-paste replay command; load: dropped or corrupted responses), 2
+//! on usage errors (unknown command/experiment, unreadable spec file, a
+//! composite experiment where one spec is needed, malformed flags).
 
 use gossip_analysis::table::Table;
 use noisy_bench::campaign::{self, CampaignOptions};
-use noisy_bench::registry;
+use noisy_bench::registry::{self, Experiment};
 use noisy_bench::runner::Runner;
 use noisy_bench::service::SpecService;
 use noisy_bench::spec::ScenarioSpec;
@@ -175,12 +176,9 @@ fn cmd_run(rest: &[String]) -> ExitCode {
     };
     match (name, spec_path) {
         (Some(name), None) => {
-            let Some(experiment) = registry::find(&name) else {
-                eprintln!(
-                    "error: unknown experiment {name:?} (registered: {})",
-                    known_names()
-                );
-                return ExitCode::from(2);
+            let experiment = match find_experiment(&name) {
+                Ok(experiment) => experiment,
+                Err(e) => return e.exit(),
             };
             match registry::run(experiment, &cli) {
                 Ok(()) => ExitCode::SUCCESS,
@@ -190,7 +188,20 @@ fn cmd_run(rest: &[String]) -> ExitCode {
                 }
             }
         }
-        (None, Some(path)) => run_spec_file(&path, &cli),
+        (None, Some(path)) => {
+            let spec = match read_spec_file(&path) {
+                Ok(spec) => spec,
+                Err(e) => return e.exit(),
+            };
+            let heading = format!("running spec {path} ({} scenario)\n", spec.kind.name());
+            match registry::run_spec_to(spec, &heading, &cli, &mut std::io::stdout().lock()) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {path}: {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         (Some(_), Some(_)) => {
             eprintln!("error: give an experiment name or --spec, not both\n\n{}", usage());
             ExitCode::from(2)
@@ -202,49 +213,75 @@ fn cmd_run(rest: &[String]) -> ExitCode {
     }
 }
 
-fn run_spec_file(path: &str, cli: &Cli) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            // A spec file that cannot be loaded is a usage error (exit 2,
-            // like an unknown experiment name), reported with the path the
-            // lookup actually used so relative-path typos are obvious.
-            eprintln!("error: cannot read spec file {path:?}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // Parse errors keep their 1-based line numbers, prefixed with the path.
-    let mut spec = match ScenarioSpec::from_text(&text) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    registry::apply_cli(&mut spec, cli);
-    cli.note(&format!("running spec {path} ({} scenario)\n", spec.kind.name()));
-    let runner = match Runner::new(spec) {
-        Ok(runner) => runner,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if cli.stream {
-        if let Err(e) = runner.run_streamed(&mut std::io::stdout().lock()) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        match runner.run() {
-            Ok(report) => cli.emit(&report.to_table()),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+/// Why a spec source yields no spec, and the exit code that maps to:
+/// unknown names, unreadable paths and composites are usage errors (2); a
+/// file that reads but does not parse is a run failure (1).
+struct SourceError {
+    code: u8,
+    message: String,
+}
+
+impl SourceError {
+    fn usage(message: String) -> Self {
+        Self { code: 2, message }
     }
-    ExitCode::SUCCESS
+
+    /// Reports the error on stderr and returns its exit code.
+    fn exit(self) -> ExitCode {
+        eprintln!("error: {}", self.message);
+        ExitCode::from(self.code)
+    }
+}
+
+/// Looks a registered experiment up by name.
+fn find_experiment(name: &str) -> Result<&'static Experiment, SourceError> {
+    registry::find(name).ok_or_else(|| {
+        SourceError::usage(format!(
+            "unknown experiment {name:?} (registered: {})",
+            known_names()
+        ))
+    })
+}
+
+/// A registered experiment's spec at `scale`; a composite has none.
+fn experiment_spec(experiment: &Experiment, scale: Scale) -> Result<ScenarioSpec, SourceError> {
+    experiment.spec(scale).ok_or_else(|| {
+        SourceError::usage(format!(
+            "{} is a composite experiment (several spec runs merged into one table); it has \
+             no single spec",
+            experiment.name
+        ))
+    })
+}
+
+/// Reads and parses a spec file; parse errors keep their 1-based line
+/// numbers, prefixed with the path.
+fn read_spec_file(path: &str) -> Result<ScenarioSpec, SourceError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| SourceError::usage(format!("cannot read spec file {path:?}: {e}")))?;
+    ScenarioSpec::from_text(&text).map_err(|e| SourceError {
+        code: 1,
+        message: format!("{path}: {e}"),
+    })
+}
+
+/// Resolves a spec source — a registered experiment name first, a spec
+/// file path otherwise — to its spec at `scale`. A source that is neither
+/// lists the registered names.
+fn resolve_spec(source: &str, scale: Scale) -> Result<ScenarioSpec, SourceError> {
+    match registry::find(source) {
+        Some(experiment) => experiment_spec(experiment, scale),
+        None => read_spec_file(source).map_err(|mut e| {
+            if e.code == 2 {
+                e.message = format!(
+                    "{source:?} is not a registered experiment (registered: {}), and {}",
+                    known_names(),
+                    e.message
+                );
+            }
+            e
+        }),
+    }
 }
 
 fn cmd_show(rest: &[String]) -> ExitCode {
@@ -266,28 +303,17 @@ fn cmd_show(rest: &[String]) -> ExitCode {
         eprintln!("error: `xp show` takes an experiment name\n\n{}", usage());
         return ExitCode::from(2);
     };
-    let Some(experiment) = registry::find(&name) else {
-        eprintln!(
-            "error: unknown experiment {name:?} (registered: {})",
-            known_names()
-        );
-        return ExitCode::from(2);
+    let shown = find_experiment(&name).and_then(|experiment| {
+        experiment_spec(experiment, cli.scale).map(|spec| (experiment, spec))
+    });
+    let (experiment, mut spec) = match shown {
+        Ok(shown) => shown,
+        Err(e) => return e.exit(),
     };
-    match experiment.spec(cli.scale) {
-        Some(mut spec) => {
-            registry::apply_cli(&mut spec, &cli);
-            println!("# {}: {}", experiment.name, experiment.title);
-            print!("{}", spec.to_text());
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!(
-                "error: {name} is a composite experiment (several spec runs merged into one \
-                 table); it has no single spec to show"
-            );
-            ExitCode::FAILURE
-        }
-    }
+    registry::apply_cli(&mut spec, &cli);
+    println!("# {}: {}", experiment.name, experiment.title);
+    print!("{}", spec.to_text());
+    ExitCode::SUCCESS
 }
 
 /// Campaign-specific arguments: the spec source (registered name or file
@@ -394,32 +420,9 @@ fn cmd_campaign(rest: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
 
-    // Resolve the spec: registered experiment names first, file paths
-    // otherwise. An unreadable path is a usage error (exit 2); a file that
-    // loads but does not parse is a run failure (exit 1).
-    let mut spec = if let Some(experiment) = registry::find(&source) {
-        match experiment.spec(cli.scale) {
-            Some(spec) => spec,
-            None => {
-                eprintln!("error: {source} is a composite experiment; campaigns need one spec");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        let text = match std::fs::read_to_string(&source) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: cannot read spec file {source:?}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match ScenarioSpec::from_text(&text) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: {source}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut spec = match resolve_spec(&source, cli.scale) {
+        Ok(spec) => spec,
+        Err(e) => return e.exit(),
     };
     registry::apply_cli(&mut spec, &cli);
 
@@ -716,24 +719,6 @@ fn split_load_args(rest: &[String]) -> Result<LoadArgs, String> {
     Ok(parsed)
 }
 
-/// Resolves an `xp load` spec source: a registry experiment name (quick
-/// scale) or a spec file path.
-fn load_spec(source: &str) -> Result<ScenarioSpec, String> {
-    if let Some(experiment) = registry::find(source) {
-        return experiment
-            .spec(Scale::Quick)
-            .ok_or_else(|| format!("experiment {source:?} is composite, not spec-backed"));
-    }
-    let text = std::fs::read_to_string(source).map_err(|e| {
-        format!(
-            "{source:?} is neither a registered experiment (registered: {}) nor a readable \
-             spec file ({e})",
-            known_names()
-        )
-    })?;
-    ScenarioSpec::from_text(&text).map_err(|e| format!("{source}: {e}"))
-}
-
 /// Inserts a `{"name": …}` entry before the closing bracket of a JSON
 /// array file, creating the file if it does not exist.
 fn append_bench_entry(path: &str, entry: &str) -> Result<(), String> {
@@ -763,12 +748,9 @@ fn cmd_load(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let spec = match load_spec(&parsed.source) {
+    let spec = match resolve_spec(&parsed.source, Scale::Quick) {
         Ok(spec) => spec,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return e.exit(),
     };
     // The expected bytes come from running the spec locally once; the
     // service must reproduce them exactly for every client.

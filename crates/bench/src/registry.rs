@@ -103,22 +103,35 @@ pub fn run_to(
 ) -> Result<(), Box<dyn Error>> {
     match experiment.kind {
         ExperimentKind::Spec(make) => {
-            let mut spec = make(cli.scale);
-            apply_cli(&mut spec, cli);
-            cli.note_to(
-                &format!("{}: {}\n", experiment.name.to_uppercase(), experiment.title),
-                out,
-            )?;
-            let runner = Runner::new(spec)?;
-            if cli.stream {
-                runner.run_streamed(out)?;
-            } else {
-                cli.emit_to(&runner.run()?.to_table(), out)?;
-            }
-            Ok(())
+            let heading = format!("{}: {}\n", experiment.name.to_uppercase(), experiment.title);
+            run_spec_to(make(cli.scale), &heading, cli, out)
         }
         ExperimentKind::Custom(f) => f(cli),
     }
+}
+
+/// Runs one spec with the CLI's overrides, after a context heading (a
+/// [`Cli::note_to`] line), writing to `out` — the one spec-run path of
+/// registry entries and `xp run --spec` files.
+///
+/// # Errors
+///
+/// Propagates spec validation/execution errors and write errors on `out`.
+pub fn run_spec_to(
+    mut spec: ScenarioSpec,
+    heading: &str,
+    cli: &Cli,
+    out: &mut dyn std::io::Write,
+) -> Result<(), Box<dyn Error>> {
+    apply_cli(&mut spec, cli);
+    cli.note_to(heading, out)?;
+    let runner = Runner::new(spec)?;
+    if cli.stream {
+        runner.run_streamed(out)?;
+    } else {
+        cli.emit_to(&runner.run()?.to_table(), out)?;
+    }
+    Ok(())
 }
 
 /// Applies the CLI's `--backend`, `--trials` and `--seed` overrides to a

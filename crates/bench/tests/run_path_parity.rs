@@ -11,6 +11,11 @@
 //!   `examples/specs/fault_campaign.spec` over 5 seeds per cell, and
 //!   `fixtures/fault_campaign_replay.jsonl` the per-phase trajectory of
 //!   that campaign's first failing seed.
+//! * `fixtures/counting_fault_sweep_stream.jsonl` pins the streamed bytes
+//!   of a fault sweep on the counting backend at n = 10⁵ (the sweep CI
+//!   campaigns over): the count-level fault pools end to end. It was
+//!   captured before the counting backend became the single-class case
+//!   of the block-counting network.
 //!
 //! The fixtures were captured before the protocol's run methods collapsed
 //! into `Session::run` and the harness's worker loops into one ordered
@@ -26,6 +31,19 @@ const STAGE2_SUMMARY: &str = include_str!("fixtures/stage2_agent_summary.jsonl")
 const FAULT_CAMPAIGN: &str = include_str!("fixtures/fault_campaign_5_seeds.jsonl");
 const FAULT_REPLAY: &str = include_str!("fixtures/fault_campaign_replay.jsonl");
 const FAULT_CAMPAIGN_SPEC: &str = include_str!("../../../examples/specs/fault_campaign.spec");
+const COUNTING_FAULT_SWEEP: &str = include_str!("fixtures/counting_fault_sweep_stream.jsonl");
+
+const COUNTING_FAULT_SWEEP_SPEC: &str = "\
+scenario = plurality
+bias = 0.2
+n = 100000
+k = 3
+epsilon = 0.3
+delivery = poisson
+backend = counting
+seed = 23
+sweep.fault = none, drop(0.1), dup(0.1), crash(0.05@3), byz(0.3:1)
+";
 
 const PLURALITY_SPEC: &str = "\
 scenario = plurality
@@ -101,4 +119,15 @@ fn fault_campaign_table_and_replay_match_the_pinned_fixtures() {
         rendered, expected,
         "the replay reproduces the campaign's violations"
     );
+}
+
+#[test]
+fn counting_fault_sweep_streams_the_pinned_bytes() {
+    let spec = ScenarioSpec::from_text(COUNTING_FAULT_SWEEP_SPEC).unwrap();
+    let mut streamed = Vec::new();
+    Runner::new(spec)
+        .unwrap()
+        .run_streamed(&mut streamed)
+        .unwrap();
+    assert_eq!(String::from_utf8(streamed).unwrap(), COUNTING_FAULT_SWEEP);
 }

@@ -1,0 +1,65 @@
+//! `xp`'s exit codes for a spec source that yields no spec, driven through
+//! the built binary: every command that takes a spec agrees that unknown
+//! names, unreadable paths and composites are usage errors (exit 2) and a
+//! file that reads but does not parse is a run failure (exit 1).
+
+use std::process::Command;
+
+/// Runs `xp` with `args` and returns its exit code and stderr.
+fn xp(args: &[&str]) -> (i32, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(args)
+        .output()
+        .expect("xp starts");
+    let code = output.status.code().expect("xp exits with a code");
+    (code, String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+#[test]
+fn a_spec_file_that_does_not_parse_exits_1_everywhere() {
+    let path = format!("{}/xp_unknown_key.spec", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &path,
+        "scenario = rumor\nn = 100\nk = 2\nepsilon = 0.3\nnot_a_key = 1\n",
+    )
+    .unwrap();
+    for args in [
+        ["run", "--spec", path.as_str()],
+        ["campaign", "--spec", path.as_str()],
+        ["load", "--spec", path.as_str()],
+    ] {
+        let (code, stderr) = xp(&args);
+        assert_eq!(code, 1, "xp {args:?}: {stderr}");
+        assert!(stderr.contains("not_a_key"), "xp {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn composites_exit_2_wherever_one_spec_is_needed() {
+    for args in [&["show", "t1"][..], &["campaign", "t1"], &["load", "t1"]] {
+        let (code, stderr) = xp(args);
+        assert_eq!(code, 2, "xp {args:?}: {stderr}");
+        assert!(stderr.contains("composite"), "xp {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_names_and_unreadable_paths_exit_2() {
+    let missing = format!("{}/xp_no_such.spec", env!("CARGO_TARGET_TMPDIR"));
+    for args in [
+        &["run", "no-such-experiment"][..],
+        &["show", "no-such-experiment"],
+        &["run", "--spec", &missing],
+        &["campaign", "--spec", &missing],
+        &["campaign", "no-such-experiment"],
+        &["load", "no-such-experiment"],
+        &["load", "--spec", &missing],
+    ] {
+        let (code, stderr) = xp(args);
+        assert_eq!(code, 2, "xp {args:?}: {stderr}");
+        if args.contains(&"no-such-experiment") {
+            // An unknown name lists the registered ones.
+            assert!(stderr.contains("registered: f1, "), "xp {args:?}: {stderr}");
+        }
+    }
+}

@@ -236,7 +236,7 @@ mod tests {
             .build()
             .unwrap();
         let mut net = CountingNetwork::new(config, noise).unwrap();
-        net.seed_rumor(Opinion::new(1)).unwrap();
+        net.seed_rumor_at(0, Opinion::new(1)).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut meter = MemoryMeter::new(3);
         let records = run_all(

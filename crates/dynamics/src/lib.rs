@@ -20,20 +20,21 @@
 //!
 //! All dynamics implement the **backend-generic** [`Dynamics`] trait: each
 //! rule is written once against [`pushsim::PushBackend`] and runs unchanged
-//! on the agent-level [`Network`] *and* the count-based
-//! [`CountingNetwork`](pushsim::CountingNetwork) (O(k²) random draws per
-//! step, independent of the population size). One
-//! [`step`](Dynamics::step) is a full synchronous update (every opinionated
-//! agent pushes, then every agent applies the rule to the messages it
-//! received), and [`run`](Dynamics::run) iterates until consensus or a
-//! round limit.
+//! on the agent-level [`Network`] *and* the count-level network behind
+//! [`CountingNetwork`](pushsim::CountingNetwork) and
+//! [`BlockCountingNetwork`](pushsim::BlockCountingNetwork) (O(k²) random
+//! draws per step on the complete graph, independent of the population
+//! size). One [`step`](Dynamics::step) is a full synchronous update (every
+//! opinionated agent pushes, then every agent applies the rule to the
+//! messages it received), and [`run`](Dynamics::run) iterates until
+//! consensus or a round limit.
 //!
 //! The per-backend mechanics live in the backend's decision operators
 //! (`resolve_*` on [`pushsim::PushBackend`]): per-agent inbox sampling on
-//! the agent backend, closed count-level forms of process P on the counting
-//! backend. The count-level forms are exact for the voter, undecided-state
-//! and h-majority rules; the median rule's two same-inbox draws are
-//! mean-field approximated (see
+//! the agent backend, closed count-level forms of process P per degree
+//! class on the count-level backends. The count-level forms are exact for
+//! the voter, undecided-state and h-majority rules; the median rule's two
+//! same-inbox draws are mean-field approximated (see
 //! [`resolve_median`](pushsim::PushBackend::resolve_median)).
 //!
 //! # Example
@@ -62,12 +63,13 @@
 //! ```
 //!
 //! The same dynamics on the counting backend at a population the agent
-//! backend could not touch:
+//! backend could not touch (the count-level network is driven through
+//! [`pushsim::PushBackend`]):
 //!
 //! ```
 //! use noisy_channel::NoiseMatrix;
 //! use opinion_dynamics::{Dynamics, ThreeMajority};
-//! use pushsim::{CountingNetwork, DeliverySemantics, SimConfig};
+//! use pushsim::{CountingNetwork, DeliverySemantics, PushBackend, SimConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -23,9 +23,8 @@
 //! [`Auto`]: ExecutionBackend::Auto
 
 use crate::backend::{PushBackend, TopologyCapability};
-use crate::blockcounting::BlockCountingNetwork;
+use crate::blockcounting::{BlockCountingNetwork, CountingNetwork};
 use crate::config::{DeliverySemantics, SimConfig};
-use crate::counting::CountingNetwork;
 use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::network::Network;
@@ -62,11 +61,16 @@ pub const COUNTING_NS_PER_CELL: f64 = 50.0;
 /// * [`BlockCounting`](ExecutionBackend::BlockCounting) — the degree-class
 ///   [`BlockCountingNetwork`]: a `C × k` matrix of (degree-class, opinion)
 ///   counts, O(k²·C) draws per phase, process P restricted by the
-///   class-to-class edge structure. On the vertex-transitive families
-///   `C = 1` and phases are bit-for-bit the counting backend's; see the
-///   [`blockcounting`](crate::blockcounting) docs.
+///   class-to-class edge structure.
 /// * [`Auto`](ExecutionBackend::Auto) — picks one of the three per run; see
 ///   [`admit`].
+///
+/// The two count-level backends are one network,
+/// [`CountLevelNetwork`](crate::blockcounting::CountLevelNetwork), which
+/// checks its configuration against the [`COUNTING`] or the
+/// [`BLOCK_COUNTING`] row; a single-class configuration both rows admit
+/// runs bit-for-bit the same on either. See the
+/// [`blockcounting`](crate::blockcounting) docs.
 ///
 /// What each backend accepts is its row of [`CAPABILITIES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -278,8 +282,9 @@ pub const COUNTING: Capability = Capability {
 };
 
 /// The degree-class block-counting backend: process P per degree class,
-/// certified where every class is exchangeable; its fault-free
-/// reformulation has no per-class fault pools.
+/// certified where every class is exchangeable. It admits no fault: the
+/// model runs faults on the complete graph only, where the [`COUNTING`]
+/// row, over the same network, admits them.
 pub const BLOCK_COUNTING: Capability = Capability {
     backend: Resolved::BlockCounting,
     certified: TopologyCapability::VertexTransitive,

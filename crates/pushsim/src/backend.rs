@@ -15,20 +15,20 @@
 //! * [`Network`] — the agent-level backend. Exact for whichever process the
 //!   [`SimConfig`] requests (O, B or P); per-phase cost scales with `n` and
 //!   the message volume. Its [`PhaseObservation`] is [`Inboxes`].
-//! * [`CountingNetwork`] — the count-based backend. Implements process P at
-//!   the population level in O(k²) random draws per phase regardless of
-//!   `n`; justified for O/B configurations by Claim 1 + Lemma 3 (phase
-//!   granularity). Its [`PhaseObservation`] is [`PhaseTally`].
-//! * [`BlockCountingNetwork`] — the degree-class block-counting backend:
-//!   the same count-level process P, aggregated per (degree class,
-//!   opinion) block instead of per opinion, which extends the O(k²·C)
-//!   phase cost to sparse degree-homogeneous topologies (ring, torus,
-//!   `regular(d)`; `C = 1` there). Its [`PhaseObservation`] is
-//!   [`BlockPhaseTally`].
+//! * [`CountingNetwork`](crate::CountingNetwork) and
+//!   [`BlockCountingNetwork`](crate::BlockCountingNetwork) — the count-level
+//!   backend, one [`CountLevelNetwork`](crate::blockcounting::CountLevelNetwork)
+//!   behind two names: process P at the
+//!   population level, aggregated per (degree class, opinion) block, in
+//!   O(k²·C) random draws per phase regardless of `n`; justified for O/B
+//!   configurations by Claim 1 + Lemma 3 (phase granularity). The complete
+//!   graph and the sparse degree-homogeneous topologies (ring, torus,
+//!   `regular(d)`) have a single class, `C = 1`. Its [`PhaseObservation`]
+//!   is [`BlockPhaseTally`].
 //!
 //! What each backend accepts is its row of the
-//! [`admission`] table; the capability constants of
-//! [`PushBackend`] read that row.
+//! [`admission`](crate::admission) table; the two count-level names differ
+//! only in the row their constructor checks.
 //!
 //! ## The phase lifecycle
 //!
@@ -63,29 +63,24 @@
 //! protocol can keep its own reproducible decision stream, separate from
 //! the network's delivery RNG.
 
-use crate::admission::{self, FaultSupport};
-use crate::blockcounting::{BlockCountingNetwork, BlockPhaseTally};
+use crate::blockcounting::BlockPhaseTally;
 use crate::config::SimConfig;
-use crate::counting::{
-    median_plan, undecided_state_plan, uniform_adoption_all_plan, CountingNetwork, PhaseTally,
-};
 use crate::distribution::OpinionDistribution;
 use crate::error::SimError;
 use crate::inbox::Inboxes;
 use crate::network::{Network, RoundReport};
 use crate::opinion::{NodeState, Opinion};
-use crate::temporal::TemporalCapability;
 use crate::topology::TopologySpec;
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 
 /// What a finished phase exposes to the layers above, unifying the
-/// agent-level [`Inboxes`] and the count-level [`PhaseTally`] behind the
-/// aggregate queries the protocol actually asks.
+/// agent-level [`Inboxes`] and the count-level [`BlockPhaseTally`] behind
+/// the aggregate queries the protocol actually asks.
 pub trait PhaseObservation {
     /// Per-opinion totals of the messages observed in the phase (post-noise
     /// delivered counts on the agent backend, the `h_j` of Definition 4 on
-    /// the counting backend).
+    /// the count-level backends).
     fn received_totals(&self) -> Vec<u64>;
 
     /// Total number of messages observed in the phase.
@@ -93,7 +88,7 @@ pub trait PhaseObservation {
 
     /// A ceiling on the largest single inbox of the phase: the observed
     /// maximum on the agent backend, a Chernoff-style w.h.p. ceiling on the
-    /// counting backend. Feeds the protocol's memory accounting.
+    /// count-level backends. Feeds the protocol's memory accounting.
     fn max_inbox(&self) -> u64;
 
     /// Mean number of messages received per agent this phase.
@@ -101,14 +96,15 @@ pub trait PhaseObservation {
 
     /// Population variance of the per-agent received counts: measured
     /// exactly on the agent backend (an O(n) scan of the inboxes), the
-    /// Poisson closed form `Var = Λ = mean` on the counting backend. The
+    /// Poisson-mixture closed form on the count-level backends (`Var = Λ =
+    /// mean` with a single degree class). The
     /// F8 experiment compares these across processes O/B/P (Claim 1 and
     /// Lemma 3 predict they agree per node while the totals differ).
     fn received_variance(&self) -> f64;
 
     /// Fraction of agents that received at least one message this phase:
-    /// measured on the agent backend, `1 − e^{−Λ}` on the counting
-    /// backend.
+    /// measured on the agent backend, `1 − e^{−Λ}` per degree class on the
+    /// count-level backends.
     fn fraction_with_messages(&self) -> f64;
 }
 
@@ -157,34 +153,6 @@ impl PhaseObservation for Inboxes {
     }
 }
 
-impl PhaseObservation for PhaseTally {
-    fn received_totals(&self) -> Vec<u64> {
-        self.post_noise().to_vec()
-    }
-
-    fn total_received(&self) -> u64 {
-        self.total()
-    }
-
-    fn max_inbox(&self) -> u64 {
-        self.typical_max_inbox()
-    }
-
-    fn mean_received(&self) -> f64 {
-        self.mean_inbox()
-    }
-
-    fn received_variance(&self) -> f64 {
-        // Per-node inboxes are independent Poisson(Λ) sums under process P
-        // (Definition 4), so the variance equals the mean.
-        self.mean_inbox()
-    }
-
-    fn fraction_with_messages(&self) -> f64 {
-        self.activation_probability()
-    }
-}
-
 impl PhaseObservation for BlockPhaseTally {
     fn received_totals(&self) -> Vec<u64> {
         BlockPhaseTally::received_totals(self)
@@ -214,7 +182,7 @@ impl PhaseObservation for BlockPhaseTally {
 }
 
 /// A set of topology families, ordered by inclusion:
-/// `Complete ⊂ VertexTransitive ⊂ Any`. The [`admission`]
+/// `Complete ⊂ VertexTransitive ⊂ Any`. The [`admission`](crate::admission)
 /// table uses it for the topologies each backend certifies and accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyCapability {
@@ -259,23 +227,8 @@ pub enum AdoptionScope {
 /// random *decisions* take an explicit `rng`; delivery randomness stays
 /// inside the backend (seeded by its [`SimConfig`]).
 pub trait PushBackend {
-    /// The phase result type ([`Inboxes`] or [`PhaseTally`]).
+    /// The phase result type ([`Inboxes`] or [`BlockPhaseTally`]).
     type Observation: PhaseObservation;
-
-    /// The topology families this backend is certified for: its
-    /// [`Capability::certified`](crate::admission::Capability::certified)
-    /// entry in the admission table.
-    const TOPOLOGY_CAPABILITY: TopologyCapability;
-
-    /// `true` if the backend simulates the `delay` fault family: its
-    /// [`Capability::faults`](crate::admission::Capability::faults) entry
-    /// is [`FaultSupport::All`].
-    const SUPPORTS_DELAY_FAULTS: bool;
-
-    /// The temporal features the backend simulates: its
-    /// [`Capability::temporal`](crate::admission::Capability::temporal)
-    /// entry.
-    const TEMPORAL_CAPABILITY: TemporalCapability;
 
     /// The simulation configuration.
     fn config(&self) -> &SimConfig;
@@ -316,8 +269,9 @@ pub trait PushBackend {
     fn seed_counts(&mut self, counts: &[usize]) -> Result<(), SimError>;
 
     /// Seeds a rumor instance: agent `source` adopts `opinion`, everyone
-    /// else becomes undecided. (The counting backend's agents are
-    /// exchangeable, so it only validates `source` and records the count.)
+    /// else becomes undecided. (The count-level backends' agents are
+    /// exchangeable within a degree class, so they only validate `source`
+    /// and record the count in its class.)
     ///
     /// # Errors
     ///
@@ -387,10 +341,6 @@ pub trait PushBackend {
 
 impl PushBackend for Network {
     type Observation = Inboxes;
-
-    const TOPOLOGY_CAPABILITY: TopologyCapability = admission::AGENT.certified;
-    const SUPPORTS_DELAY_FAULTS: bool = matches!(admission::AGENT.faults, FaultSupport::All);
-    const TEMPORAL_CAPABILITY: TemporalCapability = admission::AGENT.temporal;
 
     fn config(&self) -> &SimConfig {
         Network::config(self)
@@ -538,200 +488,11 @@ impl PushBackend for Network {
     }
 }
 
-impl PushBackend for CountingNetwork {
-    type Observation = PhaseTally;
-
-    const TOPOLOGY_CAPABILITY: TopologyCapability = admission::COUNTING.certified;
-    const SUPPORTS_DELAY_FAULTS: bool = matches!(admission::COUNTING.faults, FaultSupport::All);
-    const TEMPORAL_CAPABILITY: TemporalCapability = admission::COUNTING.temporal;
-
-    fn config(&self) -> &SimConfig {
-        CountingNetwork::config(self)
-    }
-
-    fn noise(&self) -> &NoiseMatrix {
-        CountingNetwork::noise(self)
-    }
-
-    fn num_nodes(&self) -> usize {
-        // The live population (population churn moves it away from the
-        // configured initial size).
-        CountingNetwork::num_nodes(self)
-    }
-
-    fn distribution(&self) -> OpinionDistribution {
-        CountingNetwork::distribution(self)
-    }
-
-    fn clear_opinions(&mut self) {
-        CountingNetwork::clear_opinions(self);
-    }
-
-    fn seed_counts(&mut self, counts: &[usize]) -> Result<(), SimError> {
-        CountingNetwork::seed_counts(self, counts)
-    }
-
-    fn seed_rumor_at(&mut self, source: usize, opinion: Opinion) -> Result<(), SimError> {
-        if source >= self.num_nodes() {
-            return Err(SimError::NodeOutOfRange {
-                node: source,
-                num_nodes: self.num_nodes(),
-            });
-        }
-        self.seed_rumor(opinion)
-    }
-
-    fn begin_phase(&mut self) {
-        CountingNetwork::begin_phase(self);
-    }
-
-    fn push_opinionated_round(&mut self) -> RoundReport {
-        self.push_round_all_opinionated()
-    }
-
-    fn end_phase(&mut self) -> &PhaseTally {
-        CountingNetwork::end_phase(self)
-    }
-
-    fn observation(&self) -> &PhaseTally {
-        self.tally()
-    }
-
-    fn rounds_executed(&self) -> u64 {
-        CountingNetwork::rounds_executed(self)
-    }
-
-    fn messages_sent(&self) -> u64 {
-        CountingNetwork::messages_sent(self)
-    }
-
-    fn rng_mut(&mut self) -> &mut StdRng {
-        CountingNetwork::rng_mut(self)
-    }
-
-    fn resolve_uniform_adoption(&mut self, scope: AdoptionScope, rng: &mut StdRng) {
-        match scope {
-            AdoptionScope::UndecidedOnly => {
-                let undecided = self.undecided();
-                let (adoptions, _silent) = self.sample_one_adoptions_with(undecided, rng);
-                let adopted: u64 = adoptions.iter().sum();
-                let leavers = vec![0u64; self.num_opinions()];
-                self.apply_deltas(&leavers, &adoptions, -(adopted as i64));
-            }
-            AdoptionScope::AllAgents => {
-                let (leavers, joiners, undecided_delta) =
-                    uniform_adoption_all_plan(self.counts(), self.undecided(), self.tally(), rng);
-                self.apply_deltas(&leavers, &joiners, undecided_delta);
-            }
-        }
-    }
-
-    fn resolve_sample_majority(&mut self, sample_size: u64, rng: &mut StdRng) {
-        self.apply_sample_majority_with(sample_size, rng);
-    }
-
-    fn resolve_undecided_state(&mut self, rng: &mut StdRng) {
-        let (leavers, joiners, undecided_delta) =
-            undecided_state_plan(self.counts(), self.undecided(), self.tally(), rng);
-        self.apply_deltas(&leavers, &joiners, undecided_delta);
-    }
-
-    /// Count-level median rule (see `median_plan` in the counting module
-    /// for the mean-field approximation it documents).
-    fn resolve_median(&mut self, rng: &mut StdRng) {
-        let (leavers, joiners, undecided_delta) =
-            median_plan(self.counts(), self.undecided(), self.tally(), rng);
-        self.apply_deltas(&leavers, &joiners, undecided_delta);
-    }
-}
-
-impl PushBackend for BlockCountingNetwork {
-    type Observation = BlockPhaseTally;
-
-    const TOPOLOGY_CAPABILITY: TopologyCapability = admission::BLOCK_COUNTING.certified;
-    const SUPPORTS_DELAY_FAULTS: bool =
-        matches!(admission::BLOCK_COUNTING.faults, FaultSupport::All);
-    const TEMPORAL_CAPABILITY: TemporalCapability = admission::BLOCK_COUNTING.temporal;
-
-    fn num_nodes(&self) -> usize {
-        // The live population (population churn moves it away from the
-        // configured initial size).
-        BlockCountingNetwork::num_nodes(self)
-    }
-
-    fn config(&self) -> &SimConfig {
-        BlockCountingNetwork::config(self)
-    }
-
-    fn noise(&self) -> &NoiseMatrix {
-        BlockCountingNetwork::noise(self)
-    }
-
-    fn distribution(&self) -> OpinionDistribution {
-        BlockCountingNetwork::distribution(self)
-    }
-
-    fn clear_opinions(&mut self) {
-        BlockCountingNetwork::clear_opinions(self);
-    }
-
-    fn seed_counts(&mut self, counts: &[usize]) -> Result<(), SimError> {
-        BlockCountingNetwork::seed_counts(self, counts)
-    }
-
-    fn seed_rumor_at(&mut self, source: usize, opinion: Opinion) -> Result<(), SimError> {
-        BlockCountingNetwork::seed_rumor_at(self, source, opinion)
-    }
-
-    fn begin_phase(&mut self) {
-        BlockCountingNetwork::begin_phase(self);
-    }
-
-    fn push_opinionated_round(&mut self) -> RoundReport {
-        self.push_round_all_opinionated()
-    }
-
-    fn end_phase(&mut self) -> &BlockPhaseTally {
-        BlockCountingNetwork::end_phase(self)
-    }
-
-    fn observation(&self) -> &BlockPhaseTally {
-        self.tally()
-    }
-
-    fn rounds_executed(&self) -> u64 {
-        BlockCountingNetwork::rounds_executed(self)
-    }
-
-    fn messages_sent(&self) -> u64 {
-        BlockCountingNetwork::messages_sent(self)
-    }
-
-    fn rng_mut(&mut self) -> &mut StdRng {
-        BlockCountingNetwork::rng_mut(self)
-    }
-
-    fn resolve_uniform_adoption(&mut self, scope: AdoptionScope, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_uniform_adoption_per_class(self, scope, rng);
-    }
-
-    fn resolve_sample_majority(&mut self, sample_size: u64, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_sample_majority_per_class(self, sample_size, rng);
-    }
-
-    fn resolve_undecided_state(&mut self, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_undecided_state_per_class(self, rng);
-    }
-
-    fn resolve_median(&mut self, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_median_per_class(self, rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DeliverySemantics;
+    use crate::CountingNetwork;
     use rand::SeedableRng;
 
     fn agent_net(n: usize, seed: u64) -> Network {
@@ -825,7 +586,7 @@ mod tests {
     fn counting_seed_rumor_at_validates_the_source() {
         let mut net = counting_net(50, 8);
         assert!(net.seed_rumor_at(49, Opinion::new(1)).is_ok());
-        assert_eq!(net.counts(), &[0, 1, 0]);
+        assert_eq!(net.opinion_counts(), vec![0, 1, 0]);
         assert!(matches!(
             net.seed_rumor_at(50, Opinion::new(1)),
             Err(SimError::NodeOutOfRange { .. })

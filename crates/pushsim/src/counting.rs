@@ -1,20 +1,21 @@
-//! The count-based simulation backend: exchangeable agent populations as
-//! per-opinion counts.
+//! The count-level rules: process P over exchangeable agent populations,
+//! in closed form per population group.
 //!
 //! Agents in the noisy uniform push model are anonymous and exchangeable —
 //! the paper's own analysis never tracks individuals, it works on opinion
 //! *counts* (the Poissonized process P of Definition 4 is defined purely in
-//! terms of the post-noise totals `h_i`). [`CountingNetwork`] exploits that:
-//! instead of `Vec<NodeState>` plus per-agent inboxes, the population is a
-//! `k`-vector of opinion counts plus an undecided count, and a whole phase
-//! costs **O(k²) random draws** (one multinomial per opinion row of the
-//! noise matrix) regardless of `n` — so `n = 10⁷` or `10⁸` runs in the time
-//! the agent-level backend needs for `n = 10⁴`.
+//! terms of the post-noise totals `h_i`). The count-level network
+//! ([`CountLevelNetwork`](crate::blockcounting::CountLevelNetwork), behind
+//! the names [`CountingNetwork`](crate::CountingNetwork) and
+//! [`BlockCountingNetwork`](crate::BlockCountingNetwork)) keeps per-opinion
+//! counts in place of `Vec<NodeState>` plus per-agent inboxes; this module
+//! holds the rules it applies to a finished phase, once per degree class
+//! (on the complete graph, once for the whole population).
 //!
 //! ## Semantics: process P, exactly
 //!
-//! The backend implements the **Poissonized** delivery process (process P)
-//! at the population level, exactly:
+//! The rules implement the **Poissonized** delivery process (process P) at
+//! the population level, exactly:
 //!
 //! * pushed counts are re-colored through the noise with one
 //!   `Multinomial(pending_i, p_i)` draw per opinion row (exchangeability);
@@ -33,26 +34,19 @@
 //! For configurations with
 //! [`DeliverySemantics::Exact`](crate::DeliverySemantics::Exact) or
 //! [`DeliverySemantics::BallsIntoBins`](crate::DeliverySemantics::BallsIntoBins),
-//! the counting backend still runs
+//! the count-level backends still run
 //! process P — the paper's Claim 1 and Lemma 3 are exactly the statement
 //! that phase-granular w.h.p. behaviour transfers between the three
 //! processes, and `pushsim/tests/equivalence.rs` checks the agreement
 //! empirically against the agent-level backend.
 
-use crate::admission::{self, ExecutionBackend};
-use crate::config::SimConfig;
-use crate::distribution::OpinionDistribution;
-use crate::error::SimError;
-use crate::fault::FaultSpec;
-use crate::network::{membership_count, ChurnState, RoundReport, ScheduledNoise, FAULT_SEED_SALT};
-use crate::opinion::Opinion;
 use noisy_channel::sampling::{binomial, multinomial};
-use noisy_channel::NoiseMatrix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-/// Aggregate result of one finished phase of a [`CountingNetwork`]: the
-/// post-noise per-opinion message totals `h_j` (Definition 4's parameters).
+/// The post-noise per-opinion message totals `h_j` (Definition 4's
+/// parameters) one finished phase delivered to a population: a whole
+/// complete graph, or one degree class of a
+/// [`BlockPhaseTally`](crate::BlockPhaseTally).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTally {
     post_noise: Vec<u64>,
@@ -61,9 +55,9 @@ pub struct PhaseTally {
 
 impl PhaseTally {
     /// Builds a tally over a population of `num_nodes` agents. Crate-only:
-    /// the block-counting backend assembles one tally per degree class
-    /// (with `num_nodes` the class population `n_c`), reusing every
-    /// closed-form query and count-level decision rule below per class.
+    /// the count-level network assembles one tally per degree class (with
+    /// `num_nodes` the class population `n_c`), reusing every closed-form
+    /// query and count-level decision rule below per class.
     pub(crate) fn new(post_noise: Vec<u64>, num_nodes: usize) -> Self {
         Self {
             post_noise,
@@ -71,9 +65,8 @@ impl PhaseTally {
         }
     }
 
-    /// The population the tally is over: `n` for a whole-network phase, a
-    /// class population `n_c` for the block-counting backend's per-class
-    /// tallies.
+    /// The population the tally is over: the class population `n_c` (`n`
+    /// on the complete graph, a single class).
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
     }
@@ -219,61 +212,13 @@ pub fn sample_majority_splits<R: Rng + ?Sized>(
     out
 }
 
-/// The fault pools of a count-based network: Byzantine and crashed agents
-/// are carved out of the live population as per-opinion count transfers
-/// (the aggregatable reformulation of the agent backend's per-node flags).
-#[derive(Debug, Clone)]
-struct CountingFaults {
-    spec: FaultSpec,
-    rng: StdRng,
-    /// Opinions the Byzantine agents were *seeded* with (they hold them
-    /// forever and always push the fixed Byzantine opinion instead).
-    byz_counts: Vec<u64>,
-    byz_undecided: u64,
-    /// Opinions the crashed agents held at the moment the crash phase
-    /// ended; empty until then.
-    crashed_counts: Vec<u64>,
-    crashed_undecided: u64,
-    crash_carved: bool,
-    phases_completed: u64,
-}
-
-impl CountingFaults {
-    fn byz_total(&self) -> u64 {
-        self.byz_counts.iter().sum::<u64>() + self.byz_undecided
-    }
-
-    fn frozen_counts(&self) -> Vec<u64> {
-        self.byz_counts
-            .iter()
-            .zip(&self.crashed_counts)
-            .map(|(&b, &c)| b + c)
-            .collect()
-    }
-}
-
-/// The materialized temporal state of a count-based network: churn as
-/// aggregate count transfers plus the scheduled noise swap. Built only
-/// when at least one supported temporal axis is enabled (clock skew and
-/// edge churn are rejected at construction), so temporal-off runs never
-/// touch any temporal RNG stream.
-#[derive(Debug, Clone)]
-struct CountingTemporal {
-    churn: Option<ChurnState>,
-    schedule: Option<ScheduledNoise>,
-    /// How many phases have fully ended; boundary `b` (preceding phase
-    /// `b`) is applied when this equals `b` at `begin_phase`.
-    phases_completed: u64,
-}
-
 /// Largest-remainder proportional allocation of `draw` agents over
 /// population `groups` (exact: each share never exceeds its group and the
-/// shares sum to `draw`). The count-level stand-in for drawing the faulty
-/// agents uniformly without replacement — the composition of the faulty
-/// pool is pinned to its expectation, one more of the bounded
-/// approximations the backend documents. Also reused by the
-/// block-counting backend to spread seeded opinion counts over degree
-/// classes deterministically.
+/// shares sum to `draw`). The count-level stand-in for drawing agents
+/// uniformly without replacement — churn's leavers and the faulty pools —
+/// with the composition pinned to its expectation, one more of the bounded
+/// approximations the backend documents. Also spreads seeded opinion
+/// counts over degree classes deterministically.
 pub(crate) fn proportional_split(groups: &[u64], draw: u64) -> Vec<u64> {
     let population: u64 = groups.iter().sum();
     debug_assert!(draw <= population);
@@ -300,536 +245,17 @@ pub(crate) fn proportional_split(groups: &[u64], draw: u64) -> Vec<u64> {
     shares
 }
 
-/// A complete synchronous network of anonymous agents, represented purely by
-/// per-opinion population counts — the batched counterpart of
-/// [`Network`](crate::Network).
-///
-/// Drive it in phases exactly like the agent-level backend:
-/// [`begin_phase`](Self::begin_phase), one
-/// [`push_round_batched`](Self::push_round_batched) per round (counts in),
-/// then [`end_phase`](Self::end_phase) (a [`PhaseTally`] out). Population
-/// updates between phases go through the count-level rule helpers
-/// ([`PhaseTally::activation_probability`], [`sample_majority_splits`], …)
-/// plus [`apply_deltas`](Self::apply_deltas).
-///
-/// See the module documentation for the exactness statement.
-#[derive(Debug, Clone)]
-pub struct CountingNetwork {
-    config: SimConfig,
-    noise: NoiseMatrix,
-    counts: Vec<u64>,
-    undecided: u64,
-    rng: StdRng,
-    pending: Vec<u64>,
-    tally: PhaseTally,
-    /// Fault pools; `None` when the config's [`FaultSpec`] is all-disabled,
-    /// in which case no fault code path is entered and no fault RNG is
-    /// seeded.
-    faults: Option<CountingFaults>,
-    /// Materialized temporal state; `None` when every temporal axis is
-    /// disabled, in which case no temporal code path is ever entered.
-    temporal: Option<CountingTemporal>,
-    /// The live population: `config.num_nodes()` except under population
-    /// churn, which moves it deterministically at phase boundaries.
-    population: usize,
-    phase_open: bool,
-    rounds_executed: u64,
-    messages_sent: u64,
-}
-
-impl CountingNetwork {
-    /// Creates a network of undecided agents.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::NoiseDimensionMismatch`] if the noise matrix is not
-    ///   defined over exactly `config.num_opinions()` opinions.
-    /// * The [`admission`] error if the counting
-    ///   backend's capabilities do not cover the configuration.
-    pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
-        admission::check_construction(&config, &noise, ExecutionBackend::Counting)?;
-        let k = config.num_opinions();
-        let schedule = ScheduledNoise::build(config.schedule(), &noise);
-        let churn = ChurnState::build(config.churn(), config.seed());
-        let temporal = (churn.is_some() || schedule.is_some()).then_some(CountingTemporal {
-            churn,
-            schedule,
-            phases_completed: 0,
-        });
-        let faults = (!config.fault().is_none()).then(|| CountingFaults {
-            spec: config.fault(),
-            rng: StdRng::seed_from_u64(config.seed() ^ FAULT_SEED_SALT),
-            byz_counts: vec![0; k],
-            byz_undecided: 0,
-            crashed_counts: vec![0; k],
-            crashed_undecided: 0,
-            crash_carved: false,
-            phases_completed: 0,
-        });
-        Ok(Self {
-            rng: StdRng::seed_from_u64(config.seed()),
-            counts: vec![0; k],
-            undecided: config.num_nodes() as u64,
-            pending: vec![0; k],
-            tally: PhaseTally {
-                post_noise: vec![0; k],
-                num_nodes: config.num_nodes(),
-            },
-            faults,
-            temporal,
-            population: config.num_nodes(),
-            phase_open: false,
-            rounds_executed: 0,
-            messages_sent: 0,
-            config,
-            noise,
-        })
-    }
-
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// The number of agents `n` — the **live** population: equal to
-    /// `config().num_nodes()` except under population churn, where joins
-    /// and departures at phase boundaries move it away from the initial
-    /// size (deterministically; see
-    /// [`ChurnSpec::population_after`](crate::ChurnSpec::population_after)).
-    pub fn num_nodes(&self) -> usize {
-        self.population
-    }
-
-    /// The number of opinions `k`.
-    pub fn num_opinions(&self) -> usize {
-        self.config.num_opinions()
-    }
-
-    /// The noise matrix acting on every transmitted message.
-    pub fn noise(&self) -> &NoiseMatrix {
-        &self.noise
-    }
-
-    /// Per-opinion population counts of the **live** agents — under faults,
-    /// Byzantine and already-crashed agents sit in frozen pools excluded
-    /// from these counts (adoption rules only move live agents); use
-    /// [`distribution`](Self::distribution) for the whole population.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The number of live undecided agents (see [`counts`](Self::counts)).
-    pub fn undecided(&self) -> u64 {
-        self.undecided
-    }
-
-    /// The current opinion distribution of the whole population, frozen
-    /// fault pools included (Byzantine and crashed agents count with the
-    /// opinion they froze with, mirroring the agent-level backend).
-    pub fn distribution(&self) -> OpinionDistribution {
-        let mut counts: Vec<usize> = self.counts.iter().map(|&c| c as usize).collect();
-        let mut undecided = self.undecided as usize;
-        if let Some(f) = &self.faults {
-            for (c, frozen) in counts.iter_mut().zip(f.frozen_counts()) {
-                *c += frozen as usize;
-            }
-            undecided += (f.byz_undecided + f.crashed_undecided) as usize;
-        }
-        OpinionDistribution::from_counts(counts, undecided).expect("k >= 2 by construction")
-    }
-
-    /// Total number of rounds executed so far.
-    pub fn rounds_executed(&self) -> u64 {
-        self.rounds_executed
-    }
-
-    /// Total number of messages pushed so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// The tally of the most recently finished phase.
-    pub fn tally(&self) -> &PhaseTally {
-        &self.tally
-    }
-
-    /// A mutable reference to the backend's RNG (for callers that want a
-    /// single reproducible randomness source).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Resets every agent to undecided (keeping round/message counters).
-    /// Under faults this dissolves the frozen pools; they are carved again
-    /// at the next seeding (`seed_counts` / `seed_rumor`).
-    pub fn clear_opinions(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.undecided = self.num_nodes() as u64;
-        self.reset_fault_pools();
-    }
-
-    /// Zeroes the fault pools ahead of a wholesale repopulation of the
-    /// live counts (the caller overwrites `counts`/`undecided` entirely).
-    fn reset_fault_pools(&mut self) {
-        if let Some(f) = self.faults.as_mut() {
-            f.byz_counts.iter_mut().for_each(|c| *c = 0);
-            f.byz_undecided = 0;
-            f.crashed_counts.iter_mut().for_each(|c| *c = 0);
-            f.crashed_undecided = 0;
-            f.crash_carved = false;
-        }
-    }
-
-    /// Carves the Byzantine pool out of the freshly seeded live
-    /// population: a proportional (largest-remainder) share of every
-    /// opinion group and of the undecided pool, matching the uniform
-    /// membership draw of the agent-level backend in expectation.
-    fn carve_byzantine(&mut self) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        let Some(byz) = f.spec.byzantine else {
-            return;
-        };
-        let byz_count = membership_count(byz.fraction, self.config.num_nodes()) as u64;
-        let mut groups: Vec<u64> = self.counts.clone();
-        groups.push(self.undecided);
-        let shares = proportional_split(&groups, byz_count);
-        for ((live, pool), &share) in self
-            .counts
-            .iter_mut()
-            .zip(f.byz_counts.iter_mut())
-            .zip(&shares)
-        {
-            *live -= share;
-            *pool += share;
-        }
-        let undecided_share = shares[shares.len() - 1];
-        self.undecided -= undecided_share;
-        f.byz_undecided += undecided_share;
-    }
-
-    /// Carves the crashed pool out of the live population once the crash
-    /// phase has fully ended (called from `end_phase`).
-    fn carve_crashed(&mut self) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        let Some(crash) = f.spec.crash else {
-            return;
-        };
-        if f.crash_carved || f.phases_completed <= crash.after_phase {
-            return;
-        }
-        let live: u64 = self.counts.iter().sum::<u64>() + self.undecided;
-        let crash_count =
-            (membership_count(crash.fraction, self.config.num_nodes()) as u64).min(live);
-        let mut groups: Vec<u64> = self.counts.clone();
-        groups.push(self.undecided);
-        let shares = proportional_split(&groups, crash_count);
-        for ((live, pool), &share) in self
-            .counts
-            .iter_mut()
-            .zip(f.crashed_counts.iter_mut())
-            .zip(&shares)
-        {
-            *live -= share;
-            *pool += share;
-        }
-        let undecided_share = shares[shares.len() - 1];
-        self.undecided -= undecided_share;
-        f.crashed_undecided += undecided_share;
-        f.crash_carved = true;
-    }
-
-    /// Seeds a plurality-consensus instance: `counts[i]` agents adopt
-    /// opinion `i`, the rest become undecided. (Agents are exchangeable, so
-    /// unlike the agent-level backend there is no placement to randomize.)
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::OpinionOutOfRange`] if `counts.len() ≠ num_opinions()`.
-    /// * [`SimError::TooManyInitialOpinions`] if the counts sum to more than
-    ///   `num_nodes()`.
-    pub fn seed_counts(&mut self, counts: &[usize]) -> Result<(), SimError> {
-        if counts.len() != self.num_opinions() {
-            return Err(SimError::OpinionOutOfRange {
-                opinion: counts.len(),
-                num_opinions: self.num_opinions(),
-            });
-        }
-        let total: usize = counts.iter().sum();
-        if total > self.num_nodes() {
-            return Err(SimError::TooManyInitialOpinions {
-                requested: total,
-                num_nodes: self.num_nodes(),
-            });
-        }
-        self.reset_fault_pools();
-        for (slot, &c) in self.counts.iter_mut().zip(counts) {
-            *slot = c as u64;
-        }
-        self.undecided = (self.num_nodes() - total) as u64;
-        self.carve_byzantine();
-        Ok(())
-    }
-
-    /// Seeds a rumor-spreading instance: one agent adopts `opinion`, every
-    /// other agent becomes undecided.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OpinionOutOfRange`] if the opinion index is out
-    /// of range.
-    pub fn seed_rumor(&mut self, opinion: Opinion) -> Result<(), SimError> {
-        if opinion.index() >= self.num_opinions() {
-            return Err(SimError::OpinionOutOfRange {
-                opinion: opinion.index(),
-                num_opinions: self.num_opinions(),
-            });
-        }
-        self.clear_opinions();
-        self.counts[opinion.index()] = 1;
-        self.undecided -= 1;
-        self.carve_byzantine();
-        Ok(())
-    }
-
-    /// Starts a new phase, applying the pending temporal phase boundary
-    /// (population churn as O(k) count transfers, a scheduled noise swap
-    /// — a no-op when every temporal axis is off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a phase is already open.
-    pub fn begin_phase(&mut self) {
-        assert!(!self.phase_open, "begin_phase called while a phase is open");
-        self.apply_phase_boundary();
-        self.pending.iter_mut().for_each(|c| *c = 0);
-        self.phase_open = true;
-    }
-
-    /// Applies the temporal phase boundary preceding the phase about to
-    /// open. Churn magnitudes are deterministic
-    /// ([`ChurnSpec::population_delta`](crate::ChurnSpec::population_delta));
-    /// the *composition* of the leavers is the proportional
-    /// (largest-remainder) share of every population group — the same
-    /// pinned-to-expectation count-level stand-in for a uniform
-    /// without-replacement draw that the fault pools use — while joiner
-    /// opinions are drawn from the dedicated churn RNG (a uniform
-    /// multinomial split, or the fixed adversarial opinion).
-    fn apply_phase_boundary(&mut self) {
-        let Some(temporal) = self.temporal.as_mut() else {
-            return;
-        };
-        let boundary = temporal.phases_completed;
-        if let Some(s) = temporal.schedule.as_ref() {
-            self.noise = s.matrix_for(boundary, self.config.num_opinions());
-        }
-        let Some(c) = temporal.churn.as_mut() else {
-            return;
-        };
-        if boundary == 0 {
-            return;
-        }
-        let delta = c.spec.population_delta(self.population, boundary);
-        if delta.leavers > 0 {
-            let mut groups: Vec<u64> = self.counts.clone();
-            groups.push(self.undecided);
-            let shares = proportional_split(&groups, delta.leavers as u64);
-            for (live, &share) in self.counts.iter_mut().zip(&shares) {
-                *live -= share;
-            }
-            self.undecided -= shares[shares.len() - 1];
-        }
-        if delta.joiners > 0 {
-            match c.spec.join_opinion {
-                Some(opinion) => self.counts[opinion] += delta.joiners as u64,
-                None => {
-                    let weights = vec![1.0; self.counts.len()];
-                    let split = multinomial(delta.joiners as u64, &weights, &mut c.rng);
-                    for (count, j) in self.counts.iter_mut().zip(split) {
-                        *count += j;
-                    }
-                }
-            }
-        }
-        self.population = self.population - delta.leavers + delta.joiners;
-    }
-
-    /// Executes one synchronous round in which `senders[i]` **live** agents
-    /// push opinion `i` — the counts-in counterpart of
-    /// [`Network::push_round`](crate::Network::push_round). Under a
-    /// Byzantine fault, the whole Byzantine pool additionally pushes its
-    /// fixed opinion every round (included in the report's message count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase is open, if `senders.len() ≠ num_opinions()`, or
-    /// if more agents push an opinion than exist in the network.
-    pub fn push_round_batched(&mut self, senders: &[u64]) -> RoundReport {
-        assert!(self.phase_open, "push_round_batched called outside a phase");
-        assert_eq!(
-            senders.len(),
-            self.num_opinions(),
-            "senders vector must have one entry per opinion"
-        );
-        let mut sent: u64 = senders.iter().sum();
-        for (p, &s) in self.pending.iter_mut().zip(senders) {
-            *p += s;
-        }
-        if let Some(f) = &self.faults {
-            let byz_total = f.byz_total();
-            if byz_total > 0 {
-                let opinion = f.spec.byzantine.expect("byzantine pool implies a spec").opinion;
-                self.pending[opinion] += byz_total;
-                sent += byz_total;
-            }
-        }
-        assert!(
-            sent <= self.num_nodes() as u64,
-            "{sent} senders exceed the {}-agent population",
-            self.num_nodes()
-        );
-        self.messages_sent += sent;
-        self.rounds_executed += 1;
-        RoundReport::new(self.rounds_executed - 1, sent)
-    }
-
-    /// Convenience round: every opinionated agent pushes its current
-    /// opinion (the rule of Stage 2 and of all baseline dynamics).
-    pub fn push_round_all_opinionated(&mut self) -> RoundReport {
-        let senders = self.counts.clone();
-        self.push_round_batched(&senders)
-    }
-
-    /// Finishes the open phase: applies the noise at the count level (O(k²)
-    /// multinomial draws), then any aggregatable faults — binomial thinning
-    /// for `drop`, binomial inflation for `dup`, both from the dedicated
-    /// fault RNG — and returns the post-noise tally. The crashed pool is
-    /// carved out of the live population the first time the crash phase
-    /// has fully ended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase is open.
-    pub fn end_phase(&mut self) -> &PhaseTally {
-        assert!(self.phase_open, "end_phase called without an open phase");
-        let mut post_noise = self.noise.recolor_counts(&self.pending, &mut self.rng);
-        if let Some(f) = self.faults.as_mut() {
-            if f.spec.drop > 0.0 || f.spec.duplicate > 0.0 {
-                for h in post_noise.iter_mut() {
-                    let survivors = *h - binomial(*h, f.spec.drop, &mut f.rng);
-                    *h = survivors + binomial(survivors, f.spec.duplicate, &mut f.rng);
-                }
-            }
-            f.phases_completed += 1;
-        }
-        if let Some(t) = self.temporal.as_mut() {
-            t.phases_completed += 1;
-        }
-        self.tally = PhaseTally {
-            post_noise,
-            num_nodes: self.num_nodes(),
-        };
-        self.phase_open = false;
-        self.carve_crashed();
-        &self.tally
-    }
-
-    /// Applies the **sample-majority rule** shared by Stage 2 of the
-    /// protocol and the h-majority dynamics: every agent that collected at
-    /// least `sample_size` messages this phase (a `Binomial(group,
-    /// P(Poisson(Λ) ≥ L))` event per population group, independent of the
-    /// agent's opinion) switches to `maj(Multinomial(L, h/H))` — the law of
-    /// the majority of a uniform without-replacement sample from a
-    /// Poisson-multinomial inbox. Conserves the population exactly.
-    ///
-    /// Randomness comes from the network's own RNG; use
-    /// [`apply_sample_majority_with`](Self::apply_sample_majority_with) to
-    /// supply an external decision RNG (as the generic
-    /// [`PushBackend`](crate::PushBackend) rules do).
-    pub fn apply_sample_majority(&mut self, sample_size: u64) {
-        let (leavers, joiners, undecided_delta) = sample_majority_plan(
-            &self.counts,
-            self.undecided,
-            &self.tally,
-            sample_size,
-            &mut self.rng,
-        );
-        self.apply_deltas(&leavers, &joiners, undecided_delta);
-    }
-
-    /// [`apply_sample_majority`](Self::apply_sample_majority) with an
-    /// external decision RNG.
-    pub fn apply_sample_majority_with<R: Rng + ?Sized>(&mut self, sample_size: u64, rng: &mut R) {
-        let (leavers, joiners, undecided_delta) =
-            sample_majority_plan(&self.counts, self.undecided, &self.tally, sample_size, rng);
-        self.apply_deltas(&leavers, &joiners, undecided_delta);
-    }
-
-    /// Applies a population update: `leavers[i]` agents abandon opinion `i`,
-    /// `joiners[i]` agents adopt it, and `undecided_delta` adjusts the
-    /// undecided pool (agents must balance: the net flow out of the
-    /// opinionated groups must equal the net flow into the undecided pool).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any group would go negative or the flows do not balance.
-    pub fn apply_deltas(&mut self, leavers: &[u64], joiners: &[u64], undecided_delta: i64) {
-        assert_eq!(leavers.len(), self.num_opinions());
-        assert_eq!(joiners.len(), self.num_opinions());
-        let left: u64 = leavers.iter().sum();
-        let joined: u64 = joiners.iter().sum();
-        assert_eq!(
-            joined as i128 + undecided_delta as i128,
-            left as i128,
-            "population flows must balance: {joined} joined + Δundecided {undecided_delta} ≠ {left} left"
-        );
-        for (c, &l) in self.counts.iter_mut().zip(leavers) {
-            assert!(*c >= l, "more agents leave an opinion than support it");
-            *c -= l;
-        }
-        for (c, &j) in self.counts.iter_mut().zip(joiners) {
-            *c += j;
-        }
-        if undecided_delta >= 0 {
-            self.undecided += undecided_delta as u64;
-        } else {
-            let drop = (-undecided_delta) as u64;
-            assert!(self.undecided >= drop, "undecided pool would go negative");
-            self.undecided -= drop;
-        }
-    }
-
-    /// Count-level form of the "adopt one uniformly received opinion" rule
-    /// (Stage 1 adoption, voter model): out of `group` agents, how many
-    /// receive at least one message this phase, and which opinions do they
-    /// draw? Returns `(per-opinion adoption counts, number of silent
-    /// agents)`; adoptions + silent = `group`.
-    pub fn sample_one_adoptions(&mut self, group: u64) -> (Vec<u64>, u64) {
-        sample_one_plan(&self.tally, self.num_opinions(), group, &mut self.rng)
-    }
-
-    /// [`sample_one_adoptions`](Self::sample_one_adoptions) with an external
-    /// decision RNG.
-    pub fn sample_one_adoptions_with<R: Rng + ?Sized>(
-        &mut self,
-        group: u64,
-        rng: &mut R,
-    ) -> (Vec<u64>, u64) {
-        sample_one_plan(&self.tally, self.num_opinions(), group, rng)
-    }
-}
-
 /// Computes the sample-majority population update against a finished phase:
-/// `(leavers, joiners, undecided_delta)` for
-/// [`CountingNetwork::apply_deltas`].
+/// `(leavers, joiners, undecided_delta)` for one population group — every
+/// agent that collected at least `sample_size` messages this phase (a
+/// `Binomial(group, P(Poisson(Λ) ≥ L))` event per opinion group, independent
+/// of the agent's opinion) switches to `maj(Multinomial(L, h/H))`, the law
+/// of the majority of a uniform without-replacement sample from a
+/// Poisson-multinomial inbox.
 ///
-/// The plan functions below are crate-visible so the block-counting
-/// backend can apply the identical count-level decision rules once per
-/// degree class (each class's tally plays the role of the whole-network
-/// tally here).
+/// The plan functions below are crate-visible so the count-level network
+/// can apply them once per degree class (each class's tally plays the role
+/// of the whole-network tally here).
 pub(crate) fn sample_majority_plan<R: Rng + ?Sized>(
     counts: &[u64],
     undecided: u64,
@@ -992,7 +418,14 @@ pub(crate) fn median_plan<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DeliverySemantics;
+    use crate::backend::PushBackend;
+    use crate::config::{DeliverySemantics, SimConfig};
+    use crate::error::SimError;
+    use crate::opinion::Opinion;
+    use crate::CountingNetwork;
+    use noisy_channel::NoiseMatrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn counting_net(n: usize, k: usize, eps: f64, seed: u64) -> CountingNetwork {
         let noise = NoiseMatrix::uniform(k, eps).unwrap();
@@ -1020,15 +453,16 @@ mod tests {
     #[test]
     fn seeding_and_distribution() {
         let mut net = counting_net(100, 3, 0.2, 1);
+        assert_eq!(net.num_classes(), 1, "the complete graph is one class");
         net.seed_counts(&[10, 5, 0]).unwrap();
         let dist = net.distribution();
         assert_eq!(dist.counts(), &[10, 5, 0]);
         assert_eq!(dist.undecided(), 85);
         assert!(net.seed_counts(&[200, 0, 0]).is_err());
         assert!(net.seed_counts(&[1, 1]).is_err());
-        net.seed_rumor(Opinion::new(2)).unwrap();
+        net.seed_rumor_at(99, Opinion::new(2)).unwrap();
         assert_eq!(net.distribution().counts(), &[0, 0, 1]);
-        assert!(net.seed_rumor(Opinion::new(9)).is_err());
+        assert!(net.seed_rumor_at(0, Opinion::new(9)).is_err());
     }
 
     #[test]
@@ -1037,7 +471,7 @@ mod tests {
         net.seed_counts(&[500, 300, 100]).unwrap();
         net.begin_phase();
         for _ in 0..4 {
-            let report = net.push_round_all_opinionated();
+            let report = net.push_opinionated_round();
             assert_eq!(report.messages_sent(), 900);
         }
         let tally = net.end_phase().clone();
@@ -1055,9 +489,9 @@ mod tests {
             net.seed_counts(&[100, 80, 60]).unwrap();
             net.begin_phase();
             for _ in 0..5 {
-                net.push_round_all_opinionated();
+                net.push_opinionated_round();
             }
-            net.end_phase().post_noise().to_vec()
+            net.end_phase().received_totals()
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
@@ -1068,9 +502,10 @@ mod tests {
         let mut net = counting_net(1_000, 2, 0.3, 3);
         net.seed_counts(&[400, 200]).unwrap();
         net.begin_phase();
-        net.push_round_all_opinionated();
+        net.push_opinionated_round();
         net.end_phase();
-        let (adopted, silent) = net.sample_one_adoptions(400);
+        let mut rng = StdRng::seed_from_u64(3);
+        let (adopted, silent) = sample_one_plan(net.observation().class_tally(0), 2, 400, &mut rng);
         assert_eq!(adopted.iter().sum::<u64>() + silent, 400);
     }
 
@@ -1079,8 +514,8 @@ mod tests {
         let mut net = counting_net(100, 2, 0.3, 4);
         net.seed_counts(&[40, 20]).unwrap();
         // 10 agents leave opinion 0; 6 join opinion 1, 4 become undecided.
-        net.apply_deltas(&[10, 0], &[0, 6], 4);
-        assert_eq!(net.counts(), &[30, 26]);
+        net.apply_class_deltas(0, &[10, 0], &[0, 6], 4);
+        assert_eq!(net.opinion_counts(), vec![30, 26]);
         assert_eq!(net.undecided(), 44);
         let dist = net.distribution();
         assert_eq!(dist.num_nodes(), 100);
@@ -1091,7 +526,7 @@ mod tests {
     fn unbalanced_deltas_panic() {
         let mut net = counting_net(100, 2, 0.3, 5);
         net.seed_counts(&[40, 20]).unwrap();
-        net.apply_deltas(&[10, 0], &[0, 6], 0);
+        net.apply_class_deltas(0, &[10, 0], &[0, 6], 0);
     }
 
     #[test]

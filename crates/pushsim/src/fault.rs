@@ -28,10 +28,11 @@
 //!
 //! ## Support boundaries
 //!
-//! The count-based [`CountingNetwork`](crate::CountingNetwork) simulates
-//! the *aggregatable* families: drop/dup as binomial thinning/inflation of
-//! the post-noise per-opinion counts, crash/Byzantine as count transfers
-//! between pools. Delayed delivery needs per-message identity across the
+//! The count-level network behind
+//! [`CountingNetwork`](crate::CountingNetwork) simulates the
+//! *aggregatable* families on the complete graph's single degree class:
+//! drop/dup as binomial thinning/inflation of the post-noise per-opinion
+//! counts, crash/Byzantine as count transfers between pools. Delayed delivery needs per-message identity across the
 //! phase boundary. Which backend takes which family, and that faults need
 //! the complete graph, are rules of the [`admission`](crate::admission)
 //! module.

@@ -66,7 +66,13 @@
 //!   ([`DegreeClasses`](topology::DegreeClasses)), extending the O(k²·C)
 //!   phase cost to sparse degree-homogeneous topologies (ring, torus,
 //!   `regular(d)` — where `C = 1`); `er(p)` is accepted as an explicit,
-//!   documented mean-field opt-in. See the [`blockcounting`] module.
+//!   documented mean-field opt-in.
+//!
+//! The two count-level backends are one implementation,
+//! [`CountLevelNetwork`](blockcounting::CountLevelNetwork): the complete
+//! graph is its one-degree-class case, and the two names differ only in
+//! the admission-table row their constructor checks. See the
+//! [`blockcounting`] module.
 //!
 //! What each backend accepts — topologies, delivery processes, fault
 //! families, temporal features — is one row of the [`admission`] table,
@@ -77,8 +83,8 @@
 //! Code written against `PushBackend` (the `plurality-core` protocol
 //! stages, every `opinion-dynamics` rule, the experiment harness) runs
 //! unchanged on any backend; each backend's phase result is exposed
-//! through the [`PhaseObservation`] trait ([`Inboxes`] vs [`PhaseTally`]
-//! vs [`BlockPhaseTally`]).
+//! through the [`PhaseObservation`] trait ([`Inboxes`] vs
+//! [`BlockPhaseTally`], one [`PhaseTally`] per degree class).
 //!
 //! A backend simulates a delivery process *natively* when it samples the
 //! process's distribution exactly (the batched paths are
@@ -86,7 +92,7 @@
 //! `tests/equivalence.rs`); the count-based backends run every other
 //! process as process P, whose per-phase aggregate law the paper transfers
 //! to the other processes w.h.p. Three bounded approximations qualify the
-//! counting backend's exactness: the Poisson
+//! count-level backends' exactness: the Poisson
 //! upper tail switches to a continuity-corrected normal approximation
 //! beyond mean 600 (absolute error < 10⁻³; see
 //! [`counting::poisson_tail_ge`]), bulk sample-majority adoption beyond
@@ -122,10 +128,10 @@
 //! interact with the network through *phases*: they call
 //! [`Network::begin_phase`], then [`Network::push_round`] once per round,
 //! and finally [`Network::end_phase`], after which the per-agent received
-//! multisets are available in the returned [`Inboxes`]. The counting
-//! backend mirrors the shape with
-//! [`push_round_batched`](CountingNetwork::push_round_batched) (counts in)
-//! and a [`PhaseTally`] (counts out).
+//! multisets are available in the returned [`Inboxes`]. The count-level
+//! backends mirror the shape through the [`PushBackend`] lifecycle, with
+//! [`push_round_blocks`](blockcounting::CountLevelNetwork::push_round_blocks)
+//! (counts in) and a [`BlockPhaseTally`] (counts out).
 //!
 //! # Example
 //!
@@ -171,9 +177,9 @@ pub mod topology;
 
 pub use admission::{admit, build_and_visit, BackendVisitor, ExecutionBackend, Resolved};
 pub use backend::{AdoptionScope, PhaseObservation, PushBackend, TopologyCapability};
-pub use blockcounting::{BlockCountingNetwork, BlockPhaseTally};
+pub use blockcounting::{BlockCountingNetwork, BlockPhaseTally, CountingNetwork};
 pub use config::{DeliverySemantics, SimConfig, SimConfigBuilder};
-pub use counting::{CountingNetwork, PhaseTally};
+pub use counting::PhaseTally;
 pub use distribution::OpinionDistribution;
 pub use error::SimError;
 pub use fault::{ByzantineFault, CrashFault, FaultSpec};

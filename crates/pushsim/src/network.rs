@@ -509,7 +509,8 @@ impl Network {
     }
 
     /// Per-opinion population tallies (maintained incrementally; O(1) to
-    /// read, mirroring [`CountingNetwork::counts`](crate::CountingNetwork::counts)).
+    /// read, mirroring
+    /// [`CountLevelNetwork::opinion_counts`](crate::blockcounting::CountLevelNetwork::opinion_counts)).
     pub fn opinion_counts(&self) -> &[usize] {
         &self.opinion_counts
     }

@@ -34,12 +34,11 @@
 //! messages into *uniform* bins, which is a complete-graph notion (a
 //! pending count has no sender, hence no neighborhood). The count-based
 //! backends recover the deferred process P off the complete graph by
-//! aggregating over exchangeable blocks: per opinion on the complete graph
-//! ([`CountingNetwork`](crate::CountingNetwork)), per (degree class,
-//! opinion) on degree-homogeneous families
-//! ([`BlockCountingNetwork`](crate::BlockCountingNetwork), via
-//! [`DegreeClasses`]). Which backend is certified for which family is a
-//! rule of the [`admission`](crate::admission) table.
+//! aggregating over exchangeable blocks, per (degree class, opinion)
+//! ([`CountLevelNetwork`](crate::blockcounting::CountLevelNetwork), via
+//! [`DegreeClasses`]): the complete graph and every degree-homogeneous
+//! family are a single class. Which backend is certified for which family
+//! is a rule of the [`admission`](crate::admission) table.
 
 use crate::error::SimError;
 use rand::rngs::StdRng;
@@ -436,8 +435,8 @@ impl Topology {
 /// degree, plus the class-to-class directed edge counts.
 ///
 /// This is the state space of the
-/// [`BlockCountingNetwork`](crate::BlockCountingNetwork): within a degree
-/// class all agents are exchangeable under uniform-neighbor push, so
+/// [`CountLevelNetwork`](crate::blockcounting::CountLevelNetwork): within a
+/// degree class all agents are exchangeable under uniform-neighbor push, so
 /// delivery only needs to know *how many* messages flow from class `c` to
 /// class `c'`, never which node sent them. A uniform push from a node of
 /// class `c` lands in class `c'` with probability
@@ -474,7 +473,9 @@ impl DegreeClasses {
         Self {
             sizes: vec![num_nodes as u64],
             degrees: vec![degree],
-            edges: vec![num_nodes as u64 * degree],
+            // Saturates only past n ≈ 4·10⁹ on the complete graph, where
+            // the single class's destination probability is 1 either way.
+            edges: vec![(num_nodes as u64).saturating_mul(degree)],
             class_of: None,
             num_nodes,
         }
@@ -596,7 +597,7 @@ impl DegreeClasses {
     /// for a silent (degree-0) class.
     pub fn destination_probabilities(&self, from: usize) -> Vec<f64> {
         let c = self.num_classes();
-        let stubs = self.sizes[from] * self.degrees[from];
+        let stubs = self.sizes[from].saturating_mul(self.degrees[from]);
         if stubs == 0 {
             return vec![0.0; c];
         }

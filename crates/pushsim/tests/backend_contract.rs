@@ -1,11 +1,12 @@
 //! The backend contract: one generic property suite, instantiated for
-//! every `PushBackend` implementation.
+//! every backend.
 //!
 //! Every assertion below is written once against the trait (dyn-free —
 //! the suite is a generic function monomorphized per backend) and must hold
-//! identically for the agent-level `Network`, the count-based
-//! `CountingNetwork` and the degree-class `BlockCountingNetwork` (here
-//! driven on a ring, its sparse home turf): population conservation,
+//! identically for the agent-level `Network` and for both names of the
+//! count-level network: the count-based `CountingNetwork` and the
+//! degree-class `BlockCountingNetwork` (here driven on a ring, its sparse
+//! home turf): population conservation,
 //! seeding round-trips, phase and message counters, observation totals,
 //! and conservation through every decision operator. This is the seam the
 //! whole protocol stack builds on; if the backends ever diverge on one of

@@ -16,7 +16,9 @@
 //!   not flaky ones).
 
 use noisy_channel::NoiseMatrix;
-use pushsim::{CountingNetwork, DeliverySemantics, Network, SimConfig};
+use pushsim::{
+    AdoptionScope, CountingNetwork, DeliverySemantics, Network, PushBackend, SimConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,15 +77,16 @@ fn counting_backend_conserves_pushes_exactly() {
         net.seed_counts(&[300, 200, 100]).unwrap();
         net.begin_phase();
         for _ in 0..2 {
-            net.push_round_all_opinionated();
+            net.push_opinionated_round();
         }
         let tally = net.end_phase();
         // The noise re-colors but never creates or destroys messages.
         assert_eq!(tally.total(), 2 * 600, "seed {seed}");
         // And the population is conserved through an adoption step.
-        let undecided = net.undecided();
-        let (adopted, silent) = net.sample_one_adoptions(undecided);
-        assert_eq!(adopted.iter().sum::<u64>() + silent, undecided, "seed {seed}");
+        let mut decide = StdRng::seed_from_u64(seed);
+        net.resolve_uniform_adoption(AdoptionScope::UndecidedOnly, &mut decide);
+        let live = net.opinion_counts().iter().sum::<u64>() + net.undecided();
+        assert_eq!(live, 1_000, "seed {seed}");
     }
 }
 
@@ -173,7 +176,8 @@ fn counting_and_agent_poissonized_phases_agree_in_distribution() {
     }
 
     let mut counting_totals = [0f64; 3];
-    let mut counting_activated = 0f64;
+    let mut counting_adopted = 0u64;
+    let mut counting_undecided = 0u64;
     for seed in 0..phases {
         let config = SimConfig::builder(n, 3)
             .seed(10_000 + seed)
@@ -183,16 +187,22 @@ fn counting_and_agent_poissonized_phases_agree_in_distribution() {
         let mut net = CountingNetwork::new(config, noise3()).unwrap();
         net.seed_counts(&counts).unwrap();
         net.begin_phase();
-        net.push_round_all_opinionated();
-        net.end_phase();
+        net.push_opinionated_round();
+        let tally = net.end_phase();
         // Expected delivered volume per opinion under process P is h_j (the
         // Poisson aggregate has mean h_j); use the realized post-noise
         // totals as the counting backend's delivery statistic.
-        for (t, &h) in counting_totals.iter_mut().zip(net.tally().post_noise()) {
+        for (t, &h) in counting_totals.iter_mut().zip(&tally.received_totals()) {
             *t += h as f64;
         }
-        let (adopted, _) = net.sample_one_adoptions(n as u64);
-        counting_activated += adopted.iter().sum::<u64>() as f64;
+        // The counting backend's sampled activation: an undecided agent
+        // adopts exactly when it received a message, so the adopted share of
+        // the undecided agents estimates the activation probability.
+        let before = net.undecided();
+        let mut decide = StdRng::seed_from_u64(20_000 + seed);
+        net.resolve_uniform_adoption(AdoptionScope::UndecidedOnly, &mut decide);
+        counting_adopted += before - net.undecided();
+        counting_undecided += before;
     }
 
     // Per-opinion mean delivered totals agree within a few standard errors.
@@ -204,7 +214,7 @@ fn counting_and_agent_poissonized_phases_agree_in_distribution() {
     }
     // Activation probability (≥ 1 message) agrees.
     let a_act = agent_activated / (phases as f64 * n as f64);
-    let c_act = counting_activated / (phases as f64 * n as f64);
+    let c_act = counting_adopted as f64 / counting_undecided as f64;
     assert!(
         (a_act - c_act).abs() < 0.02,
         "activation: agent {a_act:.4} vs counting {c_act:.4}"
@@ -261,14 +271,15 @@ fn backends_agree_on_protocol_scale_statistics() {
 
         let mut counting = CountingNetwork::new(config, noise).unwrap();
         counting.seed_counts(&counts).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
         for _ in 0..8 {
             let sample_size = 41u64;
             counting.begin_phase();
             for _ in 0..(2 * sample_size) {
-                counting.push_round_all_opinionated();
+                counting.push_opinionated_round();
             }
             counting.end_phase();
-            counting.apply_sample_majority(sample_size);
+            counting.resolve_sample_majority(sample_size, &mut rng);
         }
         if counting.distribution().counts()[0] as f64 > 0.9 * n as f64 {
             counting_wins += 1;

@@ -1,10 +1,11 @@
 //! Integration tests of the fault-injection subsystem: the all-disabled
 //! [`FaultSpec`] is bit-for-bit the pre-fault simulator (same pinned
 //! digests on every delivery process and both backends), enabled faults
-//! perturb the evolution deterministically, and the capability constants
-//! match what the constructors accept.
+//! perturb the evolution deterministically, and the admission rows match
+//! what the constructors accept.
 
 use noisy_channel::NoiseMatrix;
+use pushsim::admission::{FaultSupport, AGENT, BLOCK_COUNTING, COUNTING};
 use pushsim::{
     AdoptionScope, CountingNetwork, DeliverySemantics, FaultSpec, Network, PushBackend,
     SimConfig,
@@ -192,10 +193,9 @@ fn crashed_populations_fall_silent_after_their_phase() {
 
 #[test]
 fn fault_capabilities_match_the_constructors() {
-    const {
-        assert!(<Network as PushBackend>::SUPPORTS_DELAY_FAULTS);
-        assert!(!<CountingNetwork as PushBackend>::SUPPORTS_DELAY_FAULTS);
-    }
+    assert_eq!(AGENT.faults, FaultSupport::All);
+    assert_eq!(COUNTING.faults, FaultSupport::Aggregatable);
+    assert_eq!(BLOCK_COUNTING.faults, FaultSupport::Nothing);
     let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
     let delayed = config(DeliverySemantics::Poissonized, Some("delay(0.2)".parse().unwrap()));
     assert!(matches!(

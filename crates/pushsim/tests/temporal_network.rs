@@ -2,7 +2,7 @@
 //! temporal axes (`churn = none`, `schedule = const`, `clock = sync`) are
 //! bit-for-bit the pre-temporal simulator (same pinned digests on every
 //! delivery process and all three backends), enabled axes perturb the
-//! evolution deterministically, the capability constants match what the
+//! evolution deterministically, the admission rows match what the
 //! constructors accept, and the live population follows the deterministic
 //! churn arithmetic on every backend that supports it.
 
@@ -216,15 +216,16 @@ fn enabled_temporal_perturbs_the_evolution_deterministically() {
 
 #[test]
 fn temporal_capabilities_match_the_constructors() {
+    use pushsim::admission::{AGENT, BLOCK_COUNTING, COUNTING};
     const {
-        assert!(<Network as PushBackend>::TEMPORAL_CAPABILITY.population_churn);
-        assert!(<Network as PushBackend>::TEMPORAL_CAPABILITY.edge_churn);
-        assert!(<Network as PushBackend>::TEMPORAL_CAPABILITY.clock);
-        assert!(<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.population_churn);
-        assert!(<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.noise_schedule);
-        assert!(!<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.edge_churn);
-        assert!(!<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.clock);
-        assert!(!<BlockCountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.clock);
+        assert!(AGENT.temporal.population_churn);
+        assert!(AGENT.temporal.edge_churn);
+        assert!(AGENT.temporal.clock);
+        assert!(COUNTING.temporal.population_churn);
+        assert!(COUNTING.temporal.noise_schedule);
+        assert!(!COUNTING.temporal.edge_churn);
+        assert!(!COUNTING.temporal.clock);
+        assert!(!BLOCK_COUNTING.temporal.clock);
     }
     let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
 
@@ -309,11 +310,11 @@ fn live_population_follows_the_deterministic_churn_arithmetic() {
         );
         assert_eq!(block.num_nodes(), expected, "block population, phase {phase}");
         // Opinion counts + undecided always account for every live agent.
-        let counted = counting.counts().iter().sum::<u64>() + counting.undecided();
+        let counted = counting.opinion_counts().iter().sum::<u64>() + counting.undecided();
         assert_eq!(counted as usize, expected);
         agent.push_round(|_, s| s.opinion());
-        counting.push_round_all_opinionated();
-        block.push_round_all_opinionated();
+        counting.push_opinionated_round();
+        block.push_opinionated_round();
         agent.end_phase();
         counting.end_phase();
         block.end_phase();
@@ -349,7 +350,7 @@ fn schedules_swap_the_noise_at_their_boundaries_and_restore_it_after() {
             (diagonal - (1.0 / 3.0 + expected)).abs() < 1e-12,
             "phase {phase}: live ε must follow the schedule (diagonal {diagonal})"
         );
-        net.push_round_all_opinionated();
+        net.push_opinionated_round();
         net.end_phase();
     }
 }

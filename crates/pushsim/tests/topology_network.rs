@@ -172,21 +172,11 @@ fn sparse_runs_are_reproducible_and_seed_sensitive() {
 
 #[test]
 fn backend_capability_matches_the_constructors() {
+    use pushsim::admission::{AGENT, BLOCK_COUNTING, COUNTING};
     use pushsim::TopologyCapability;
-    const {
-        assert!(matches!(
-            <Network as PushBackend>::TOPOLOGY_CAPABILITY,
-            TopologyCapability::Any
-        ));
-        assert!(matches!(
-            <pushsim::CountingNetwork as PushBackend>::TOPOLOGY_CAPABILITY,
-            TopologyCapability::Complete
-        ));
-        assert!(matches!(
-            <pushsim::BlockCountingNetwork as PushBackend>::TOPOLOGY_CAPABILITY,
-            TopologyCapability::VertexTransitive
-        ));
-    }
+    assert_eq!(AGENT.certified, TopologyCapability::Any);
+    assert_eq!(COUNTING.certified, TopologyCapability::Complete);
+    assert_eq!(BLOCK_COUNTING.certified, TopologyCapability::VertexTransitive);
     // Capabilities form the inclusion chain Complete ⊂ VertexTransitive ⊂
     // Any over the spec families.
     for spec in [

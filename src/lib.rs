@@ -95,8 +95,8 @@ pub mod prelude {
         Session, StageId, StopCondition, TwoStageProtocol,
     };
     pub use pushsim::{
-        AdoptionScope, CountingNetwork, DeliverySemantics, Inboxes, Network, NodeState, Opinion,
-        OpinionDistribution, PhaseObservation, PhaseTally, PushBackend, RoundReport, SimConfig,
-        SimError,
+        AdoptionScope, BlockPhaseTally, CountingNetwork, DeliverySemantics, Inboxes, Network,
+        NodeState, Opinion, OpinionDistribution, PhaseObservation, PhaseTally, PushBackend,
+        RoundReport, SimConfig, SimError,
     };
 }
