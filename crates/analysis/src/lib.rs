@@ -3,12 +3,12 @@
 //! Statistics, confidence intervals, parameter sweeps and plain-text table
 //! emitters for the noisy-plurality experiment harness.
 //!
-//! The experiments of this reproduction (DESIGN.md §5) all follow the same
-//! shape: repeat a randomized protocol run over a grid of parameters,
-//! estimate success rates and means with confidence intervals, and print a
-//! table whose rows can be compared against the paper's predictions. This
-//! crate provides those building blocks without pulling in any external
-//! statistics dependency:
+//! The experiments of this reproduction (`xp list` names them) all follow
+//! the same shape: repeat a randomized protocol run over a grid of
+//! parameters, estimate success rates and means with confidence intervals,
+//! and print a table whose rows can be compared against the paper's
+//! predictions. This crate provides those building blocks without pulling
+//! in any external statistics dependency:
 //!
 //! * [`stats::SampleStats`] — online mean / variance / min / max.
 //! * [`ci::WilsonInterval`] — Wilson score intervals for success
@@ -16,8 +16,8 @@
 //! * [`sweep`] — derived per-cell seeds ([`sweep::derive_seed`]) and the
 //!   ordered parallel map ([`sweep::par_map`]) that the experiment
 //!   harness runs its trials and campaign seeds through.
-//! * [`table`] — fixed-width plain-text tables and CSV output for
-//!   EXPERIMENTS.md.
+//! * [`table`] — fixed-width plain-text tables, JSON lines and CSV output
+//!   for `xp`.
 //! * [`observe`] — ready-made observers for the core observation layer:
 //!   per-phase trajectory recording ([`observe::TrajectoryRecorder`]),
 //!   streaming per-phase aggregates over many runs

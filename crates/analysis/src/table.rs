@@ -4,8 +4,8 @@ use std::fmt;
 
 /// A simple column-aligned table that can also render itself as CSV.
 ///
-/// The experiment binaries print these tables to stdout; EXPERIMENTS.md
-/// embeds their output verbatim.
+/// `xp` prints these tables to stdout; README quotes some of them
+/// verbatim.
 ///
 /// ```
 /// use gossip_analysis::table::Table;
@@ -89,9 +89,9 @@ impl Table {
     /// not `"n": "1000"` — consumers get typed values without a second
     /// parse); non-finite numeric cells become `null`; everything else
     /// stays a JSON string. This is the machine-readable form behind the
-    /// experiment binaries' shared `--json` flag, so figure pipelines can
-    /// consume experiment output with `jq` or a dataframe library without
-    /// parsing aligned columns.
+    /// shared `--json` flag of `xp`, so figure pipelines can consume
+    /// experiment output with `jq` or a dataframe library without parsing
+    /// aligned columns.
     ///
     /// ```
     /// use gossip_analysis::table::Table;

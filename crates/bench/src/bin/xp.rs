@@ -4,7 +4,7 @@
 //! xp list [--json]                # all registered experiments
 //! xp run f2 [--full --json --backend agent|counting|blockcounting|auto --trials N --seed S]
 //! xp run --spec path.spec [...]   # run a scenario spec file
-//! xp show f2 [--full]             # print a spec-backed experiment's spec text
+//! xp show f2 [--full]             # print an experiment's spec text
 //! xp campaign --spec c.spec [--seeds N --tolerance T --slack S]
 //! xp campaign --replay c.spec <seed> [--seeds N]
 //! xp serve [--addr H:P --workers N --queue-depth D --cache-bytes B --test-shutdown]
@@ -22,7 +22,7 @@
 //! not parse or validate; campaigns: an oracle violation, with a
 //! ready-to-paste replay command; load: dropped or corrupted responses), 2
 //! on usage errors (unknown command/experiment, unreadable spec file, a
-//! composite experiment where one spec is needed, malformed flags).
+//! variant experiment where one spec is needed, malformed flags).
 
 use gossip_analysis::table::Table;
 use noisy_bench::campaign::{self, CampaignOptions};
@@ -40,7 +40,8 @@ usage:
   xp list [--json]             list the registered experiments
   xp run <name> [options]      run a registered experiment
   xp run --spec <path> [opts]  run a scenario spec file
-  xp show <name> [--full]      print a spec-backed experiment's spec text
+  xp show <name> [--full]      print an experiment's spec text (one block
+                               per variant)
   xp campaign <name|--spec <path>> [--seeds N] [--tolerance T] [--slack S]
                                fault-injection campaign: run every sweep cell
                                over N seeds under the invariant oracles;
@@ -101,14 +102,21 @@ fn cmd_list(rest: &[String]) -> ExitCode {
     }
     let mut table = Table::new(vec!["name", "kind", "scenario", "title"]);
     for experiment in registry::all() {
-        let scenario = experiment
-            .spec(Scale::Quick)
-            .map(|spec| spec.kind.name().to_string())
-            .unwrap_or_else(|| "-".to_string());
+        let mut scenarios: Vec<&str> = experiment
+            .variants(Scale::Quick)
+            .iter()
+            .map(|variant| variant.spec.kind.name())
+            .collect();
+        scenarios.dedup();
         table.push_row(vec![
             experiment.name.to_string(),
-            if experiment.is_spec() { "spec" } else { "composite" }.to_string(),
-            scenario,
+            if experiment.is_spec() {
+                "spec"
+            } else {
+                "variants"
+            }
+            .to_string(),
+            scenarios.join(", "),
             experiment.title.to_string(),
         ]);
     }
@@ -214,8 +222,8 @@ fn cmd_run(rest: &[String]) -> ExitCode {
 }
 
 /// Why a spec source yields no spec, and the exit code that maps to:
-/// unknown names, unreadable paths and composites are usage errors (2); a
-/// file that reads but does not parse is a run failure (1).
+/// unknown names, unreadable paths and variant entries are usage errors
+/// (2); a file that reads but does not parse is a run failure (1).
 struct SourceError {
     code: u8,
     message: String,
@@ -243,13 +251,13 @@ fn find_experiment(name: &str) -> Result<&'static Experiment, SourceError> {
     })
 }
 
-/// A registered experiment's spec at `scale`; a composite has none.
+/// A registered experiment's spec at `scale`; a variant entry has none.
 fn experiment_spec(experiment: &Experiment, scale: Scale) -> Result<ScenarioSpec, SourceError> {
     experiment.spec(scale).ok_or_else(|| {
         SourceError::usage(format!(
-            "{} is a composite experiment (several spec runs merged into one table); it has \
-             no single spec",
-            experiment.name
+            "{} is a variant experiment (several labelled specs sharing one table); it has \
+             no single spec (`xp show {}` prints each)",
+            experiment.name, experiment.name
         ))
     })
 }
@@ -303,16 +311,18 @@ fn cmd_show(rest: &[String]) -> ExitCode {
         eprintln!("error: `xp show` takes an experiment name\n\n{}", usage());
         return ExitCode::from(2);
     };
-    let shown = find_experiment(&name).and_then(|experiment| {
-        experiment_spec(experiment, cli.scale).map(|spec| (experiment, spec))
-    });
-    let (experiment, mut spec) = match shown {
-        Ok(shown) => shown,
+    let experiment = match find_experiment(&name) {
+        Ok(experiment) => experiment,
         Err(e) => return e.exit(),
     };
-    registry::apply_cli(&mut spec, &cli);
     println!("# {}: {}", experiment.name, experiment.title);
-    print!("{}", spec.to_text());
+    for mut variant in experiment.variants(cli.scale) {
+        if !experiment.is_spec() {
+            println!("\n# variant: {}", variant.label);
+        }
+        registry::apply_cli(&mut variant.spec, &cli);
+        print!("{}", variant.spec.to_text());
+    }
     ExitCode::SUCCESS
 }
 

@@ -10,8 +10,10 @@
 //! * [`runner`] — the [`Runner`] that executes any spec through the
 //!   backend-generic protocol/dynamics stack and reports structured
 //!   summaries;
-//! * [`registry`] — every figure/table experiment of DESIGN.md §5,
-//!   registered by name (`f1`–`f8`, `t1`–`t4`, `a1`, `scale`);
+//! * [`registry`] — every figure/table experiment of the reproduction,
+//!   registered by name (`f1`–`f8`, `t1`–`t4`, `a1`, `topo`, `topoxl`,
+//!   `churn`, `burst`, `scale`; `xp list` describes each), each one spec
+//!   or a list of labelled variant specs;
 //! * the `xp` binary — the single driver: `xp list`, `xp run f2 --json`,
 //!   `xp run --spec path.spec`, `xp show f2`.
 //!
@@ -26,7 +28,8 @@
 //!
 //! Every run accepts an optional `--full` flag: without it a reduced
 //! ("quick") grid is used so the whole suite finishes in minutes on a
-//! laptop; with it the grid matches the sizes quoted in EXPERIMENTS.md.
+//! laptop; with it the grid grows to the sizes `xp show <name> --full`
+//! prints (README describes each experiment).
 //! `benches/` holds the Criterion micro-benchmarks that document the
 //! simulator's cost model.
 
@@ -48,26 +51,16 @@ use gossip_analysis::table::Table;
 use plurality_core::{ExecutionBackend, Outcome, ProtocolError, ProtocolParams};
 
 /// Scale of an experiment run: a reduced grid for quick checks or the full
-/// grid documented in EXPERIMENTS.md.
+/// grid (`xp show <name> --full` prints its sizes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced grid (default): finishes in roughly a minute per experiment.
     Quick,
-    /// Full grid: the sizes used for the numbers recorded in EXPERIMENTS.md.
+    /// Full grid: the larger sizes of `--full` runs.
     Full,
 }
 
 impl Scale {
-    /// Parses the scale from the process arguments (`--full` selects
-    /// [`Scale::Full`]).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Chooses between the quick and full value of a parameter.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {
@@ -85,9 +78,8 @@ impl Scale {
 ///   pipelines are scriptable;
 /// * `--stream` — emit result rows as JSON lines *while the run
 ///   progresses* (per completed sweep point; per finished phase for
-///   trajectory specs) instead of one table at the end. Spec-backed
-///   experiments and `--spec` files stream natively; composite
-///   experiments fall back to JSON-at-the-end;
+///   trajectory specs; per finished variant for variant experiments)
+///   instead of one table at the end;
 /// * `--backend agent|counting|blockcounting|auto` (or `--backend=…`) — which simulation
 ///   backend protocol runs execute on (when absent, the spec/experiment
 ///   default applies — usually [`ExecutionBackend::Auto`], which resolves
@@ -96,11 +88,9 @@ impl Scale {
 /// * `--trials N` — override the number of trials/repetitions per cell;
 /// * `--seed S` — override the base RNG seed.
 ///
-/// Parse failures never silently fall back to defaults: [`from_args`]
-/// prints the offending argument plus the [`USAGE`](Self::USAGE) synopsis
-/// and exits, and `--help` prints the synopsis.
-///
-/// [`from_args`]: Self::from_args
+/// Parse failures never silently fall back to defaults:
+/// [`try_parse_from`](Self::try_parse_from) returns the offending argument
+/// plus the [`USAGE`](Self::USAGE) synopsis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cli {
     /// Quick vs full grid (`--full`).
@@ -162,24 +152,6 @@ options:
   --seed <S>           override the base RNG seed
   --help, -h           print this synopsis";
 
-    /// Parses the options from the process arguments. Prints the usage
-    /// synopsis and exits on `--help`/`-h` (status 0) or on a parse
-    /// failure (status 2).
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", Self::USAGE);
-            std::process::exit(0);
-        }
-        match Self::try_parse_from(args) {
-            Ok(cli) => cli,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Parses the options from an explicit argument list.
     ///
     /// # Panics
@@ -187,7 +159,7 @@ options:
     /// Panics with the [`CliError`] message (offending argument + usage
     /// synopsis) on any parse failure — a mistyped flag must not silently
     /// run the experiment with default options. Binaries should prefer
-    /// [`from_args`](Self::from_args), which exits cleanly instead.
+    /// [`try_parse_from`](Self::try_parse_from) and exit cleanly instead.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
         Self::try_parse_from(args).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -251,25 +223,9 @@ options:
         Ok(cli)
     }
 
-    /// The backend override, or [`ExecutionBackend::Auto`] when none was
-    /// given (the default for experiments that run the protocol directly).
-    pub fn backend_or_auto(&self) -> ExecutionBackend {
-        self.backend.unwrap_or(ExecutionBackend::Auto)
-    }
-
-    /// The trials override, or `default` when none was given.
-    pub fn trials_or(&self, default: u64) -> u64 {
-        self.trials.unwrap_or(default)
-    }
-
-    /// The seed override, or `default` when none was given.
-    pub fn seed_or(&self, default: u64) -> u64 {
-        self.seed.unwrap_or(default)
-    }
-
     /// Prints `table` in the selected output format: aligned text by
     /// default, JSON lines under `--json` (and under `--stream`, for the
-    /// composite experiments that cannot stream incrementally).
+    /// campaign tables, which are only complete at the end).
     pub fn emit(&self, table: &Table) {
         let mut stdout = std::io::stdout().lock();
         self.emit_to(table, &mut stdout).expect("write to stdout");
@@ -461,7 +417,6 @@ mod tests {
         assert_eq!(cli.scale, Scale::Quick);
         assert!(!cli.json);
         assert_eq!(cli.backend, None);
-        assert_eq!(cli.backend_or_auto(), ExecutionBackend::Auto);
 
         let cli = Cli::parse_from(to_args(&["--full", "--json", "--backend", "counting"]));
         assert_eq!(cli.scale, Scale::Full);
@@ -477,11 +432,8 @@ mod tests {
         let cli = Cli::parse_from(to_args(&["--trials", "12", "--seed=99"]));
         assert_eq!(cli.trials, Some(12));
         assert_eq!(cli.seed, Some(99));
-        assert_eq!(cli.trials_or(5), 12);
-        assert_eq!(cli.seed_or(0), 99);
         let cli = Cli::parse_from(to_args(&[]));
-        assert_eq!(cli.trials_or(5), 5);
-        assert_eq!(cli.seed_or(7), 7);
+        assert_eq!((cli.trials, cli.seed), (None, None));
     }
 
     #[test]

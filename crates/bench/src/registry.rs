@@ -1,42 +1,48 @@
-//! The experiment registry: every figure/table of DESIGN.md §5, runnable by
-//! name through the `xp` driver (`xp run f2`), plus the plumbing that turns
-//! a [`ScenarioSpec`] + [`Cli`] into printed output.
+//! The experiment registry: every figure and table of the reproduction,
+//! runnable by name through `xp` (`xp run f2`; `xp list` names them all),
+//! plus the plumbing that turns a [`ScenarioSpec`] + [`Cli`] into printed
+//! output.
 //!
-//! Two kinds of entries exist:
+//! Every entry is data that the one spec path runs through the [`Runner`],
+//! and `xp show <name>` prints its spec text. An entry is either
 //!
-//! * **Spec-backed** ([`ExperimentKind::Spec`]) — the experiment *is* one
-//!   [`ScenarioSpec`] (scale-dependent grid sizes aside). `xp show <name>`
-//!   prints the spec text; running it goes through the generic
-//!   [`Runner`].
-//! * **Composite** ([`ExperimentKind::Custom`]) — experiments that combine
-//!   several spec runs into one bespoke table (T1's protocol-vs-baselines
-//!   comparison, A1's constant ablations, …) or measure something below
-//!   the scenario level (F8's delivery-semantics statistics, F4/T4's
-//!   analytic bounds). These still honour the shared [`Cli`] flags.
+//! * **one spec** ([`ExperimentKind::Spec`]) — the experiment *is* one
+//!   [`ScenarioSpec`] (scale-dependent grid sizes aside); or
+//! * **labelled variants** ([`ExperimentKind::Variants`]) — several specs
+//!   whose rows share one table, the first column naming the [`Variant`]
+//!   (T1's protocol-vs-baselines comparison, A1's constant ablations, F6's
+//!   noise matrices, T2's two sweeps).
 //!
 //! The registered names are `f1`–`f8`, `t1`–`t4`, `a1`, `topo`, `topoxl`,
 //! `churn`, `burst` and `scale`.
 
-use crate::runner::{PointResult, PointSummary, Runner};
+use crate::runner::{self, Runner};
 use crate::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec};
-use crate::{Cli, Scale, TrialSummary};
-use gossip_analysis::table::Table;
-use noisy_channel::{NoiseMatrix, NoiseSpec};
+use crate::{Cli, Scale};
+use gossip_analysis::table::{json_line, Table};
+use noisy_channel::NoiseSpec;
 use opinion_dynamics::RuleSpec;
-use plurality_core::{
-    bounds, ExecutionBackend, Instance, NoObserver, ProtocolParams, TwoStageProtocol,
-};
+use plurality_core::ExecutionBackend;
 use pushsim::{ChurnSpec, DeliverySemantics, NoiseSchedule, TopologySpec};
 use std::error::Error;
-use std::time::Instant;
 
-/// How an [`Experiment`] is implemented.
+/// How an [`Experiment`] is described.
 pub enum ExperimentKind {
     /// The experiment is a single [`ScenarioSpec`], produced for the
     /// requested [`Scale`].
     Spec(fn(Scale) -> ScenarioSpec),
-    /// A composite or sub-scenario experiment with its own run function.
-    Custom(fn(&Cli) -> Result<(), Box<dyn Error>>),
+    /// The experiment is a list of labelled specs whose rows share one
+    /// table (every variant reports the same columns).
+    Variants(fn(Scale) -> Vec<Variant>),
+}
+
+/// One labelled spec of an [`ExperimentKind::Variants`] entry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Variant {
+    /// The `variant` cell of this spec's rows.
+    pub label: String,
+    /// The spec the variant runs.
+    pub spec: ScenarioSpec,
 }
 
 /// One registered experiment.
@@ -45,22 +51,35 @@ pub struct Experiment {
     pub name: &'static str,
     /// A one-line description shown by `xp list`.
     pub title: &'static str,
-    /// The implementation.
+    /// The spec or specs the experiment runs.
     pub kind: ExperimentKind,
 }
 
 impl Experiment {
-    /// True for spec-backed entries (`xp show` can print their spec).
+    /// True for single-spec entries (the ones `xp campaign` and `xp load`
+    /// accept).
     pub fn is_spec(&self) -> bool {
         matches!(self.kind, ExperimentKind::Spec(_))
     }
 
     /// The experiment's [`ScenarioSpec`] at the given scale, for
-    /// spec-backed entries.
+    /// single-spec entries.
     pub fn spec(&self, scale: Scale) -> Option<ScenarioSpec> {
         match self.kind {
             ExperimentKind::Spec(make) => Some(make(scale)),
-            ExperimentKind::Custom(_) => None,
+            ExperimentKind::Variants(_) => None,
+        }
+    }
+
+    /// Every spec the experiment runs at the given scale: its variants, or
+    /// its one spec labelled with the experiment's name.
+    pub fn variants(&self, scale: Scale) -> Vec<Variant> {
+        match self.kind {
+            ExperimentKind::Spec(make) => vec![Variant {
+                label: self.name.to_string(),
+                spec: make(scale),
+            }],
+            ExperimentKind::Variants(make) => make(scale),
         }
     }
 }
@@ -79,34 +98,32 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 ///
 /// # Errors
 ///
-/// Propagates spec validation/execution errors and the composite
-/// experiments' own failures.
+/// Propagates spec validation/execution errors and write errors on stdout.
 pub fn run(experiment: &Experiment, cli: &Cli) -> Result<(), Box<dyn Error>> {
     run_to(experiment, cli, &mut std::io::stdout().lock())
 }
 
 /// Runs one experiment writing its output to a caller-supplied sink —
-/// the sink-generic core of [`run`], shared by the CLI (stdout) and
-/// the scenario service (HTTP response buffers). Spec-backed entries
-/// stream or tabulate into `out`; composite ([`ExperimentKind::Custom`])
-/// entries drive their own stdout output regardless of `out` and are
-/// therefore only exposed through the CLI.
+/// the sink-generic core of [`run`]. Every spec runs through the
+/// [`Runner`]; a variant entry's rows share one table whose first column
+/// is `variant`, and under `--json`/`--stream` each variant's JSON lines
+/// are written when that variant finishes.
 ///
 /// # Errors
 ///
-/// Propagates spec validation/execution errors, write errors on `out`,
-/// and the composite experiments' own failures.
+/// Propagates spec validation/execution errors and write errors on `out`.
 pub fn run_to(
     experiment: &Experiment,
     cli: &Cli,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn Error>> {
+    let heading = format!("{}: {}\n", experiment.name.to_uppercase(), experiment.title);
     match experiment.kind {
-        ExperimentKind::Spec(make) => {
-            let heading = format!("{}: {}\n", experiment.name.to_uppercase(), experiment.title);
-            run_spec_to(make(cli.scale), &heading, cli, out)
+        ExperimentKind::Spec(make) => run_spec_to(make(cli.scale), &heading, cli, out),
+        ExperimentKind::Variants(make) => {
+            cli.note_to(&heading, out)?;
+            run_variants_to(make(cli.scale), cli, out)
         }
-        ExperimentKind::Custom(f) => f(cli),
     }
 }
 
@@ -130,6 +147,47 @@ pub fn run_spec_to(
         runner.run_streamed(out)?;
     } else {
         cli.emit_to(&runner.run()?.to_table(), out)?;
+    }
+    Ok(())
+}
+
+/// Runs each variant with the CLI's overrides and renders its rows
+/// (`runner::headers`/`runner::point_rows`) behind a `variant` column:
+/// as JSON lines per finished variant under `--json`/`--stream`, as one
+/// aligned table at the end otherwise.
+fn run_variants_to(
+    variants: Vec<Variant>,
+    cli: &Cli,
+    out: &mut dyn std::io::Write,
+) -> Result<(), Box<dyn Error>> {
+    let mut table: Option<Table> = None;
+    for Variant { label, mut spec } in variants {
+        apply_cli(&mut spec, cli);
+        let report = Runner::new(spec)?.run()?;
+        let headers: Vec<String> = std::iter::once("variant".to_string())
+            .chain(runner::headers(report.spec()))
+            .collect();
+        let rows = report.points().iter().flat_map(|result| {
+            runner::point_rows(report.spec(), result)
+                .into_iter()
+                .map(|row| {
+                    std::iter::once(label.clone())
+                        .chain(row)
+                        .collect::<Vec<_>>()
+                })
+        });
+        if cli.json || cli.stream {
+            for row in rows {
+                writeln!(out, "{}", json_line(&headers, &row))?;
+            }
+            out.flush()?;
+        } else {
+            let table = table.get_or_insert_with(|| Table::new(headers));
+            rows.for_each(|row| table.push_row(row));
+        }
+    }
+    if let Some(table) = table {
+        write!(out, "{table}")?;
     }
     Ok(())
 }
@@ -177,7 +235,7 @@ static EXPERIMENTS: [Experiment; 18] = [
     Experiment {
         name: "f6",
         title: "(eps, delta)-majority-preservation vs end-to-end protocol success (Section 4)",
-        kind: ExperimentKind::Custom(run_f6),
+        kind: ExperimentKind::Variants(f6_variants),
     },
     Experiment {
         name: "f7",
@@ -192,12 +250,12 @@ static EXPERIMENTS: [Experiment; 18] = [
     Experiment {
         name: "t1",
         title: "two-stage protocol vs baseline dynamics under identical noise",
-        kind: ExperimentKind::Custom(run_t1),
+        kind: ExperimentKind::Variants(t1_variants),
     },
     Experiment {
         name: "t2",
         title: "per-node memory footprint vs the log log n + log 1/eps scale",
-        kind: ExperimentKind::Custom(run_t2),
+        kind: ExperimentKind::Variants(t2_variants),
     },
     Experiment {
         name: "t3",
@@ -207,12 +265,12 @@ static EXPERIMENTS: [Experiment; 18] = [
     Experiment {
         name: "t4",
         title: "parity of the Stage 2 sample size (Lemma 17), exact evaluation",
-        kind: ExperimentKind::Custom(run_t4),
+        kind: ExperimentKind::Spec(t4_spec),
     },
     Experiment {
         name: "a1",
         title: "protocol ablations: Stage 2 samples, Stage 1 final phase, schedule eps",
-        kind: ExperimentKind::Custom(run_a1),
+        kind: ExperimentKind::Variants(a1_variants),
     },
     Experiment {
         name: "topo",
@@ -236,13 +294,13 @@ static EXPERIMENTS: [Experiment; 18] = [
     },
     Experiment {
         name: "scale",
-        title: "full protocol at n = 10^7 (and 10^8 with --full) on the counting backend",
-        kind: ExperimentKind::Custom(run_scale),
+        title: "full protocol at n = 10^6 and 10^7 (10^7 and 10^8 with --full) on the counting backend",
+        kind: ExperimentKind::Spec(scale_spec),
     },
 ];
 
 // ---------------------------------------------------------------------------
-// Spec-backed experiments.
+// Single-spec experiments.
 // ---------------------------------------------------------------------------
 
 /// F1 — Theorem 1: rumor spreading completes in `O(log n / ε²)` rounds for
@@ -570,418 +628,234 @@ fn burst_spec(scale: Scale) -> ScenarioSpec {
     spec
 }
 
-// ---------------------------------------------------------------------------
-// Composite experiments (several spec runs merged into one bespoke table).
-// ---------------------------------------------------------------------------
-
-/// Runs a single-point spec and returns its protocol summary.
-fn protocol_point(spec: ScenarioSpec) -> Result<TrialSummary, Box<dyn Error>> {
-    let report = Runner::new(spec)?.run()?;
-    match report.points() {
-        [PointResult {
-            summary: PointSummary::Protocol(summary),
-            ..
-        }] => Ok(summary.clone()),
-        _ => unreachable!("single-point protocol spec"),
-    }
+/// T4 — Lemma 17 (Appendix C): removing the parity assumption. A `k = 2`
+/// `gap` spec reporting the exact binomial gap: each odd ℓ of the sweep
+/// sits next to ℓ+1 and ℓ+2, and δ = 2p₁ − 1 for the majority-opinion
+/// probabilities p₁ ∈ {0.5, 0.52, 0.55, 0.6, 0.7, 0.9}.
+///
+/// Lemma 17 predicts `gap(ℓ) = gap(ℓ+1) ≤ gap(ℓ+2)` for every odd ℓ. It is
+/// stated for `Pr[maj = 1]`; the gap `Pr[maj = 1] − Pr[maj = 2]` inherits
+/// both relations because the two probabilities sum to 1.
+fn t4_spec(_scale: Scale) -> ScenarioSpec {
+    // The gap is evaluated below the simulation level; n is unused.
+    let mut spec = ScenarioSpec::new(ScenarioKind::SampleMajorityGap { ell: 5, delta: 0.0 }, 1, 2);
+    spec.sweep.ell = [5, 11, 21, 51, 101]
+        .into_iter()
+        .flat_map(|ell| [ell, ell + 1, ell + 2])
+        .collect();
+    spec.sweep.delta = vec![0.0, 0.04, 0.1, 0.2, 0.4, 0.8];
+    spec.metrics = vec![Metric::GapExact];
+    spec
 }
 
-/// T1 — headline comparison: the two-stage protocol vs the baseline
-/// dynamics on the same instance, same noise, same round budget. Only the
-/// protocol reliably reaches exact consensus on the correct opinion.
-fn run_t1(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let scale = cli.scale;
-    let n = scale.pick(2_000, 10_000);
-    let k = 3;
-    let eps = 0.25;
-    let bias = 0.1;
-    let trials = cli.trials_or(scale.pick(5, 20));
-    let budget = ProtocolParams::builder(n, k)
-        .epsilon(eps)
-        .build()?
-        .schedule()
-        .total_rounds();
-
-    cli.note(&format!(
-        "T1: two-stage protocol vs baseline dynamics (n = {n}, k = {k}, eps = {eps}, bias = {bias})"
-    ));
-    cli.note(&format!(
-        "round budget per algorithm: {budget} (the protocol's schedule)\n"
-    ));
-
-    let base = |kind: ScenarioKind, seed: u64| {
-        let mut spec = ScenarioSpec::new(kind, n, k);
-        spec.epsilon = eps;
-        spec.noise = NoiseSpec::Uniform { epsilon: eps };
-        spec.trials = trials;
-        spec.seed = seed;
-        apply_cli(&mut spec, cli);
-        spec
-    };
-
-    let mut table = Table::new(vec![
-        "algorithm",
-        "exact consensus",
-        "correct plurality",
-        "mean plurality share",
-        "mean rounds",
-    ]);
-
-    // The two-stage protocol, as one plurality spec.
-    let summary = protocol_point(base(
+/// `scale` — the count-based backend at sizes the agent-level simulator
+/// cannot touch: the full two-stage protocol at n = 10⁶ and 10⁷ (10⁷ and
+/// 10⁸ with `--full`). `bias = 0.1` is exactly a 40% / 30% / 30% split: a
+/// plurality but far from an absolute majority.
+///
+/// Poissonized delivery is requested *explicitly*: the counting backend
+/// only implements process P, and the semantics-preserving `Auto` policy
+/// never swaps an exact-delivery run onto it, so stating the process keeps
+/// `Auto` resolving to the O(k²)-per-phase engine these sizes need. The
+/// same runs on the agent-level backend would push ~n log n messages
+/// individually.
+fn scale_spec(scale: Scale) -> ScenarioSpec {
+    let sizes = scale.pick(vec![1_000_000, 10_000_000], vec![10_000_000, 100_000_000]);
+    let mut spec = ScenarioSpec::new(
         ScenarioKind::PluralityConsensus {
-            init: InitSpec::Biased { bias },
+            init: InitSpec::Biased { bias: 0.1 },
         },
-        0x71,
-    ))?;
-    table.push_row(vec![
-        "two-stage protocol".to_string(),
-        summary.consensus.to_string(),
-        summary.correct.to_string(),
-        format!("{:.3}", summary.share.mean()),
-        format!("{:.0}", summary.rounds.mean()),
-    ]);
+        sizes[0],
+        3,
+    );
+    spec.epsilon = 0.25;
+    spec.noise = NoiseSpec::Uniform { epsilon: 0.25 };
+    spec.delivery = DeliverySemantics::Poissonized;
+    spec.seed = 7;
+    spec.sweep.n = sizes;
+    spec.metrics = vec![
+        Metric::Rounds,
+        Metric::Messages,
+        Metric::Share,
+        Metric::Success,
+    ];
+    spec
+}
 
-    // The baselines, one dynamics spec each, same budget.
-    for rule in RuleSpec::ALL {
-        let spec = base(
-            ScenarioKind::DynamicsRule {
+// ---------------------------------------------------------------------------
+// Variant experiments (labelled specs sharing one table).
+// ---------------------------------------------------------------------------
+
+/// T1 — headline comparison: the two-stage protocol vs the baseline
+/// dynamics on the same instance (k = 3, ε = 0.25, initial bias 0.1), same
+/// noise, same round budget: a dynamics spec without `rounds` runs for the
+/// protocol's schedule length. Only the protocol reliably reaches exact
+/// consensus on the correct opinion.
+fn t1_variants(scale: Scale) -> Vec<Variant> {
+    let init = InitSpec::Biased { bias: 0.1 };
+    let variant = |label: String, kind: ScenarioKind, seed: u64| {
+        let mut spec = ScenarioSpec::new(kind, scale.pick(2_000, 10_000), 3);
+        spec.epsilon = 0.25;
+        spec.noise = NoiseSpec::Uniform { epsilon: 0.25 };
+        spec.trials = scale.pick(5, 20);
+        spec.seed = seed;
+        spec.metrics = vec![
+            Metric::Consensus,
+            Metric::Correct,
+            Metric::Share,
+            Metric::Rounds,
+        ];
+        Variant { label, spec }
+    };
+    let protocol = ScenarioKind::PluralityConsensus { init: init.clone() };
+    std::iter::once(variant("two-stage protocol".into(), protocol, 0x71))
+        .chain(RuleSpec::ALL.into_iter().map(|rule| {
+            let kind = ScenarioKind::DynamicsRule {
                 rule,
-                init: InitSpec::Biased { bias },
-                rounds: Some(budget),
-            },
-            0x72,
-        );
-        let report = Runner::new(spec)?.run()?;
-        let PointSummary::Dynamics(summary) = &report.points()[0].summary else {
-            unreachable!("dynamics spec");
-        };
-        table.push_row(vec![
-            rule.to_string(),
-            summary.consensus.to_string(),
-            summary.correct.to_string(),
-            format!("{:.3}", summary.share.mean()),
-            format!("{:.0}", summary.rounds.mean()),
-        ]);
-    }
-    cli.emit(&table);
-    Ok(())
+                init: init.clone(),
+                rounds: None,
+            };
+            variant(rule.to_string(), kind, 0x72)
+        }))
+        .collect()
 }
 
 /// T2 — the memory claim of Theorems 1 and 2: `O(log log n + log 1/ε)`
-/// bits per node. Two spec sweeps (over n at fixed ε, over ε at fixed n)
-/// merged with the theory-scale and ratio columns.
-fn run_t2(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let scale = cli.scale;
-    let trials = cli.trials_or(scale.pick(3, 10));
-
-    cli.note("T2: per-node memory footprint vs the log log n + log 1/eps scale\n");
-
-    let mut table = Table::new(vec![
-        "n",
-        "eps",
-        "measured bits/node",
-        "theory scale (bits)",
-        "ratio",
-        "success",
-    ]);
-
-    let mut push_points = |report: &crate::runner::RunReport| {
-        for point in report.points() {
-            let PointSummary::Protocol(summary) = &point.summary else {
-                unreachable!("rumor spec");
-            };
-            let scale_bits = bounds::memory_bound_bits(point.point.n, point.point.eps);
-            table.push_row(vec![
-                point.point.n.to_string(),
-                point.point.eps.to_string(),
-                format!("{:.1}", summary.memory_bits.mean()),
-                format!("{scale_bits:.2}"),
-                format!("{:.2}", summary.memory_bits.mean() / scale_bits),
-                summary.success.to_string(),
-            ]);
+/// bits per node. Two rumor sweeps, over n at ε = 0.25 and over ε at fixed
+/// n, each with an `n` and an `eps` column; `memory_bits_norm` divides the
+/// measured bits by `log₂ log₂ n + log₂(1/ε)`. The ratio stays bounded by a
+/// modest constant across two orders of magnitude in n, which is the
+/// claim at simulable sizes.
+fn t2_variants(scale: Scale) -> Vec<Variant> {
+    let variant = |label: &str, mut spec: ScenarioSpec, seed: u64| {
+        spec.trials = scale.pick(3, 10);
+        spec.seed = seed;
+        spec.metrics = vec![Metric::MemoryBits, Metric::MemoryBitsNorm, Metric::Success];
+        Variant {
+            label: label.to_string(),
+            spec,
         }
     };
-
-    // Sweep n at fixed eps.
-    let mut spec = ScenarioSpec::new(ScenarioKind::RumorSpreading { source: 0 }, 2_000, 3);
-    spec.epsilon = 0.25;
-    spec.noise = NoiseSpec::Uniform { epsilon: 0.25 };
-    spec.trials = trials;
-    spec.seed = 0x72;
-    spec.sweep.n = scale.pick(vec![1_000, 4_000, 16_000], vec![1_000, 4_000, 16_000, 64_000]);
-    apply_cli(&mut spec, cli);
-    push_points(&Runner::new(spec)?.run()?);
-
-    // Sweep eps at fixed n.
-    let mut spec =
-        ScenarioSpec::new(ScenarioKind::RumorSpreading { source: 0 }, scale.pick(2_000, 10_000), 3);
-    spec.trials = trials;
-    spec.seed = 0x73;
-    spec.sweep.eps = vec![0.1, 0.2, 0.4];
-    apply_cli(&mut spec, cli);
-    push_points(&Runner::new(spec)?.run()?);
-
-    cli.emit(&table);
-    cli.note("");
-    cli.note(
-        "(the ratio stays bounded by a modest constant across two orders of magnitude in n,\n\
-         which is the O(log log n + log 1/eps) claim at simulable sizes)",
+    let mut over_n = ScenarioSpec::new(ScenarioKind::RumorSpreading { source: 0 }, 2_000, 3);
+    over_n.epsilon = 0.25;
+    over_n.noise = NoiseSpec::Uniform { epsilon: 0.25 };
+    over_n.sweep.n = scale.pick(
+        vec![1_000, 4_000, 16_000],
+        vec![1_000, 4_000, 16_000, 64_000],
     );
-    Ok(())
+    over_n.sweep.eps = vec![0.25];
+    let n = scale.pick(2_000, 10_000);
+    let mut over_eps = ScenarioSpec::new(ScenarioKind::RumorSpreading { source: 0 }, n, 3);
+    over_eps.sweep.n = vec![n];
+    over_eps.sweep.eps = vec![0.1, 0.2, 0.4];
+    vec![
+        variant("n sweep", over_n, 0x72),
+        variant("eps sweep", over_eps, 0x73),
+    ]
 }
 
 /// A1 — ablations of the protocol's design choices: each variant is the
 /// same rumor spec with different `constants.*` overrides (or a schedule ε
-/// decoupled from the channel ε), run against the same channel.
-fn run_a1(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let scale = cli.scale;
-    let n = scale.pick(2_000, 10_000);
-    let k = 3;
+/// decoupled from the channel ε), run against the same ε = 0.2 channel.
+/// The baseline and the larger-sample variant succeed; starving Stage 2
+/// samples, the Stage-1 final phase, or the schedule's ε costs reliability
+/// — these are the design choices the paper's constants protect.
+fn a1_variants(scale: Scale) -> Vec<Variant> {
     let channel_eps = 0.2;
-    let trials = cli.trials_or(scale.pick(5, 20));
-
-    cli.note(&format!(
-        "A1: protocol ablations (rumor spreading, n = {n}, k = {k}, channel eps = {channel_eps})\n"
-    ));
-
-    let mut table = Table::new(vec!["variant", "success", "rounds", "stage-1 bias"]);
-
-    let defaults = plurality_core::ProtocolConstants::default();
-    // (label, constant overrides, schedule eps) per ablation variant.
-    type Variant = (&'static str, Vec<(&'static str, f64)>, f64);
-    let variants: Vec<Variant> = vec![
-        ("baseline (default constants)", vec![], channel_eps),
-        ("tiny Stage-2 samples (c = 0.25)", vec![("c", 0.25)], channel_eps),
-        ("large Stage-2 samples (c = 12)", vec![("c", 12.0)], channel_eps),
-        (
-            "short Stage-1 final phase (phi = 0.3)",
-            vec![("s", 0.1), ("beta", 0.2), ("phi", 0.3)],
-            channel_eps,
-        ),
-        ("schedule assumes eps = 0.4 (channel has 0.2)", vec![], 0.4),
-    ];
-
-    for (label, overrides, schedule_eps) in variants {
-        let mut spec = ScenarioSpec::new(ScenarioKind::RumorSpreading { source: 0 }, n, k);
+    let variant = |label: &str, overrides: &[(&str, f64)], schedule_eps: f64| {
+        let n = scale.pick(2_000, 10_000);
+        let mut spec = ScenarioSpec::new(ScenarioKind::RumorSpreading { source: 0 }, n, 3);
         spec.epsilon = schedule_eps;
-        // The channel stays at eps = 0.2 even when the schedule assumes
+        // The channel stays at ε = 0.2 even when the schedule assumes
         // more: the noise is pinned explicitly, not derived per point.
         spec.noise = NoiseSpec::Uniform {
             epsilon: channel_eps,
         };
-        spec.constants = defaults;
-        for (name, value) in overrides {
+        for &(name, value) in overrides {
             assert!(spec.constants.set(name, value), "known constant name");
         }
-        spec.trials = trials;
+        spec.trials = scale.pick(5, 20);
         spec.seed = 0xA1;
-        apply_cli(&mut spec, cli);
-        let summary = protocol_point(spec)?;
-        table.push_row(vec![
-            label.to_string(),
-            summary.success.to_string(),
-            format!("{:.0}", summary.rounds.mean()),
-            format!("{:.4}", summary.stage1_bias.mean()),
-        ]);
-    }
-    cli.emit(&table);
-    cli.note("");
-    cli.note(
-        "(the baseline and the larger-sample variant succeed; starving Stage 2 samples, the\n\
-         Stage-1 final phase, or the schedule's eps costs reliability — these are the design\n\
-         choices the paper's constants protect)",
-    );
-    Ok(())
+        spec.metrics = vec![Metric::Success, Metric::Rounds, Metric::Stage1Bias];
+        Variant {
+            label: label.to_string(),
+            spec,
+        }
+    };
+    vec![
+        variant("baseline (default constants)", &[], channel_eps),
+        variant(
+            "tiny Stage-2 samples (c = 0.25)",
+            &[("c", 0.25)],
+            channel_eps,
+        ),
+        variant(
+            "large Stage-2 samples (c = 12)",
+            &[("c", 12.0)],
+            channel_eps,
+        ),
+        variant(
+            "short Stage-1 final phase (phi = 0.3)",
+            &[("s", 0.1), ("beta", 0.2), ("phi", 0.3)],
+            channel_eps,
+        ),
+        variant("schedule assumes eps = 0.4 (channel has 0.2)", &[], 0.4),
+    ]
 }
 
-/// F6 — Section 4: the (ε, δ)-majority-preserving characterization. For
-/// every matrix family the LP computes the worst-case margin; the same
-/// [`NoiseSpec`] then drives an end-to-end plurality spec, and protocol
-/// success should match the LP verdict.
-fn run_f6(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let scale = cli.scale;
-    let n = scale.pick(1_500, 10_000);
-    let trials = cli.trials_or(scale.pick(5, 20));
-    let initial_bias = 0.1;
-
-    let matrices: Vec<(&str, NoiseSpec)> = vec![
-        ("uniform eps=0.2 (k=3)", NoiseSpec::Uniform { epsilon: 0.2 }),
-        ("uniform eps=0.1 (k=3)", NoiseSpec::Uniform { epsilon: 0.1 }),
-        (
-            "diag-dominant counterexample eps=0.05",
-            NoiseSpec::DiagonallyDominant { epsilon: 0.05 },
-        ),
-        (
-            "diag-dominant counterexample eps=0.45",
-            NoiseSpec::DiagonallyDominant { epsilon: 0.45 },
-        ),
-        ("cyclic lambda=0.05 (k=3)", NoiseSpec::Cyclic { lambda: 0.05 }),
-        (
-            "reset->1 lambda=0.4 (k=3)",
-            NoiseSpec::Reset {
-                lambda: 0.4,
-                target: 1,
-            },
-        ),
-        (
-            "band p=0.5 q=[0.24,0.26] (k=3, Eq.17)",
-            NoiseSpec::Band {
-                p: 0.5,
-                q_low: 0.24,
-                q_high: 0.26,
-            },
-        ),
-    ];
-
-    cli.note("F6: (eps, delta)-majority-preservation vs end-to-end protocol success");
-    cli.note(&format!(
-        "(plurality consensus towards opinion 0, n = {n}, initial bias {initial_bias}, {trials} trials)\n"
-    ));
-
-    let mut table = Table::new(vec![
-        "matrix",
-        "LP margin (delta=0.1)",
-        "max eps",
-        "m.p.?",
-        "protocol success",
-    ]);
-
-    for (name, noise_spec) in &matrices {
-        let matrix = noise_spec.build(3)?;
-        let report = matrix.majority_preservation(0, initial_bias)?;
-        // End-to-end: provision the schedule for half the matrix's own
-        // margin (a practitioner would leave headroom; the clamp keeps the
-        // non-m.p. rows, whose margin is 0, on a finite schedule).
-        let protocol_eps = (0.5 * report.max_epsilon()).clamp(0.05, 0.4);
+/// F6 — Section 4: the (ε, δ)-majority-preserving characterization. One
+/// plurality spec (towards opinion 0, initial bias δ = 0.1) per noise
+/// matrix family; the `mp_*` columns give the LP's worst-case margin, the
+/// largest certified ε and its verdict, next to end-to-end success.
+///
+/// The paper predicts that rows with `m.p.? = true` succeed with rate ~1
+/// and rows with `m.p.? = false` fail: the plurality is destroyed by the
+/// channel itself.
+fn f6_variants(scale: Scale) -> Vec<Variant> {
+    let bias = 0.1;
+    let variant = |label: &str, noise: &str| {
+        let noise: NoiseSpec = noise.parse().expect("valid noise spec");
+        let report = noise
+            .build(3)
+            .and_then(|matrix| matrix.majority_preservation(0, bias))
+            .expect("a valid k = 3 matrix");
         let mut spec = ScenarioSpec::new(
             ScenarioKind::PluralityConsensus {
-                init: InitSpec::Biased { bias: initial_bias },
+                init: InitSpec::Biased { bias },
             },
-            n,
+            scale.pick(1_500, 10_000),
             3,
         );
-        spec.epsilon = protocol_eps;
-        spec.noise = noise_spec.clone();
-        spec.trials = trials;
+        // Provision the schedule for half the matrix's own margin (a
+        // practitioner would leave headroom; the clamp keeps the non-m.p.
+        // rows, whose margin is 0, on a finite schedule).
+        spec.epsilon = (0.5 * report.max_epsilon()).clamp(0.05, 0.4);
+        spec.noise = noise;
+        spec.trials = scale.pick(5, 20);
         spec.seed = 0xF6;
-        apply_cli(&mut spec, cli);
-        let summary = protocol_point(spec)?;
-        table.push_row(vec![
-            name.to_string(),
-            format!("{:+.4}", report.worst_margin()),
-            format!("{:.3}", report.max_epsilon()),
-            report.preserves_majority().to_string(),
-            summary.success.to_string(),
-        ]);
-    }
-    cli.emit(&table);
-    cli.note("");
-    cli.note(
-        "paper prediction: rows with 'm.p.? = true' succeed with rate ~1, rows with\n\
-         'm.p.? = false' fail (the plurality is destroyed by the channel itself)",
-    );
-    Ok(())
-}
-
-/// T4 — Lemma 17 (Appendix C): removing the parity assumption. Exact
-/// binomial evaluation of `gap(ℓ) = gap(ℓ+1) ≤ gap(ℓ+2)` for odd ℓ.
-fn run_t4(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    cli.note("T4: parity of the Stage 2 sample size (Lemma 17), exact binomial evaluation\n");
-    let mut table = Table::new(vec![
-        "p1",
-        "ell (odd)",
-        "gap(ell)",
-        "gap(ell+1)",
-        "gap(ell+2)",
-        "gap(ell)=gap(ell+1)",
-        "gap(ell+2)>=gap(ell)",
-    ]);
-    let mut all_hold = true;
-    for &p1 in &[0.5, 0.52, 0.55, 0.6, 0.7, 0.9] {
-        for &ell in &[5u64, 11, 21, 51, 101] {
-            // Lemma 17 is stated for Pr[maj = 1]; the gap version
-            // (Pr[maj=1] − Pr[maj=2]) inherits both relations because the
-            // two probabilities sum to 1.
-            let g0 = bounds::exact_majority_gap_binary(p1, ell);
-            let g1 = bounds::exact_majority_gap_binary(p1, ell + 1);
-            let g2 = bounds::exact_majority_gap_binary(p1, ell + 2);
-            let equal = (g0 - g1).abs() < 1e-9;
-            let monotone = g2 >= g0 - 1e-9;
-            all_hold &= equal && monotone;
-            table.push_row(vec![
-                format!("{p1}"),
-                ell.to_string(),
-                format!("{g0:.6}"),
-                format!("{g1:.6}"),
-                format!("{g2:.6}"),
-                equal.to_string(),
-                monotone.to_string(),
-            ]);
+        spec.metrics = vec![
+            Metric::MpMargin,
+            Metric::MpMaxEps,
+            Metric::MpHolds,
+            Metric::Success,
+        ];
+        Variant {
+            label: label.to_string(),
+            spec,
         }
-    }
-    cli.emit(&table);
-    cli.note("");
-    cli.note(&format!("all Lemma 17 relations hold: {all_hold}"));
-    Ok(())
-}
-
-/// `scale` — the count-based backend at sizes the agent-level simulator
-/// cannot touch: the full two-stage protocol at n = 10⁷ (and n = 10⁸ with
-/// `--full`), timed end to end.
-fn run_scale(cli: &Cli) -> Result<(), Box<dyn Error>> {
-    let scale = cli.scale;
-    let sizes: &[usize] = scale.pick(&[1_000_000, 10_000_000][..], &[10_000_000, 100_000_000][..]);
-    let eps = 0.25;
-    let k = 3;
-
-    let mut table = Table::new(vec![
-        "n", "backend", "rounds", "messages", "winner_share", "succeeded", "seconds",
-    ]);
-    for &n in sizes {
-        let noise = NoiseMatrix::uniform(k, eps)?;
-        // Poissonized delivery is requested *explicitly*: the counting
-        // backend only implements process P, and the semantics-preserving
-        // Auto policy no longer silently swaps an exact-delivery run onto
-        // it — stating the process here keeps Auto resolving to the
-        // O(k²)-per-phase engine these sizes need.
-        let params = ProtocolParams::builder(n, k)
-            .epsilon(eps)
-            .seed(cli.seed_or(7))
-            .delivery(DeliverySemantics::Poissonized)
-            .build()?;
-        let protocol = TwoStageProtocol::new(params, noise)?;
-        let resolved = protocol.resolve(cli.backend_or_auto());
-        // 40% / 30% / 30%: a plurality but far from an absolute majority.
-        let counts = [n * 2 / 5, n * 3 / 10, n - n * 2 / 5 - n * 3 / 10];
-
-        // xlint: allow(determinism-source) — the scale experiment reports wall-clock throughput; timing is the measurement, never an input to the run
-        let start = Instant::now();
-        let outcome = protocol.session().run(
-            cli.backend_or_auto(),
-            Instance::Plurality(&counts),
-            &mut NoObserver,
-        )?;
-        let elapsed = start.elapsed().as_secs_f64();
-
-        let dist = outcome.final_distribution();
-        let share = dist.counts()[0] as f64 / dist.num_nodes() as f64;
-        table.push_row(vec![
-            format!("{n}"),
-            resolved.to_string(),
-            format!("{}", outcome.rounds()),
-            format!("{:.3e}", outcome.messages() as f64),
-            format!("{share:.4}"),
-            format!("{}", outcome.succeeded()),
-            format!("{elapsed:.2}"),
-        ]);
-    }
-    cli.emit(&table);
-    cli.note(
-        "(phases cost O(k^2) draws on the counting backend; the same runs on the\n\
-         agent-level backend would push ~n log n messages individually)",
-    );
-    Ok(())
+    };
+    vec![
+        variant("uniform eps=0.2 (k=3)", "uniform(0.2)"),
+        variant("uniform eps=0.1 (k=3)", "uniform(0.1)"),
+        variant("diag-dominant counterexample eps=0.05", "diag(0.05)"),
+        variant("diag-dominant counterexample eps=0.45", "diag(0.45)"),
+        variant("cyclic lambda=0.05 (k=3)", "cyclic(0.05)"),
+        variant("reset->1 lambda=0.4 (k=3)", "reset(0.4, 1)"),
+        variant(
+            "band p=0.5 q=[0.24,0.26] (k=3, Eq.17)",
+            "band(0.5, 0.24, 0.26)",
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -1071,16 +945,72 @@ mod tests {
     #[test]
     fn spec_backed_entries_produce_round_trippable_specs() {
         for experiment in all() {
-            let Some(spec) = experiment.spec(Scale::Quick) else {
-                continue;
-            };
-            let text = spec.to_text();
-            let parsed = ScenarioSpec::from_text(&text)
-                .unwrap_or_else(|e| panic!("{} spec must parse: {e}", experiment.name));
-            assert_eq!(parsed, spec, "{} round-trips", experiment.name);
+            for Variant { label, spec } in experiment.variants(Scale::Quick) {
+                let text = spec.to_text();
+                let parsed = ScenarioSpec::from_text(&text)
+                    .unwrap_or_else(|e| panic!("{} {label} spec must parse: {e}", experiment.name));
+                assert_eq!(parsed, spec, "{} {label} round-trips", experiment.name);
+            }
         }
         assert!(find("f2").unwrap().is_spec());
         assert!(!find("t1").unwrap().is_spec());
+        assert!(find("t1").unwrap().spec(Scale::Quick).is_none());
+    }
+
+    #[test]
+    fn the_variants_of_each_list_share_one_header_row() {
+        for experiment in all().iter().filter(|e| !e.is_spec()) {
+            for scale in [Scale::Quick, Scale::Full] {
+                let variants = experiment.variants(scale);
+                assert!(variants.len() >= 2, "{} lists variants", experiment.name);
+                let first = crate::runner::headers(&variants[0].spec);
+                for variant in &variants {
+                    assert_eq!(
+                        crate::runner::headers(&variant.spec),
+                        first,
+                        "{} {} at {scale:?}",
+                        experiment.name,
+                        variant.label
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn t4_report_satisfies_lemma_17() {
+        let report = Runner::new(t4_spec(Scale::Quick)).unwrap().run().unwrap();
+        assert_eq!(report.points().len(), 90);
+        let exact = |ell: u64, delta: f64| {
+            report
+                .points()
+                .iter()
+                .find(|p| p.point.ell == Some(ell) && p.point.delta == Some(delta))
+                .and_then(|p| match &p.summary {
+                    crate::runner::PointSummary::Gap(gap) => gap.exact,
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("no exact gap at ell = {ell}, delta = {delta}"))
+        };
+        let spec = report.spec();
+        // The ℓ axis holds each odd ℓ next to ℓ+1 and ℓ+2.
+        for triple in spec.sweep.ell.chunks(3) {
+            let ell = triple[0];
+            assert_eq!((ell % 2, triple), (1, &[ell, ell + 1, ell + 2][..]));
+            for &delta in &spec.sweep.delta {
+                let (g0, g1, g2) = (
+                    exact(ell, delta),
+                    exact(ell + 1, delta),
+                    exact(ell + 2, delta),
+                );
+                assert!(
+                    (g0 - g1).abs() < 1e-9,
+                    "gap({ell}) != gap({}) at {delta}",
+                    ell + 1
+                );
+                assert!(g2 >= g0 - 1e-9, "gap({}) < gap({ell}) at {delta}", ell + 2);
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! `topology`, `fault`),
 //! executes every point for the requested number of trials on the
 //! requested [`ExecutionBackend`], and returns a structured [`RunReport`].
-//! [`RunReport::to_table`] renders the report; callers that need bespoke
-//! tables (the registry's composite experiments) read the typed summaries
-//! directly.
+//! [`RunReport::to_table`] renders the report; [`headers`] and
+//! [`point_rows`] render the same rows piecewise (the registry's variant
+//! tables, the streaming path and the service's cell cache).
 //!
 //! What a point *reports* is the spec's [`ObserveMode`]:
 //!
@@ -42,7 +42,7 @@ use gossip_analysis::observe::{
 use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::{json_line, Table};
-use noisy_channel::NoiseMatrix;
+use noisy_channel::{MpReport, NoiseMatrix};
 use opinion_dynamics::{DynamicsOutcome, RuleSpec};
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
 use plurality_core::{
@@ -361,14 +361,17 @@ pub fn point_rows(spec: &ScenarioSpec, result: &PointResult) -> Vec<Vec<String>>
         _ => {
             let metrics = spec.effective_metrics();
             vec![with_prefix(
-                metrics.iter().map(|&m| format_metric(m, result)).collect(),
+                metrics
+                    .iter()
+                    .map(|&m| format_metric(m, spec, result))
+                    .collect(),
             )]
         }
     }
 }
 
 /// Renders one metric cell for one executed point.
-fn format_metric(metric: Metric, result: &PointResult) -> String {
+fn format_metric(metric: Metric, spec: &ScenarioSpec, result: &PointResult) -> String {
     let point = &result.point;
     let mean_or_dash = |stats: &SampleStats, render: &dyn Fn(f64) -> String| {
         if stats.is_empty() {
@@ -376,6 +379,15 @@ fn format_metric(metric: Metric, result: &PointResult) -> String {
         } else {
             render(stats.mean())
         }
+    };
+    // The majority-preservation LP of the point's noise matrix at its
+    // initial bias; "-" where it is undefined (a zero bias).
+    let mp = |render: &dyn Fn(&MpReport) -> String| {
+        point_noise(spec, point)
+            .ok()
+            .zip(point.bias)
+            .and_then(|(matrix, bias)| matrix.majority_preservation(0, bias).ok())
+            .map_or_else(|| "-".to_string(), |report| render(&report))
     };
     match &result.summary {
         PointSummary::Protocol(s) => match metric {
@@ -391,9 +403,16 @@ fn format_metric(metric: Metric, result: &PointResult) -> String {
                 mean_or_dash(&s.stage1_bias, &|m| format!("{:.2}", m / threshold))
             }
             Metric::MemoryBits => format!("{:.1}", s.memory_bits.mean()),
+            Metric::MemoryBitsNorm => format!(
+                "{:.2}",
+                s.memory_bits.mean() / bounds::memory_bound_bits(point.n, point.eps)
+            ),
             Metric::Consensus => s.consensus.to_string(),
             Metric::Correct => s.correct.to_string(),
             Metric::Share => format!("{:.3}", s.share.mean()),
+            Metric::MpMargin => mp(&|r| format!("{:+.4}", r.worst_margin())),
+            Metric::MpMaxEps => mp(&|r| format!("{:.3}", r.max_epsilon())),
+            Metric::MpHolds => mp(&|r| r.preserves_majority().to_string()),
             // validate() restricts metrics per kind.
             other => unreachable!("metric {other} on a protocol scenario"),
         },
@@ -893,8 +912,7 @@ pub(crate) fn point_config(point: &GridPoint) -> SimConfigBuilder {
 
 /// The protocol parameters (at the spec's base seed) and the noise matrix
 /// of one grid point — the per-point construction the runner and the
-/// campaign engine share. Sweeping `eps` re-parameterizes ε-families of
-/// noise too.
+/// campaign engine share.
 pub(crate) fn point_protocol(
     spec: &ScenarioSpec,
     point: &GridPoint,
@@ -910,12 +928,18 @@ pub(crate) fn point_protocol(
         .clock(point.clock)
         .constants(spec.constants)
         .build()?;
+    Ok((params, point_noise(spec, point)?))
+}
+
+/// The noise matrix of one grid point. Sweeping `eps` re-parameterizes
+/// ε-families of noise too.
+fn point_noise(spec: &ScenarioSpec, point: &GridPoint) -> Result<NoiseMatrix, SpecError> {
     let noise = if spec.sweep.eps.is_empty() {
         spec.noise.clone()
     } else {
         spec.noise.with_epsilon(point.eps)
     };
-    Ok((params, noise.build(point.k)?))
+    Ok(noise.build(point.k)?)
 }
 
 /// The initial counts of one grid point (empty for the kinds without an

@@ -298,7 +298,9 @@ impl SweepAxes {
 
 /// A result column a scenario can report.
 ///
-/// Protocol scenarios (rumor / plurality / stage2) support every metric;
+/// Protocol scenarios (rumor / plurality / stage2) support every metric
+/// but the `gap` and `phase` columns, the `mp_*` columns only with a
+/// `bias = …` initial configuration;
 /// dynamics scenarios support [`Consensus`](Metric::Consensus),
 /// [`Correct`](Metric::Correct), [`Share`](Metric::Share) and
 /// [`Rounds`](Metric::Rounds).
@@ -318,12 +320,24 @@ pub enum Metric {
     Stage1BiasNorm,
     /// Mean per-node memory footprint in bits.
     MemoryBits,
+    /// Mean memory footprint normalized by the paper's
+    /// `log₂ log₂ n + log₂(1/ε)` bound.
+    MemoryBitsNorm,
     /// Exact-consensus rate (any opinion), Wilson interval.
     Consensus,
     /// Correct-plurality rate (the plurality opinion wins), Wilson interval.
     Correct,
     /// Mean final share of the plurality opinion.
     Share,
+    /// The worst-case margin of the (ε, δ)-majority-preservation LP of the
+    /// point's noise matrix at its initial bias δ (Section 4; protocol
+    /// scenarios with a `bias = …` initial configuration).
+    MpMargin,
+    /// The largest ε for which that LP certifies majority preservation.
+    MpMaxEps,
+    /// Whether the point's noise matrix preserves the majority at its
+    /// initial bias.
+    MpHolds,
     /// Monte-Carlo sample-majority gap (`gap` scenarios).
     Gap,
     /// The Proposition 1 analytic lower bound (`gap` scenarios).
@@ -349,7 +363,7 @@ pub enum Metric {
 
 impl Metric {
     /// All metrics, in canonical order.
-    pub const ALL: [Metric; 19] = [
+    pub const ALL: [Metric; 23] = [
         Metric::Success,
         Metric::Rounds,
         Metric::RoundsNorm,
@@ -357,9 +371,13 @@ impl Metric {
         Metric::Stage1Bias,
         Metric::Stage1BiasNorm,
         Metric::MemoryBits,
+        Metric::MemoryBitsNorm,
         Metric::Consensus,
         Metric::Correct,
         Metric::Share,
+        Metric::MpMargin,
+        Metric::MpMaxEps,
+        Metric::MpHolds,
         Metric::Gap,
         Metric::GapBound,
         Metric::GapExact,
@@ -381,9 +399,13 @@ impl Metric {
             Metric::Stage1Bias => "stage1_bias",
             Metric::Stage1BiasNorm => "stage1_bias_norm",
             Metric::MemoryBits => "memory_bits",
+            Metric::MemoryBitsNorm => "memory_bits_norm",
             Metric::Consensus => "consensus",
             Metric::Correct => "correct",
             Metric::Share => "share",
+            Metric::MpMargin => "mp_margin",
+            Metric::MpMaxEps => "mp_max_eps",
+            Metric::MpHolds => "mp_holds",
             Metric::Gap => "gap",
             Metric::GapBound => "gap_bound",
             Metric::GapExact => "gap_exact",
@@ -406,9 +428,13 @@ impl Metric {
             Metric::Stage1Bias => "stage-1 bias",
             Metric::Stage1BiasNorm => "stage-1 bias / threshold",
             Metric::MemoryBits => "memory bits/node",
+            Metric::MemoryBitsNorm => "memory bits / (log log n + log 1/eps)",
             Metric::Consensus => "exact consensus",
             Metric::Correct => "correct plurality",
             Metric::Share => "mean plurality share",
+            Metric::MpMargin => "LP margin",
+            Metric::MpMaxEps => "max eps",
+            Metric::MpHolds => "m.p.?",
             Metric::Gap => "measured gap",
             Metric::GapBound => "Prop.1 bound",
             Metric::GapExact => "exact (k=2)",
@@ -443,11 +469,12 @@ impl Metric {
                 | Metric::FracReceived
                 | Metric::Adopt0
         );
+        let mp = matches!(self, Metric::MpMargin | Metric::MpMaxEps | Metric::MpHolds);
         match kind {
             ScenarioKind::SampleMajorityGap { .. } => gap,
             ScenarioKind::PhaseStats { .. } => phase,
             ScenarioKind::DynamicsRule { .. } => self.supports_dynamics(),
-            _ => !gap && !phase,
+            _ => !gap && !phase && (!mp || matches!(kind.init(), Some(InitSpec::Biased { .. }))),
         }
     }
 
@@ -658,6 +685,14 @@ impl ScenarioSpec {
         } else {
             &self.sweep.k
         };
+        // Gap points build no network, so no admission checks their k.
+        if let (ScenarioKind::SampleMajorityGap { .. }, Some(&bad)) =
+            (&self.kind, ks.iter().find(|&&k| k < 2))
+        {
+            return Err(SpecError::Invalid(format!(
+                "gap scenarios need at least two opinions, not k = {bad}"
+            )));
+        }
         if let ScenarioKind::RumorSpreading { source } = self.kind {
             if let Some(&bad) = ks.iter().find(|&&k| source >= k) {
                 return Err(SpecError::Invalid(format!(
@@ -1807,6 +1842,42 @@ mod tests {
         assert!(spec.validate().is_err(), "stage-1 bias is protocol-only");
         spec.metrics = vec![Metric::Share, Metric::Rounds];
         assert!(spec.validate().is_ok());
+
+        // The LP verdict needs an initial bias to evaluate the matrix at.
+        let mut spec = rumor_spec();
+        spec.metrics = vec![Metric::MpHolds];
+        assert!(
+            spec.validate().is_err(),
+            "rumor scenarios have no initial bias"
+        );
+        spec.kind = ScenarioKind::PluralityConsensus {
+            init: InitSpec::Counts(vec![60, 40]),
+        };
+        spec.k = 2;
+        assert!(
+            spec.validate().is_err(),
+            "explicit counts carry no bias value"
+        );
+        spec.kind = ScenarioKind::PluralityConsensus {
+            init: InitSpec::Biased { bias: 0.1 },
+        };
+        assert!(spec.validate().is_ok());
+
+        // Gap points build no network, so no admission checks their k.
+        let gap = "scenario = gap\nell = 25\ndelta = 0.1\nn = 1\n";
+        for k in [
+            "k = 1",
+            "k = 0",
+            "k = 2\nsweep.k = 2, 1",
+            "k = 3\nsweep.k = 0",
+        ] {
+            let result = ScenarioSpec::from_text(&format!("{gap}{k}\n"));
+            assert!(
+                matches!(&result, Err(SpecError::Invalid(m)) if m.contains("two opinions")),
+                "{k}: {result:?}"
+            );
+        }
+        assert!(ScenarioSpec::from_text(&format!("{gap}k = 2\nsweep.k = 2, 3\n")).is_ok());
     }
 
     #[test]

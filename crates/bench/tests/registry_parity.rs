@@ -63,3 +63,17 @@ fn f5_streamed_output_matches_the_pinned_fixture_too() {
     Runner::new(spec).unwrap().run_streamed(&mut out).unwrap();
     assert_eq!(String::from_utf8(out).unwrap(), F5_PRE_REDESIGN);
 }
+
+#[test]
+fn scale_spec_reproduces_the_bespoke_scale_numbers() {
+    // The rounds, messages and 1/1 success the bespoke `scale` table
+    // printed (seed 7, n = 10⁶ and 10⁷, 40/30/30 split, Poissonized
+    // delivery on the counting backend) before it became a plurality spec.
+    assert_eq!(
+        registry_json("scale"),
+        "{\"n\":1000000,\"rounds\":4010,\"messages\":4.01e9,\"mean plurality share\":1.000,\
+         \"success\":\"1/1 = 1.000 [0.207, 1.000]\"}\n\
+         {\"n\":10000000,\"rounds\":4710,\"messages\":4.71e10,\"mean plurality share\":1.000,\
+         \"success\":\"1/1 = 1.000 [0.207, 1.000]\"}\n"
+    );
+}

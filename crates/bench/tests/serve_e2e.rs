@@ -151,13 +151,15 @@ fn sweep_cells_are_reused_across_submissions() {
     handle.shutdown_and_wait();
 }
 
-/// A spec that fails backend admission is refused at POST time with a
-/// 400, before it can reach (and kill) the only worker: the next job
-/// still runs to completion.
+/// A spec that fails backend admission, or a `gap` spec with fewer than
+/// two opinions (no network, so no admission, checks its k), is refused
+/// at POST time with a 400, before it can reach (and kill) the only
+/// worker: the next job still runs to completion.
 #[test]
 fn specs_failing_admission_are_refused_and_the_worker_stays_free() {
     let refused = "scenario = rumor\nn = 256\nk = 2\nepsilon = 0.3\n\
                    delivery = poisson\ntopology = ring\nbackend = agent\n";
+    let gap_k1 = "scenario = gap\nell = 25\ndelta = 0.1\nn = 1\nk = 1\ntrials = 100\nseed = 1\n";
     let handle = Server::start(
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -168,14 +170,12 @@ fn specs_failing_admission_are_refused_and_the_worker_stays_free() {
     )
     .expect("server starts");
     let addr = handle.addr();
-    let response =
-        http::request(addr, "POST", "/v1/runs", refused.as_bytes()).expect("submit completes");
-    assert_eq!(response.status, 400, "{}", response.text());
-    assert!(
-        response.text().contains("agent backend"),
-        "{}",
-        response.text()
-    );
+    for (body, reason) in [(refused, "agent backend"), (gap_k1, "two opinions")] {
+        let response =
+            http::request(addr, "POST", "/v1/runs", body.as_bytes()).expect("submit completes");
+        assert_eq!(response.status, 400, "{}", response.text());
+        assert!(response.text().contains(reason), "{}", response.text());
+    }
 
     let next = submit(
         addr,

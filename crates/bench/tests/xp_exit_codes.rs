@@ -1,7 +1,7 @@
 //! `xp`'s exit codes for a spec source that yields no spec, driven through
 //! the built binary: every command that takes a spec agrees that unknown
-//! names, unreadable paths and composites are usage errors (exit 2) and a
-//! file that reads but does not parse is a run failure (exit 1).
+//! names, unreadable paths and variant entries are usage errors (exit 2)
+//! and a file that reads but does not parse is a run failure (exit 1).
 
 use std::process::Command;
 
@@ -35,12 +35,18 @@ fn a_spec_file_that_does_not_parse_exits_1_everywhere() {
 }
 
 #[test]
-fn composites_exit_2_wherever_one_spec_is_needed() {
-    for args in [&["show", "t1"][..], &["campaign", "t1"], &["load", "t1"]] {
+fn variant_entries_exit_2_wherever_one_spec_is_needed() {
+    for args in [&["campaign", "t1"][..], &["load", "t1"]] {
         let (code, stderr) = xp(args);
         assert_eq!(code, 2, "xp {args:?}: {stderr}");
-        assert!(stderr.contains("composite"), "xp {args:?}: {stderr}");
+        assert!(
+            stderr.contains("variant experiment"),
+            "xp {args:?}: {stderr}"
+        );
     }
+    // `xp show` prints every variant's spec instead.
+    let (code, stderr) = xp(&["show", "t1"]);
+    assert_eq!(code, 0, "xp show t1: {stderr}");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use pushsim::{ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule,
 /// unspecified, requiring only `φ > β > s > 0` for Stage 1 and a
 /// "large-enough constant" `c` for Stage 2. The defaults here were calibrated
 /// so that the protocol succeeds with high probability at the network sizes
-/// the experiment harness simulates (see EXPERIMENTS.md); they can be
+/// the experiment harness simulates (`xp list`; see README); they can be
 /// overridden through the [`ProtocolParamsBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConstants {
@@ -36,8 +36,8 @@ impl Default for ProtocolConstants {
         // be large enough that the factor comfortably exceeds e even for the
         // weaker multinomial margins at k > 2, and `c_final` must make the
         // per-node error probability of the last phase o(1/n). The values
-        // below give >= 95% success across the experiment grid of
-        // EXPERIMENTS.md while keeping the total round count within a small
+        // below give >= 95% success across the registry's experiment grid
+        // (`xp list`) while keeping the total round count within a small
         // constant of log n / eps^2.
         Self {
             s: 1.0,
@@ -323,19 +323,6 @@ impl ProtocolParams {
             stage2_sample_sizes: stage2,
         }
     }
-
-    /// The paper's asymptotic round bound `log n / ε²` (Theorems 1 and 2),
-    /// without constants — useful for normalizing measured round counts.
-    pub fn theoretical_round_scale(&self) -> f64 {
-        (self.num_nodes as f64).ln() / (self.epsilon * self.epsilon)
-    }
-
-    /// The paper's memory bound `log log n + log(1/ε)` in bits (Theorems 1
-    /// and 2), without constants.
-    pub fn theoretical_memory_scale_bits(&self) -> f64 {
-        let n = self.num_nodes as f64;
-        n.ln().max(1.0).log2() + (1.0 / self.epsilon).log2()
-    }
 }
 
 /// Rounds `x` up to the next odd integer (the Stage 2 analysis assumes odd
@@ -575,12 +562,10 @@ mod tests {
 
     #[test]
     fn theoretical_scales_are_monotone() {
-        let small = ProtocolParams::builder(1_000, 3).epsilon(0.2).build().unwrap();
-        let large = ProtocolParams::builder(100_000, 3).epsilon(0.2).build().unwrap();
-        assert!(large.theoretical_round_scale() > small.theoretical_round_scale());
-        assert!(large.theoretical_memory_scale_bits() > small.theoretical_memory_scale_bits());
-        let noisy = ProtocolParams::builder(1_000, 3).epsilon(0.05).build().unwrap();
-        assert!(noisy.theoretical_round_scale() > small.theoretical_round_scale());
+        use crate::bounds::{memory_bound_bits, rounds_bound};
+        assert!(rounds_bound(100_000, 0.2) > rounds_bound(1_000, 0.2));
+        assert!(memory_bound_bits(100_000, 0.2) > memory_bound_bits(1_000, 0.2));
+        assert!(rounds_bound(1_000, 0.05) > rounds_bound(1_000, 0.2));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! admissible parameter range, because every experiment derives its round
 //! budget from it.
 
-use plurality_core::{ProtocolConstants, ProtocolParams};
+use plurality_core::{bounds, ProtocolConstants, ProtocolParams};
 use proptest::prelude::*;
 
 fn params(n: usize, k: usize, eps: f64, constants: ProtocolConstants) -> ProtocolParams {
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let p = params(n, 3, eps, constants);
         let total = p.schedule().total_rounds() as f64;
-        let scale = p.theoretical_round_scale();
+        let scale = bounds::rounds_bound(n, eps);
         let normalized = total / scale;
         // Very generous envelope: the point is that the ratio cannot blow up
         // with n or eps, only with the constants (bounded by the strategy).

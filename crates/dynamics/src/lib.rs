@@ -2,7 +2,7 @@
 //!
 //! Baseline opinion dynamics running under the same **noisy uniform push
 //! model** as the main protocol, used by the experiment harness as
-//! comparators (experiment T1 of DESIGN.md).
+//! comparators (experiment T1; `xp show t1` prints its specs).
 //!
 //! The paper's related-work section points at several elementary dynamics
 //! that solve (noiseless) plurality or majority consensus:

@@ -130,7 +130,7 @@ impl std::str::FromStr for ExecutionBackend {
 
     /// Parses `"agent"`, `"counting"`, `"blockcounting"` (also spelled
     /// `"block-counting"` or `"block"`) or `"auto"` (case-insensitive) —
-    /// the spelling used by the experiment binaries' `--backend` flag.
+    /// the spelling of the `--backend` flag of `xp`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "agent" => Ok(ExecutionBackend::Agent),

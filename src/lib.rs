@@ -30,9 +30,9 @@
 //!   [`Runner`](bench::runner::Runner)) and the registry behind the `xp`
 //!   experiment driver.
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index,
-//! and `EXPERIMENTS.md` for the paper-vs-measured comparison produced by the
-//! `noisy-bench` experiment binaries.
+//! See `README.md` for the system inventory and the paper-to-code map, and
+//! `xp list` (the `noisy-bench` binary) for the registered experiments that
+//! reproduce the paper's figures and tables.
 //!
 //! # Quickstart
 //!
