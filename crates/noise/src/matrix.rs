@@ -4,65 +4,46 @@ use crate::error::NoiseError;
 use crate::{sampling, STOCHASTIC_TOLERANCE};
 use rand::Rng;
 
-/// A Walker/Vose alias table for one matrix row: O(1) sampling of the
-/// received opinion, regardless of `k`.
+/// Appends the Walker/Vose alias table of one matrix row to `table`: one
+/// (acceptance probability, fallback outcome) pair per column, so that
+/// sampling the received opinion is O(1) regardless of `k`.
 ///
 /// Construction is the standard two-stack pairing of under-full and
 /// over-full columns; sampling draws one uniform column index and one
 /// uniform coin. Compared to the previous inverse-CDF binary search this
 /// removes the `log k` factor *and* the data-dependent branch pattern from
 /// the per-message hot path.
-#[derive(Debug, Clone, PartialEq)]
-struct AliasTable {
-    /// Acceptance probability of each column.
-    prob: Vec<f64>,
-    /// Fallback outcome of each column.
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    fn new(weights: &[f64]) -> Self {
-        let k = weights.len();
-        debug_assert!(k > 0);
-        let total: f64 = weights.iter().sum();
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * k as f64 / total).collect();
-        let mut prob = vec![0.0f64; k];
-        let mut alias: Vec<usize> = (0..k).collect();
-        let mut small: Vec<usize> = Vec::with_capacity(k);
-        let mut large: Vec<usize> = Vec::with_capacity(k);
-        for (j, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(j);
-            } else {
-                large.push(j);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            prob[s] = scaled[s];
-            alias[s] = l;
-            scaled[l] -= 1.0 - scaled[s];
-            if scaled[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers on either stack are exactly-full columns up to rounding.
-        for j in small.into_iter().chain(large) {
-            prob[j] = 1.0;
-        }
-        Self { prob, alias }
-    }
-
-    #[inline]
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let j = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[j] {
-            j
+fn push_alias_row(weights: &[f64], table: &mut Vec<(f64, usize)>) {
+    let k = weights.len();
+    debug_assert!(k > 0);
+    let total: f64 = weights.iter().sum();
+    let mut scaled: Vec<f64> = weights.iter().map(|&w| w * k as f64 / total).collect();
+    let mut prob = vec![0.0f64; k];
+    let mut alias: Vec<usize> = (0..k).collect();
+    let mut small: Vec<usize> = Vec::with_capacity(k);
+    let mut large: Vec<usize> = Vec::with_capacity(k);
+    for (j, &s) in scaled.iter().enumerate() {
+        if s < 1.0 {
+            small.push(j);
         } else {
-            self.alias[j]
+            large.push(j);
         }
     }
+    while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+        small.pop();
+        prob[s] = scaled[s];
+        alias[s] = l;
+        scaled[l] -= 1.0 - scaled[s];
+        if scaled[l] < 1.0 {
+            large.pop();
+            small.push(l);
+        }
+    }
+    // Leftovers on either stack are exactly-full columns up to rounding.
+    for j in small.into_iter().chain(large) {
+        prob[j] = 1.0;
+    }
+    table.extend(prob.into_iter().zip(alias));
 }
 
 /// A `k × k` row-stochastic noise matrix `P = (p_{i,j})`.
@@ -99,8 +80,11 @@ impl AliasTable {
 pub struct NoiseMatrix {
     /// Row-major entries.
     rows: Vec<Vec<f64>>,
-    /// Per-row alias tables for O(1) sampling.
-    alias: Vec<AliasTable>,
+    /// The alias tables of all rows in one flat row-major `k × k` array:
+    /// entry `i·k + j` is column `j` of row `i`'s table, its acceptance
+    /// probability and its fallback outcome. A sample reads one pair, with
+    /// no pointer to follow per row.
+    alias: Vec<(f64, usize)>,
 }
 
 impl NoiseMatrix {
@@ -142,7 +126,10 @@ impl NoiseMatrix {
                 return Err(NoiseError::NotStochastic { row: i, sum });
             }
         }
-        let alias = rows.iter().map(|row| AliasTable::new(row)).collect();
+        let mut alias = Vec::with_capacity(k * k);
+        for row in &rows {
+            push_alias_row(row, &mut alias);
+        }
         Ok(Self { rows, alias })
     }
 
@@ -243,9 +230,18 @@ impl NoiseMatrix {
     /// # Panics
     ///
     /// Panics if `input` is out of range.
-    #[inline]
+    // Inlined into every per-message loop, so the caller's generator can
+    // stay in registers.
+    #[inline(always)]
     pub fn sample<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> usize {
-        self.alias[input].sample(rng)
+        let k = self.rows.len();
+        let j = rng.gen_range(0..k);
+        let (accept, fallback) = self.alias[input * k + j];
+        if rng.gen::<f64>() < accept {
+            j
+        } else {
+            fallback
+        }
     }
 
     /// Re-colors `count` identical copies of opinion `input` through the

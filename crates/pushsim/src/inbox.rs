@@ -53,10 +53,19 @@ impl Inboxes {
         self.total_messages = 0;
     }
 
-    /// Records the delivery of one message with `opinion` to `node`.
+    /// Records the delivery of one message with `opinion` to `node`,
+    /// leaving the phase's message total to
+    /// [`add_delivered`](Self::add_delivered): a push round counts its
+    /// deliveries in a local and adds them once.
+    #[inline]
     pub(crate) fn deliver(&mut self, node: usize, opinion: usize) {
         self.counts[node * self.num_opinions + opinion] += 1;
-        self.total_messages += 1;
+    }
+
+    /// Adds `count` messages recorded by [`deliver`](Self::deliver) to the
+    /// phase's message total.
+    pub(crate) fn add_delivered(&mut self, count: u64) {
+        self.total_messages += count;
     }
 
     /// Records the delivery of `count` copies of `opinion` to `node`.
@@ -265,6 +274,7 @@ mod tests {
         inboxes.deliver(0, 0);
         inboxes.deliver(0, 0);
         inboxes.deliver(0, 2);
+        inboxes.add_delivered(3);
         inboxes.deliver_many(1, 1, 5);
         inboxes
     }

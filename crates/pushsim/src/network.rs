@@ -9,7 +9,7 @@ use crate::inbox::Inboxes;
 use crate::opinion::{NodeState, Opinion};
 use crate::poisson;
 use crate::temporal::{ChurnSpec, ClockSpec, NoiseSchedule, CHURN_SEED_SALT, CLOCK_SEED_SALT};
-use crate::topology::Topology;
+use crate::topology::{AnyNode, Route, Topology};
 use noisy_channel::{sampling, NoiseMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -228,6 +228,216 @@ struct AgentTemporal {
     /// precedes phase `b`) is applied when this equals `b` at
     /// `begin_phase`.
     phases_completed: u64,
+}
+
+/// The per-agent checks of a gated push round: the fault override and
+/// the clock gate. A round in which neither applies skips them.
+struct Gate<'a> {
+    /// The Byzantine members and the opinion they always push.
+    byzantine: Option<(&'a [bool], Opinion)>,
+    /// The crashed members once their crash phase has ended, empty before.
+    crashed: &'a [bool],
+    clock: Option<&'a mut AgentClock>,
+    /// The global tick of the round.
+    tick: u64,
+}
+
+impl Gate<'_> {
+    /// `true` if some agent may be overridden or silenced this round.
+    fn applies(&self) -> bool {
+        self.byzantine.is_some() || !self.crashed.is_empty() || self.clock.is_some()
+    }
+
+    /// The fault override of `node`: `Some` of what it pushes if it is
+    /// Byzantine (its fixed opinion) or crashed (nothing), so that it does
+    /// not consult `decide`; `None` otherwise. (Agents admitted by churn
+    /// sit past the end of the membership vectors and are never faulty.)
+    #[inline]
+    fn fixed(&self, node: usize) -> Option<Option<Opinion>> {
+        match self.byzantine {
+            Some((members, opinion)) if members.get(node) == Some(&true) => Some(Some(opinion)),
+            _ => (self.crashed.get(node) == Some(&true)).then_some(None),
+        }
+    }
+
+    /// `true` unless `node`'s local clock misses the round's tick.
+    #[inline]
+    fn clock_allows(&mut self, node: usize) -> bool {
+        let tick = self.tick;
+        self.clock.as_mut().is_none_or(|c| c.allows(node, tick))
+    }
+}
+
+/// The agents of a push round: their states, the callback that picks
+/// their pushes, and the gate that may override or silence them.
+struct Agents<'a, F> {
+    states: &'a [NodeState],
+    decide: F,
+    /// The number of opinions, which bounds what `decide` may return.
+    k: usize,
+    gate: Gate<'a>,
+}
+
+impl<F: FnMut(usize, NodeState) -> Option<Opinion>> Agents<'_, F> {
+    /// Runs the round's agent loop along `route` through `delivery`,
+    /// specialised for whether the gate applies. Returns the pushes sent
+    /// and the messages that reached an inbox.
+    fn push<R: Route, D: Delivery>(self, route: R, delivery: D, rng: &mut StdRng) -> (u64, u64) {
+        if self.gate.applies() {
+            self.push_each::<R, D, true>(route, delivery, rng)
+        } else {
+            self.push_each::<R, D, false>(route, delivery, rng)
+        }
+    }
+
+    /// The agent loop of [`Network::push_round`], written once and
+    /// specialised per round by the route `R`, the delivery `D` and
+    /// whether the gate's checks apply.
+    #[inline]
+    fn push_each<R: Route, D: Delivery, const GATED: bool>(
+        mut self,
+        route: R,
+        mut delivery: D,
+        rng: &mut StdRng,
+    ) -> (u64, u64) {
+        let (mut sent, mut delivered) = (0u64, 0u64);
+        for (node, &state) in self.states.iter().enumerate() {
+            // Byzantine agents always push their fixed opinion and crashed
+            // agents whose crash phase has ended push nothing; neither
+            // consults `decide`.
+            let fixed = if GATED { self.gate.fixed(node) } else { None };
+            let Some(opinion) = fixed.unwrap_or_else(|| (self.decide)(node, state)) else {
+                continue;
+            };
+            assert!(
+                opinion.index() < self.k,
+                "decide returned {opinion} but the system has {} opinions",
+                self.k
+            );
+            // Clock gate: an agent whose local clock misses this tick
+            // stays silent (the receive path is unaffected).
+            if GATED && !self.gate.clock_allows(node) {
+                continue;
+            }
+            if !route.can_push(node) {
+                continue;
+            }
+            sent += 1;
+            delivered += delivery.push(node, opinion.index(), &route, rng);
+        }
+        (sent, delivered)
+    }
+}
+
+/// How a push round delivers each push, fixed for the round.
+trait Delivery {
+    /// Delivers one push of `opinion` from `node` along `route` — or,
+    /// under process B or P, counts it for `end_phase` — and returns how
+    /// many messages reached an inbox.
+    fn push<R: Route>(&mut self, node: usize, opinion: usize, route: &R, rng: &mut StdRng) -> u64;
+}
+
+/// Process O without faults: the noise, then the destination, both drawn
+/// from the delivery stream.
+struct Exact<'a> {
+    noise: &'a NoiseMatrix,
+    inboxes: &'a mut Inboxes,
+}
+
+impl Delivery for Exact<'_> {
+    // The per-message hot path: out of line, the delivery stream would
+    // leave registers for every message.
+    #[inline(always)]
+    fn push<R: Route>(&mut self, node: usize, opinion: usize, route: &R, rng: &mut StdRng) -> u64 {
+        let received_as = self.noise.sample(opinion, rng);
+        self.inboxes
+            .deliver(route.destination(node, rng), received_as);
+        1
+    }
+}
+
+/// Process O under faults: the drop, duplicate and delay coins and the
+/// duplicate's destination come from the fault stream; the noise and the
+/// original's destination from the delivery stream.
+struct ExactFaulty<'a> {
+    noise: &'a NoiseMatrix,
+    inboxes: &'a mut Inboxes,
+    spec: FaultSpec,
+    /// The fault stream.
+    rng: &'a mut StdRng,
+    delayed: &'a mut [u64],
+    num_nodes: usize,
+}
+
+impl Delivery for ExactFaulty<'_> {
+    fn push<R: Route>(&mut self, node: usize, opinion: usize, route: &R, rng: &mut StdRng) -> u64 {
+        // Lost in transit (still counted as sent).
+        if self.spec.drop > 0.0 && self.rng.gen_bool(self.spec.drop) {
+            return 0;
+        }
+        let received_as = self.noise.sample(opinion, rng);
+        let copies =
+            1 + u32::from(self.spec.duplicate > 0.0 && self.rng.gen_bool(self.spec.duplicate));
+        let mut delivered = 0;
+        for copy in 0..copies {
+            if self.spec.delay > 0.0 && self.rng.gen_bool(self.spec.delay) {
+                // Deferred to the next phase's inboxes.
+                self.delayed[received_as] += 1;
+                continue;
+            }
+            let destination = if copy == 0 {
+                route.destination(node, rng)
+            } else {
+                // The duplicate lands on an independent agent drawn from
+                // the fault stream.
+                self.rng.gen_range(0..self.num_nodes)
+            };
+            self.inboxes.deliver(destination, received_as);
+            delivered += 1;
+        }
+        delivered
+    }
+}
+
+/// Processes B and P: the pushes are counted per opinion, and
+/// `end_phase` applies the noise and delivers them.
+struct Deferred<'a>(&'a mut [u64]);
+
+impl Delivery for Deferred<'_> {
+    #[inline]
+    fn push<R: Route>(
+        &mut self,
+        _node: usize,
+        opinion: usize,
+        _route: &R,
+        _rng: &mut StdRng,
+    ) -> u64 {
+        self.0[opinion] += 1;
+        0
+    }
+}
+
+/// The delivery of one push round.
+enum RoundDelivery<'a> {
+    Exact(Exact<'a>),
+    Faulty(ExactFaulty<'a>),
+    Deferred(Deferred<'a>),
+}
+
+impl RoundDelivery<'_> {
+    /// Runs the round's agent loop along `route`, specialised for this
+    /// delivery.
+    fn push<F, R>(self, agents: Agents<'_, F>, route: R, rng: &mut StdRng) -> (u64, u64)
+    where
+        F: FnMut(usize, NodeState) -> Option<Opinion>,
+        R: Route,
+    {
+        match self {
+            RoundDelivery::Exact(d) => agents.push(route, d, rng),
+            RoundDelivery::Faulty(d) => agents.push(route, d, rng),
+            RoundDelivery::Deferred(d) => agents.push(route, d, rng),
+        }
+    }
 }
 
 /// The number of agents a fraction of the population rounds to.
@@ -662,94 +872,99 @@ impl Network {
     /// processes B and P (complete graph only) they are accumulated and
     /// delivered at [`end_phase`](Network::end_phase).
     ///
+    /// The round decides once, before its agent loop, where a push goes
+    /// (any node, or a neighbor row), how it is delivered (exact, exact
+    /// under faults, or counted for `end_phase`), and whether any agent can
+    /// be overridden by a fault or silenced by its clock. The loop body is
+    /// written once and specialised for each of these choices, so no agent
+    /// re-tests them. Specialising changes no draw: every agent still
+    /// takes, in agent order, the clock coin, the drop coin, the noise
+    /// sample, the duplicate and delay coins and the destinations it took
+    /// when every agent tested every choice, from the same streams. The
+    /// delivery stream is kept in a local for the round and written back
+    /// at its end.
+    ///
     /// # Panics
     ///
     /// Panics if no phase is open, or if `decide` returns an opinion index
     /// out of range.
-    pub fn push_round<F>(&mut self, mut decide: F) -> RoundReport
+    pub fn push_round<F>(&mut self, decide: F) -> RoundReport
     where
         F: FnMut(usize, NodeState) -> Option<Opinion>,
     {
         assert!(self.phase_open, "push_round called outside a phase");
         let n = self.num_nodes();
         let k = self.num_opinions();
-        let mut sent_this_round = 0u64;
-        for node in 0..n {
-            // Byzantine agents always push their fixed opinion and crashed
-            // agents whose crash phase has ended push nothing; neither
-            // consults `decide`.
-            let decision = match &self.faults {
-                Some(f) if f.byzantine.get(node).copied().unwrap_or(false) => Some(Opinion::new(
-                    f.spec.byzantine.expect("byzantine pool implies a spec").opinion,
-                )),
-                Some(f) if f.crash_active() && f.crashed.get(node).copied().unwrap_or(false) => {
-                    None
-                }
-                _ => decide(node, self.states[node]),
-            };
-            let Some(opinion) = decision else {
-                continue;
-            };
-            assert!(
-                opinion.index() < k,
-                "decide returned {opinion} but the system has {k} opinions"
-            );
-            // Clock gate: an agent whose local clock misses this tick
-            // stays silent (the receive path is unaffected).
-            if let Some(t) = self.temporal.as_mut() {
-                if let Some(cl) = t.clock.as_mut() {
-                    if !cl.allows(node, self.rounds_executed) {
-                        continue;
-                    }
-                }
+        let mut rng = self.rng.clone();
+        let Network {
+            config,
+            noise,
+            topology,
+            states,
+            inboxes,
+            pending,
+            faults,
+            temporal,
+            rounds_executed,
+            ..
+        } = self;
+        let mut gate = Gate {
+            byzantine: None,
+            crashed: &[],
+            clock: temporal.as_mut().and_then(|t| t.clock.as_mut()),
+            tick: *rounds_executed,
+        };
+        let mut fault_streams = None;
+        if let Some(f) = faults {
+            let crash_active = f.crash_active();
+            let AgentFaults {
+                spec,
+                rng,
+                byzantine,
+                crashed,
+                delayed,
+                ..
+            } = f;
+            gate.byzantine = spec
+                .byzantine
+                .map(|b| (&byzantine[..], Opinion::new(b.opinion)));
+            if crash_active {
+                gate.crashed = crashed;
             }
-            if !self.topology.can_push(node) {
-                continue;
-            }
-            sent_this_round += 1;
-            match self.config.delivery() {
-                DeliverySemantics::Exact => match self.faults.as_mut() {
-                    None => {
-                        let received_as = self.noise.sample(opinion.index(), &mut self.rng);
-                        let destination = self.topology.push_destination(node, &mut self.rng);
-                        self.inboxes.deliver(destination, received_as);
-                    }
-                    Some(f) => {
-                        // Lost in transit (still counted as sent).
-                        if f.spec.drop > 0.0 && f.rng.gen_bool(f.spec.drop) {
-                            continue;
-                        }
-                        let received_as = self.noise.sample(opinion.index(), &mut self.rng);
-                        let copies = 1 + u32::from(
-                            f.spec.duplicate > 0.0 && f.rng.gen_bool(f.spec.duplicate),
-                        );
-                        for copy in 0..copies {
-                            if f.spec.delay > 0.0 && f.rng.gen_bool(f.spec.delay) {
-                                // Deferred to the next phase's inboxes.
-                                f.delayed[received_as] += 1;
-                            } else if copy == 0 {
-                                let destination =
-                                    self.topology.push_destination(node, &mut self.rng);
-                                self.inboxes.deliver(destination, received_as);
-                            } else {
-                                // The duplicate lands on an independent
-                                // agent drawn from the fault stream.
-                                let destination = f.rng.gen_range(0..n);
-                                self.inboxes.deliver(destination, received_as);
-                            }
-                        }
-                    }
-                },
-                DeliverySemantics::BallsIntoBins | DeliverySemantics::Poissonized => {
-                    self.pending[opinion.index()] += 1;
-                }
-            }
+            fault_streams = Some((*spec, rng, delayed));
         }
-        self.messages_sent += sent_this_round;
+        let delivery = match (config.delivery(), fault_streams) {
+            (DeliverySemantics::Exact, None) => RoundDelivery::Exact(Exact { noise, inboxes }),
+            (DeliverySemantics::Exact, Some((spec, rng, delayed))) => {
+                RoundDelivery::Faulty(ExactFaulty {
+                    noise,
+                    inboxes,
+                    spec,
+                    rng,
+                    delayed,
+                    num_nodes: n,
+                })
+            }
+            _ => RoundDelivery::Deferred(Deferred(pending)),
+        };
+        let agents = Agents {
+            states,
+            decide,
+            k,
+            gate,
+        };
+        let (sent, delivered) = if topology.is_complete() {
+            delivery.push(agents, AnyNode(n), &mut rng)
+        } else {
+            delivery.push(agents, topology.neighbor_rows(), &mut rng)
+        };
+        self.rng = rng;
+        self.inboxes.add_delivered(delivered);
+        self.messages_sent += sent;
         self.rounds_executed += 1;
         RoundReport {
             round: self.rounds_executed - 1,
-            messages_sent: sent_this_round,
+            messages_sent: sent,
         }
     }
 

@@ -251,6 +251,56 @@ impl FromStr for TopologySpec {
     }
 }
 
+/// Where the pushes of one round go: [`AnyNode`] on the complete graph,
+/// [`NeighborRows`] on every other family. The agent backend picks the
+/// route once per round, so no push re-tests the family.
+pub(crate) trait Route {
+    /// `true` if `node` has someone to push to.
+    fn can_push(&self, node: usize) -> bool;
+
+    /// Draws the destination of one push from `node` (guard with
+    /// [`can_push`](Self::can_push)).
+    fn destination(&self, node: usize, rng: &mut StdRng) -> usize;
+}
+
+/// The complete graph on `n` nodes: every agent pushes to a uniformly
+/// random node, itself included, with one `gen_range(0..n)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AnyNode(pub(crate) usize);
+
+impl Route for AnyNode {
+    #[inline]
+    fn can_push(&self, _node: usize) -> bool {
+        true
+    }
+
+    #[inline]
+    fn destination(&self, _node: usize, rng: &mut StdRng) -> usize {
+        rng.gen_range(0..self.0)
+    }
+}
+
+/// The CSR rows of a sparse graph: every agent pushes to a uniformly
+/// random neighbor, and an agent without one stays silent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NeighborRows<'a> {
+    offsets: &'a [usize],
+    neighbors: &'a [u32],
+}
+
+impl Route for NeighborRows<'_> {
+    #[inline]
+    fn can_push(&self, node: usize) -> bool {
+        self.offsets[node + 1] > self.offsets[node]
+    }
+
+    #[inline]
+    fn destination(&self, node: usize, rng: &mut StdRng) -> usize {
+        let row = &self.neighbors[self.offsets[node]..self.offsets[node + 1]];
+        row[rng.gen_range(0..row.len())] as usize
+    }
+}
+
 /// A materialized communication graph: flat CSR-style neighbor lists.
 ///
 /// Built once by [`Topology::build`] and then read-only. The complete
@@ -374,7 +424,11 @@ impl Topology {
     /// complete graph; sparse nodes with degree 0 — possible under
     /// `er(p)` — stay silent).
     pub fn can_push(&self, node: usize) -> bool {
-        self.is_complete() || self.degree(node) > 0
+        if self.is_complete() {
+            AnyNode(self.num_nodes).can_push(node)
+        } else {
+            self.neighbor_rows().can_push(node)
+        }
     }
 
     /// Draws the destination of one push from `node`: a uniformly random
@@ -386,13 +440,19 @@ impl Topology {
     ///
     /// Panics if `node` has no neighbors (guard with
     /// [`can_push`](Self::can_push)).
-    #[inline]
     pub fn push_destination(&self, node: usize, rng: &mut StdRng) -> usize {
         if self.is_complete() {
-            rng.gen_range(0..self.num_nodes)
+            AnyNode(self.num_nodes).destination(node, rng)
         } else {
-            let row = &self.neighbors[self.offsets[node]..self.offsets[node + 1]];
-            row[rng.gen_range(0..row.len())] as usize
+            self.neighbor_rows().destination(node, rng)
+        }
+    }
+
+    /// The [`Route`] of a graph that is not complete: its neighbor rows.
+    pub(crate) fn neighbor_rows(&self) -> NeighborRows<'_> {
+        NeighborRows {
+            offsets: &self.offsets,
+            neighbors: &self.neighbors,
         }
     }
 

@@ -124,4 +124,3 @@ fn agent_runs_reproduce_the_fixture() {
         assert_eq!(row(axes), *line);
     }
 }
-
