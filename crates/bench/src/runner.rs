@@ -119,15 +119,16 @@ pub struct DynamicsSummary {
 /// Result of a `gap` scenario at one grid point.
 #[derive(Debug, Clone)]
 pub struct GapSummary {
-    /// Monte-Carlo estimate of the sample-majority gap.
-    pub measured: f64,
+    /// Monte-Carlo estimate of the sample-majority gap; drawn only when
+    /// the spec shows `gap` or `gap_holds`.
+    pub measured: Option<f64>,
     /// The Proposition 1 analytic lower bound.
     pub bound: f64,
     /// The exact binomial gap (`k = 2` only).
     pub exact: Option<f64>,
     /// Whether the measured gap dominates the bound up to the Monte-Carlo
-    /// noise floor `3/√trials`.
-    pub holds: bool,
+    /// noise floor `3/√trials`; `None` without an estimate.
+    pub holds: Option<bool>,
 }
 
 /// Result of a `phase` scenario at one grid point (statistics over the
@@ -424,12 +425,12 @@ fn format_metric(metric: Metric, spec: &ScenarioSpec, result: &PointResult) -> S
             other => unreachable!("metric {other} on a dynamics scenario"),
         },
         PointSummary::Gap(s) => match metric {
-            Metric::Gap => format!("{:.4}", s.measured),
+            Metric::Gap => s.measured.map_or_else(|| "-".to_string(), |m| format!("{m:.4}")),
             Metric::GapBound => format!("{:.4}", s.bound),
             Metric::GapExact => {
                 s.exact.map_or_else(|| "-".to_string(), |e| format!("{e:.4}"))
             }
-            Metric::GapHolds => s.holds.to_string(),
+            Metric::GapHolds => s.holds.map_or_else(|| "-".to_string(), |h| h.to_string()),
             other => unreachable!("metric {other} on a gap scenario"),
         },
         PointSummary::PhaseStats(s) => match metric {
@@ -695,22 +696,29 @@ impl Runner {
         Ok(())
     }
 
-    /// The Monte-Carlo sample-majority gap of one `(k, ℓ, δ)` grid cell
-    /// (Proposition 1 / Lemmas 9–11). `spec.trials` is the number of
-    /// Monte-Carlo samples; each cell derives its own RNG from the base
-    /// seed, so cells are independent of grid shape and order.
+    /// The sample-majority gap of one `(k, ℓ, δ)` grid cell (Proposition 1
+    /// / Lemmas 9–11). The Monte-Carlo estimate is drawn only when the
+    /// spec shows `gap` or `gap_holds`: `spec.trials` is its number of
+    /// samples, and each cell derives its own RNG from the base seed, so
+    /// cells are independent of grid shape and order.
     fn gap_point(&self, point: GridPoint) -> GapSummary {
         let spec = &self.spec;
         let ell = point.ell.expect("gap points carry ell");
         let delta = point.delta.expect("gap points carry delta");
         let trials = spec.trials;
-        let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, point.index, 0));
         let dist = biased_received_distribution(point.k, delta);
-        let measured = bounds::sample_majority_gap(&dist, ell, 0, 1, trials, &mut rng);
+        let shown = spec.effective_metrics();
+        let measured = shown
+            .iter()
+            .any(|m| matches!(m, Metric::Gap | Metric::GapHolds))
+            .then(|| {
+                let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, point.index, 0));
+                bounds::sample_majority_gap(&dist, ell, 0, 1, trials, &mut rng)
+            });
         let bound = bounds::proposition1_lower_bound(delta, ell, point.k);
         let exact = (point.k == 2).then(|| bounds::exact_majority_gap_binary(dist[0], ell));
         // Allow the Monte-Carlo noise floor when comparing.
-        let holds = measured >= bound - 3.0 / (trials as f64).sqrt();
+        let holds = measured.map(|m| m >= bound - 3.0 / (trials as f64).sqrt());
         GapSummary {
             measured,
             bound,
@@ -1316,19 +1324,45 @@ mod tests {
             let PointSummary::Gap(gap) = &point.summary else {
                 panic!("gap scenarios produce gap summaries");
             };
-            assert!(gap.holds, "Proposition 1 must hold at {:?}", point.point);
+            assert_eq!(gap.holds, Some(true), "Proposition 1 must hold at {:?}", point.point);
             assert_eq!(gap.exact.is_some(), point.point.k == 2);
+            let measured = gap.measured.expect("the default metrics show the estimate");
             if let Some(exact) = gap.exact {
                 assert!(
-                    (gap.measured - exact).abs() < 0.05,
-                    "Monte-Carlo ({}) far from exact ({exact})",
-                    gap.measured
+                    (measured - exact).abs() < 0.05,
+                    "Monte-Carlo ({measured}) far from exact ({exact})"
                 );
             }
         }
         let table = report.to_table();
         assert_eq!(table.headers()[..3], ["k", "ell", "delta"].map(String::from));
         assert_eq!(table.num_rows(), 8);
+    }
+
+    #[test]
+    fn gap_cells_draw_the_estimate_only_when_shown() {
+        let mut spec = quick_spec(ScenarioKind::SampleMajorityGap {
+            ell: 25,
+            delta: 0.1,
+        });
+        spec.trials = 2_000;
+        let summary = |metrics: Vec<Metric>| {
+            let mut spec = spec.clone();
+            spec.metrics = metrics;
+            let report = Runner::new(spec).unwrap().run().unwrap();
+            match &report.points()[0].summary {
+                PointSummary::Gap(gap) => gap.clone(),
+                _ => panic!("gap scenarios produce gap summaries"),
+            }
+        };
+        let exact_only = summary(vec![Metric::GapExact, Metric::GapBound]);
+        assert_eq!((exact_only.measured, exact_only.holds), (None, None));
+        assert!(exact_only.exact.is_some());
+        for shown in [Metric::Gap, Metric::GapHolds] {
+            let gap = summary(vec![Metric::GapExact, shown]);
+            assert!(gap.measured.is_some() && gap.holds.is_some(), "{shown}");
+            assert_eq!((gap.exact, gap.bound), (exact_only.exact, exact_only.bound));
+        }
     }
 
     #[test]

@@ -248,6 +248,33 @@ mod tests {
     }
 
     #[test]
+    fn gap_rows_without_the_estimate_are_never_served_to_a_spec_showing_it() {
+        // A gap cell draws its Monte-Carlo estimate only when `gap` or
+        // `gap_holds` is shown. Its rows are cached whole, never per cell,
+        // under a digest that carries the shown metrics.
+        let svc = SpecService;
+        let plan = |metrics: &str| {
+            let base = "scenario = gap\nn = 100\nk = 2\nell = 9\ndelta = 0.1\ntrials = 50\n";
+            svc.plan(&format!("{base}{metrics}")).expect("plan")
+        };
+        let run = |plan: &Plan<PlannedRun>| {
+            let mut out = Vec::new();
+            svc.run(&plan.job, &mut out).expect("run");
+            String::from_utf8(out).unwrap()
+        };
+        let exact_only = plan("metrics = gap_exact\n");
+        let shows_gap = plan("metrics = gap, gap_exact\n");
+        let shows_holds = plan("metrics = gap_holds, gap_exact\n");
+        let defaults = plan("");
+        assert!(exact_only.cells.is_none());
+        for other in [&shows_gap, &shows_holds, &defaults] {
+            assert_ne!(other.digest, exact_only.digest);
+        }
+        assert!(!run(&exact_only).contains("measured gap"));
+        assert!(run(&shows_gap).contains("\"measured gap\":0."));
+    }
+
+    #[test]
     fn plan_rejects_malformed_text_with_message() {
         let err = match SpecService.plan("scenario = nope\n") {
             Ok(_) => panic!("planning malformed text must fail"),

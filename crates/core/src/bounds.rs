@@ -66,6 +66,12 @@ pub fn proposition1_lower_bound(delta: f64, ell: u64, k: usize) -> f64 {
 ///
 /// This is the quantity that Lemma 9 lower-bounds by `√(2ℓ/π)·g(2p1−1, ℓ)`.
 ///
+/// A tie adds the same to both probabilities, and every count `i > ℓ/2`
+/// of opinion 1 pairs with the count `i` of opinion 2, so the gap is
+/// `Σ_{i > ℓ/2} C(ℓ, i)·(p1ⁱ·p2^(ℓ−i) − p2ⁱ·p1^(ℓ−i))` with `p2 = 1 − p1`.
+/// Summing it pair by pair makes the result exactly `0` at `p1 = ½` and
+/// exactly antisymmetric under swapping `p1` and `p2`.
+///
 /// # Panics
 ///
 /// Panics if `p1 ∉ [0, 1]` or `ell` is 0 or too large for exact summation
@@ -73,41 +79,16 @@ pub fn proposition1_lower_bound(delta: f64, ell: u64, k: usize) -> f64 {
 pub fn exact_majority_gap_binary(p1: f64, ell: u64) -> f64 {
     assert!((0.0..=1.0).contains(&p1), "p1 must lie in [0, 1]");
     assert!((1..=10_000).contains(&ell), "ell must lie in [1, 10000]");
-    let l = ell as usize;
     let p2 = 1.0 - p1;
-    // Binomial pmf via iterative updates to avoid factorial overflow.
-    // pmf(i) = C(l, i) p1^i p2^(l-i).
-    let mut pmf = vec![0.0f64; l + 1];
-    // Start from the largest term computed in log-space for stability.
-    for (i, value) in pmf.iter_mut().enumerate() {
-        let log_c = log_binomial(l as u64, i as u64);
-        let log_p = if p1 > 0.0 { i as f64 * p1.ln() } else { f64::NEG_INFINITY };
-        let log_q = if p2 > 0.0 {
-            (l - i) as f64 * p2.ln()
-        } else {
-            f64::NEG_INFINITY
-        };
-        *value = match (i, l - i) {
-            (0, _) => log_q.exp() * log_c.exp(),
-            (_, 0) => log_p.exp() * log_c.exp(),
-            _ => (log_c + log_p + log_q).exp(),
-        };
-    }
-    let mut win1 = 0.0;
-    let mut win2 = 0.0;
-    for (i, &prob) in pmf.iter().enumerate() {
-        let ones = i as f64;
-        let twos = (l - i) as f64;
-        if ones > twos {
-            win1 += prob;
-        } else if twos > ones {
-            win2 += prob;
-        } else {
-            win1 += prob / 2.0;
-            win2 += prob / 2.0;
-        }
-    }
-    win1 - win2
+    // ln(xᵉ) in log space, against factorial overflow; x⁰ = 1 also at x = 0.
+    let ln_pow = |x: f64, e: u64| if e == 0 { 0.0 } else { e as f64 * x.ln() };
+    (ell / 2 + 1..=ell)
+        .map(|i| {
+            let ln_c = log_binomial(ell, i);
+            let weight = |a: f64, b: f64| (ln_c + ln_pow(a, i) + ln_pow(b, ell - i)).exp();
+            weight(p1, p2) - weight(p2, p1)
+        })
+        .sum()
 }
 
 /// `ln C(n, k)` via the log-gamma function (Stirling-series implementation,
@@ -291,6 +272,19 @@ mod tests {
         assert!((gap + neg).abs() < 1e-10);
         // Gap grows with the sample size for a fixed biased p.
         assert!(exact_majority_gap_binary(0.6, 51) > exact_majority_gap_binary(0.6, 11));
+    }
+
+    #[test]
+    fn exact_binary_gap_is_exactly_zero_unbiased_and_exactly_antisymmetric() {
+        for ell in 1..=101 {
+            assert_eq!(exact_majority_gap_binary(0.5, ell).to_bits(), 0.0f64.to_bits());
+            // 1 − p is exact for p ∈ [½, 1], so p1 and p2 swap exactly.
+            for p in [0.51, 0.52, 0.55, 0.6, 0.62, 0.7, 0.9, 0.99, 1.0] {
+                let gap = exact_majority_gap_binary(p, ell);
+                let mirrored = exact_majority_gap_binary(1.0 - p, ell);
+                assert_eq!(mirrored.to_bits(), (-gap).to_bits(), "ell {ell}, p {p}");
+            }
+        }
     }
 
     #[test]
