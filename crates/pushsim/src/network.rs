@@ -279,14 +279,17 @@ struct Agents<'a, F> {
 }
 
 impl<F: FnMut(usize, NodeState) -> Option<Opinion>> Agents<'_, F> {
-    /// Runs the round's agent loop along `route` through `delivery`,
-    /// specialised for whether the gate applies. Returns the pushes sent
-    /// and the messages that reached an inbox.
-    fn push<R: Route, D: Delivery>(self, route: R, delivery: D, rng: &mut StdRng) -> (u64, u64) {
-        if self.gate.applies() {
-            self.push_each::<R, D, true>(route, delivery, rng)
-        } else {
-            self.push_each::<R, D, false>(route, delivery, rng)
+    /// Runs the round's agent loop through `delivery`, specialised for
+    /// the route pushes take on `topology` and for whether the gate
+    /// applies. Returns the pushes sent and the messages that reached an
+    /// inbox.
+    fn push<D: Delivery>(self, topology: &Topology, delivery: D, rng: &mut StdRng) -> (u64, u64) {
+        let (any_node, rows) = (AnyNode(topology.num_nodes()), topology.neighbor_rows());
+        match (topology.is_complete(), self.gate.applies()) {
+            (true, false) => self.push_each::<_, D, false>(any_node, delivery, rng),
+            (true, true) => self.push_each::<_, D, true>(any_node, delivery, rng),
+            (false, false) => self.push_each::<_, D, false>(rows, delivery, rng),
+            (false, true) => self.push_each::<_, D, true>(rows, delivery, rng),
         }
     }
 
@@ -414,29 +417,6 @@ impl Delivery for Deferred<'_> {
     ) -> u64 {
         self.0[opinion] += 1;
         0
-    }
-}
-
-/// The delivery of one push round.
-enum RoundDelivery<'a> {
-    Exact(Exact<'a>),
-    Faulty(ExactFaulty<'a>),
-    Deferred(Deferred<'a>),
-}
-
-impl RoundDelivery<'_> {
-    /// Runs the round's agent loop along `route`, specialised for this
-    /// delivery.
-    fn push<F, R>(self, agents: Agents<'_, F>, route: R, rng: &mut StdRng) -> (u64, u64)
-    where
-        F: FnMut(usize, NodeState) -> Option<Opinion>,
-        R: Route,
-    {
-        match self {
-            RoundDelivery::Exact(d) => agents.push(route, d, rng),
-            RoundDelivery::Faulty(d) => agents.push(route, d, rng),
-            RoundDelivery::Deferred(d) => agents.push(route, d, rng),
-        }
     }
 }
 
@@ -880,9 +860,7 @@ impl Network {
     /// re-tests them. Specialising changes no draw: every agent still
     /// takes, in agent order, the clock coin, the drop coin, the noise
     /// sample, the duplicate and delay coins and the destinations it took
-    /// when every agent tested every choice, from the same streams. The
-    /// delivery stream is kept in a local for the round and written back
-    /// at its end.
+    /// when every agent tested every choice, from the same streams.
     ///
     /// # Panics
     ///
@@ -895,6 +873,8 @@ impl Network {
         assert!(self.phase_open, "push_round called outside a phase");
         let n = self.num_nodes();
         let k = self.num_opinions();
+        // The delivery stream lives in a local for the round, so that it
+        // stays in registers; it is written back below.
         let mut rng = self.rng.clone();
         let Network {
             config,
@@ -919,7 +899,7 @@ impl Network {
             let crash_active = f.crash_active();
             let AgentFaults {
                 spec,
-                rng,
+                rng: fault_rng,
                 byzantine,
                 crashed,
                 delayed,
@@ -931,32 +911,30 @@ impl Network {
             if crash_active {
                 gate.crashed = crashed;
             }
-            fault_streams = Some((*spec, rng, delayed));
+            fault_streams = Some((*spec, fault_rng, delayed));
         }
-        let delivery = match (config.delivery(), fault_streams) {
-            (DeliverySemantics::Exact, None) => RoundDelivery::Exact(Exact { noise, inboxes }),
-            (DeliverySemantics::Exact, Some((spec, rng, delayed))) => {
-                RoundDelivery::Faulty(ExactFaulty {
-                    noise,
-                    inboxes,
-                    spec,
-                    rng,
-                    delayed,
-                    num_nodes: n,
-                })
-            }
-            _ => RoundDelivery::Deferred(Deferred(pending)),
-        };
         let agents = Agents {
             states,
             decide,
             k,
             gate,
         };
-        let (sent, delivered) = if topology.is_complete() {
-            delivery.push(agents, AnyNode(n), &mut rng)
-        } else {
-            delivery.push(agents, topology.neighbor_rows(), &mut rng)
+        let (sent, delivered) = match (config.delivery(), fault_streams) {
+            (DeliverySemantics::Exact, None) => {
+                agents.push(topology, Exact { noise, inboxes }, &mut rng)
+            }
+            (DeliverySemantics::Exact, Some((spec, fault_rng, delayed))) => {
+                let faulty = ExactFaulty {
+                    noise,
+                    inboxes,
+                    spec,
+                    rng: fault_rng,
+                    delayed,
+                    num_nodes: n,
+                };
+                agents.push(topology, faulty, &mut rng)
+            }
+            _ => agents.push(topology, Deferred(pending), &mut rng),
         };
         self.rng = rng;
         self.inboxes.add_delivered(delivered);
