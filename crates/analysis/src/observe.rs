@@ -3,7 +3,7 @@
 //!
 //! These are the built-in consumers of the core observation layer
 //! (`plurality_core::observe`): attach them to a
-//! [`Session`](plurality_core::Session) run or a dynamics `run_until` to
+//! [`Session`](plurality_core::Session) run or a dynamics `RuleSpec::run` to
 //! turn per-phase [`PhaseSnapshot`]s into tables, streaming aggregates, or
 //! incrementally emitted JSON lines.
 //!

@@ -1,10 +1,11 @@
 //! Criterion benchmarks for the baseline dynamics: cost of one update step
-//! at a fixed network size, per dynamics.
+//! at a fixed network size, per rule, through the phase driver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noisy_channel::NoiseMatrix;
-use opinion_dynamics::{Dynamics, HMajority, MedianRule, ThreeMajority, UndecidedState, Voter};
-use pushsim::{Network, SimConfig};
+use opinion_dynamics::RuleSpec;
+use plurality_core::{NoObserver, StopCondition};
+use pushsim::{Network, Opinion, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -14,25 +15,29 @@ fn bench_steps(c: &mut Criterion) {
     let n = 5_000usize;
     let mut group = c.benchmark_group("dynamics_step_n5000");
 
-    let mut bench_one = |name: &str, mut dynamics: Box<dyn Dynamics>| {
+    let mut bench_one = |name: &str, rule: RuleSpec| {
         group.bench_function(name, |b| {
             let noise = NoiseMatrix::uniform(3, 0.2).expect("valid noise");
             let config = SimConfig::builder(n, 3).seed(1).build().expect("valid config");
             let mut net = Network::new(config, noise).expect("valid network");
             net.seed_counts(&[n / 2, n / 4, n / 4]).expect("valid counts");
             let mut rng = StdRng::seed_from_u64(2);
+            // A budget of one step's rounds runs exactly one step per call.
+            let step = rule.phase().rounds;
+            let never = StopCondition::ScheduleExhausted;
             b.iter(|| {
-                dynamics.step(&mut net, &mut rng);
-                black_box(net.rounds_executed())
+                let outcome =
+                    rule.run(&mut net, &mut rng, Opinion::new(0), step, &never, &mut NoObserver);
+                black_box(outcome.rounds())
             });
         });
     };
 
-    bench_one("voter", Box::new(Voter::new()));
-    bench_one("three_majority", Box::new(ThreeMajority::new()));
-    bench_one("h_majority_15", Box::new(HMajority::new(15)));
-    bench_one("undecided_state", Box::new(UndecidedState::new()));
-    bench_one("median_rule", Box::new(MedianRule::new()));
+    bench_one("voter", RuleSpec::Voter);
+    bench_one("three_majority", RuleSpec::ThreeMajority);
+    bench_one("h_majority_15", RuleSpec::HMajority { h: 15 });
+    bench_one("undecided_state", RuleSpec::Undecided);
+    bench_one("median_rule", RuleSpec::Median);
     group.finish();
 }
 

@@ -48,7 +48,7 @@ use gossip_analysis::ci::WilsonInterval;
 use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::par_map;
 use gossip_analysis::table::Table;
-use plurality_core::{ExecutionBackend, Outcome, ProtocolError, ProtocolParams};
+use plurality_core::{ExecutionBackend, Outcome, ProtocolParams};
 
 /// Scale of an experiment run: a reduced grid for quick checks or the full
 /// grid (`xp show <name> --full` prints its sizes).
@@ -260,8 +260,8 @@ options:
     }
 }
 
-/// Aggregated result of repeating one protocol configuration over several
-/// seeds.
+/// Aggregated result of repeating one protocol or dynamics configuration
+/// over several seeds.
 #[derive(Debug, Clone)]
 pub struct TrialSummary {
     /// Success-rate estimate (consensus on the correct opinion).
@@ -283,18 +283,19 @@ pub struct TrialSummary {
     pub stage1_bias: SampleStats,
 }
 
-/// Runs `trials` independent protocol executions across all cores and
-/// aggregates them. `run(t)` executes trial `t`; the outcomes are merged in
-/// trial order ([`par_map`]), so the summary is bit-identical to a
-/// sequential run whatever the worker count or completion order. The first
-/// failing trial's error is returned instead.
+/// Runs `trials` independent executions (protocol runs or dynamics runs)
+/// across all cores and aggregates them. `run(t)` executes trial `t`; the
+/// outcomes are merged in trial order ([`par_map`]), so the summary is
+/// bit-identical to a sequential run whatever the worker count or
+/// completion order. The first failing trial's error is returned instead.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0` (spec validation rejects it).
-pub(crate) fn run_trials<F>(trials: u64, run: F) -> Result<TrialSummary, ProtocolError>
+pub(crate) fn run_trials<E, F>(trials: u64, run: F) -> Result<TrialSummary, E>
 where
-    F: Fn(u64) -> Result<Outcome, ProtocolError> + Sync,
+    E: Send,
+    F: Fn(u64) -> Result<Outcome, E> + Sync,
 {
     assert!(trials > 0, "need at least one trial");
     let outcomes = par_map(trials, run)
@@ -397,7 +398,7 @@ pub fn biased_counts(s: usize, k: usize, bias: f64) -> Vec<usize> {
 mod tests {
     use super::*;
     use noisy_channel::NoiseMatrix;
-    use plurality_core::{Instance, NoObserver, StopCondition};
+    use plurality_core::{Instance, NoObserver, ProtocolError, StopCondition};
     use pushsim::Opinion;
 
     #[test]

@@ -25,9 +25,9 @@
 //! per phase* for trajectory runs (via a [`StreamSink`] attached to the
 //! execution) — instead of holding everything for one final table.
 //!
-//! Protocol scenarios run through the shared parallel trial harness, so
-//! their statistics are bit-identical to the pre-spec harness for the same
-//! parameters and seed (attached observers and
+//! Protocol and dynamics scenarios run through the shared parallel trial
+//! harness, so their statistics are bit-identical to the pre-spec harness
+//! for the same parameters and seed (attached observers and
 //! [`StopCondition::ScheduleExhausted`] provably leave RNG streams
 //! untouched). Dynamics scenarios derive one seed per `(point, trial)`
 //! cell with [`derive_seed`] and are likewise deterministic in the base
@@ -35,7 +35,6 @@
 
 use crate::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec, SpecError};
 use crate::{biased_counts, run_trials, TrialSummary};
-use gossip_analysis::ci::WilsonInterval;
 use gossip_analysis::observe::{
     OnlineStats, StreamSink, TrajectoryRecorder, PHASES_HEADERS, TRAJECTORY_HEADERS,
 };
@@ -43,7 +42,7 @@ use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::{json_line, Table};
 use noisy_channel::{MpReport, NoiseMatrix};
-use opinion_dynamics::{DynamicsOutcome, RuleSpec};
+use opinion_dynamics::RuleSpec;
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
 use plurality_core::{
     bounds, ExecutionBackend, Instance, Outcome, ProtocolError, ProtocolParams, TwoStageProtocol,
@@ -103,19 +102,6 @@ pub struct GridPoint {
     pub clock: ClockSpec,
 }
 
-/// Aggregated result of a dynamics scenario at one grid point.
-#[derive(Debug, Clone)]
-pub struct DynamicsSummary {
-    /// Exact-consensus rate over the trials.
-    pub consensus: WilsonInterval,
-    /// Rate at which the plurality opinion won.
-    pub correct: WilsonInterval,
-    /// Final share of the plurality opinion.
-    pub share: SampleStats,
-    /// Rounds executed.
-    pub rounds: SampleStats,
-}
-
 /// Result of a `gap` scenario at one grid point.
 #[derive(Debug, Clone)]
 pub struct GapSummary {
@@ -159,10 +145,8 @@ pub struct TrajectorySet {
 /// [`ObserveMode`].
 #[derive(Debug, Clone)]
 pub enum PointSummary {
-    /// Result of a rumor / plurality / stage2 scenario.
+    /// Result of a rumor / plurality / stage2 or dynamics scenario.
     Protocol(TrialSummary),
-    /// Result of a dynamics scenario.
-    Dynamics(DynamicsSummary),
     /// Result of a `gap` scenario.
     Gap(GapSummary),
     /// Result of a `phase` scenario.
@@ -415,14 +399,7 @@ fn format_metric(metric: Metric, spec: &ScenarioSpec, result: &PointResult) -> S
             Metric::MpMaxEps => mp(&|r| format!("{:.3}", r.max_epsilon())),
             Metric::MpHolds => mp(&|r| r.preserves_majority().to_string()),
             // validate() restricts metrics per kind.
-            other => unreachable!("metric {other} on a protocol scenario"),
-        },
-        PointSummary::Dynamics(s) => match metric {
-            Metric::Consensus => s.consensus.to_string(),
-            Metric::Correct => s.correct.to_string(),
-            Metric::Share => format!("{:.3}", s.share.mean()),
-            Metric::Rounds => format!("{:.0}", s.rounds.mean()),
-            other => unreachable!("metric {other} on a dynamics scenario"),
+            other => unreachable!("metric {other} on a protocol or dynamics scenario"),
         },
         PointSummary::Gap(s) => match metric {
             Metric::Gap => s.measured.map_or_else(|| "-".to_string(), |m| format!("{m:.4}")),
@@ -547,51 +524,30 @@ impl Runner {
             ));
         }
 
+        // Fail once, not once per trial.
+        let plurality = if counts.is_empty() {
+            None
+        } else {
+            Some(validate_counts(&params, &noise, &counts)?)
+        };
+        let trials = PointTrials {
+            spec,
+            point,
+            params,
+            noise,
+            counts,
+            plurality,
+            stop: trial_stop(spec),
+        };
         match spec.observe {
-            ObserveMode::Summary => self.summary_point(point, &params, &noise, &counts),
+            ObserveMode::Summary => Ok(PointSummary::Protocol(run_trials(
+                spec.trials,
+                |trial| trials.run(trial, &mut NoObserver),
+            )?)),
             ObserveMode::Trajectory | ObserveMode::Phases => {
-                self.observed_point(point, &params, &noise, stream)
+                self.observed_point(&trials, stream)
             }
         }
-    }
-
-    /// The default end-of-run summaries (one row per point). Protocol
-    /// trials run in parallel with the spec's stop condition and no
-    /// observer.
-    fn summary_point(
-        &self,
-        point: GridPoint,
-        params: &ProtocolParams,
-        noise: &NoiseMatrix,
-        counts: &[usize],
-    ) -> Result<PointSummary, SpecError> {
-        let spec = &self.spec;
-        let stop = spec.stop.to_condition();
-        if let ScenarioKind::DynamicsRule { rule, rounds, .. } = &spec.kind {
-            let plurality = validate_counts(params, noise, counts)?;
-            let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
-            return Ok(PointSummary::Dynamics(self.dynamics_trials(
-                point, *rule, counts, plurality, budget, noise,
-            )?));
-        }
-        let instance = protocol_instance(&spec.kind, counts)
-            .expect("gap and phase points never reach the protocol path");
-        if !counts.is_empty() {
-            // Fail once, not once per trial.
-            validate_counts(params, noise, counts)?;
-        }
-        let summary = run_trials(spec.trials, |trial| {
-            run_protocol(
-                params,
-                noise,
-                trial_seed(params, trial),
-                spec.backend,
-                instance,
-                &stop,
-                &mut NoObserver,
-            )
-        })?;
-        Ok(PointSummary::Protocol(summary))
     }
 
     /// Runs the observed (trajectory / per-phase aggregate) path of one
@@ -600,13 +556,11 @@ impl Runner {
     /// live [`StreamSink`] riding along.
     fn observed_point<W: Write + ?Sized>(
         &self,
-        point: GridPoint,
-        params: &ProtocolParams,
-        noise: &NoiseMatrix,
+        trials: &PointTrials<'_>,
         mut stream: Option<&mut W>,
     ) -> Result<PointSummary, SpecError> {
         let spec = &self.spec;
-        let stop = spec.stop.to_condition();
+        let point = trials.point;
         let mut trajectories: Vec<TrajectoryRecorder> = Vec::new();
         let mut aggregates = OnlineStats::new();
 
@@ -646,8 +600,7 @@ impl Runner {
                 if let Some(sink) = sink.as_mut() {
                     observers.push(sink);
                 }
-                let mut fanout = Fanout::new(observers);
-                self.run_one_observed(point, params, noise, trial, &stop, &mut fanout)?;
+                trials.run(trial, &mut Fanout::new(observers))?;
             }
             if spec.observe == ObserveMode::Trajectory {
                 trajectories.push(recorder);
@@ -660,40 +613,6 @@ impl Runner {
             ObserveMode::Phases => PointSummary::Phases(aggregates),
             ObserveMode::Summary => unreachable!("summary points take the other path"),
         })
-    }
-
-    /// Executes one observed trial (protocol kinds through
-    /// [`run_protocol`], dynamics through `run_until`), seeded exactly like
-    /// the unobserved paths.
-    fn run_one_observed(
-        &self,
-        point: GridPoint,
-        params: &ProtocolParams,
-        noise: &NoiseMatrix,
-        trial: u64,
-        stop: &StopCondition,
-        observer: &mut dyn Observer,
-    ) -> Result<(), SpecError> {
-        let spec = &self.spec;
-        let counts = point_counts(&spec.kind, point);
-        if let ScenarioKind::DynamicsRule { rule, rounds, .. } = &spec.kind {
-            let plurality = validate_counts(params, noise, &counts)?;
-            let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
-            let stop = dynamics_stop(budget, stop);
-            let dynamics = DynamicsPoint {
-                rule: *rule,
-                counts: &counts,
-                plurality,
-                stop: &stop,
-            };
-            self.dynamics_trial(point, trial, noise, dynamics, observer)?;
-            return Ok(());
-        }
-        let instance = protocol_instance(&spec.kind, &counts)
-            .expect("observe modes are rejected for gap and phase kinds");
-        let seed = trial_seed(params, trial);
-        run_protocol(params, noise, seed, spec.backend, instance, stop, observer)?;
-        Ok(())
     }
 
     /// The sample-majority gap of one `(k, ℓ, δ)` grid cell (Proposition 1
@@ -782,113 +701,74 @@ impl Runner {
         }
         Ok(summary)
     }
-
-    /// Runs the dynamics rule for every trial of one grid point.
-    fn dynamics_trials(
-        &self,
-        point: GridPoint,
-        rule: RuleSpec,
-        counts: &[usize],
-        plurality: Opinion,
-        budget: u64,
-        noise: &NoiseMatrix,
-    ) -> Result<DynamicsSummary, SpecError> {
-        let spec = &self.spec;
-        let stop = dynamics_stop(budget, &spec.stop.to_condition());
-        let dynamics = DynamicsPoint {
-            rule,
-            counts,
-            plurality,
-            stop: &stop,
-        };
-        let mut consensus = 0u64;
-        let mut correct = 0u64;
-        let mut share = SampleStats::new();
-        let mut rounds = SampleStats::new();
-        for trial in 0..spec.trials {
-            let outcome = self.dynamics_trial(point, trial, noise, dynamics, &mut NoObserver)?;
-            if outcome.converged() {
-                consensus += 1;
-            }
-            if outcome.winner() == Some(plurality) {
-                correct += 1;
-            }
-            let dist = outcome.final_distribution();
-            share.push(dist.counts()[plurality.index()] as f64 / dist.num_nodes() as f64);
-            rounds.push(outcome.rounds() as f64);
-        }
-        Ok(DynamicsSummary {
-            consensus: WilsonInterval::from_trials(consensus, spec.trials),
-            correct: WilsonInterval::from_trials(correct, spec.trials),
-            share,
-            rounds,
-        })
-    }
-
-    /// Runs one dynamics trial of `point` on the spec's backend. Each
-    /// `(point, trial)` cell derives its delivery and decision seeds from
-    /// the base seed, so results are a pure function of the spec.
-    fn dynamics_trial(
-        &self,
-        point: GridPoint,
-        trial: u64,
-        noise: &NoiseMatrix,
-        dynamics: DynamicsPoint<'_>,
-        observer: &mut dyn Observer,
-    ) -> Result<DynamicsOutcome, SpecError> {
-        let spec = &self.spec;
-        let config = point_config(&point)
-            .seed(derive_seed(spec.seed, point.index, trial))
-            .build()?;
-        let rng = StdRng::seed_from_u64(derive_seed(
-            spec.seed ^ DECISION_SEED_SALT,
-            point.index,
-            trial,
-        ));
-        let trial = DynamicsTrial {
-            dynamics,
-            rng,
-            observer,
-        };
-        Ok(pushsim::build_and_visit(
-            config,
-            noise.clone(),
-            spec.backend,
-            trial,
-        )??)
-    }
 }
 
-/// The per-point inputs of a dynamics scenario's trials.
-#[derive(Clone, Copy)]
-struct DynamicsPoint<'a> {
-    rule: RuleSpec,
-    counts: &'a [usize],
-    plurality: Opinion,
-    stop: &'a StopCondition,
+/// One simulated grid point's trial inputs, shared by the summary and
+/// observed paths so both execute identical trials.
+struct PointTrials<'a> {
+    spec: &'a ScenarioSpec,
+    point: GridPoint,
+    params: ProtocolParams,
+    noise: NoiseMatrix,
+    counts: Vec<usize>,
+    /// The validated plurality of `counts`; `None` for rumor spreading.
+    plurality: Option<Opinion>,
+    stop: StopCondition,
+}
+
+impl PointTrials<'_> {
+    /// Executes trial `trial` with `observer` attached: protocol kinds
+    /// through [`run_protocol`], dynamics through [`RuleSpec::run`] on a
+    /// network whose delivery and decision seeds derive from the
+    /// `(point, trial)` cell, so results are a pure function of the spec.
+    fn run(&self, trial: u64, observer: &mut dyn Observer) -> Result<Outcome, SpecError> {
+        let spec = self.spec;
+        let ScenarioKind::DynamicsRule { rule, rounds, .. } = spec.kind else {
+            let instance = protocol_instance(&spec.kind, &self.counts)
+                .expect("gap and phase points run no trials");
+            let seed = trial_seed(&self.params, trial);
+            let stop = &self.stop;
+            return Ok(run_protocol(
+                &self.params, &self.noise, seed, spec.backend, instance, stop, observer,
+            )?);
+        };
+        let index = self.point.index;
+        let config = point_config(&self.point)
+            .seed(derive_seed(spec.seed, index, trial))
+            .build()?;
+        let dynamics = DynamicsTrial {
+            rule,
+            counts: &self.counts,
+            plurality: self.plurality.expect("dynamics start from validated counts"),
+            budget: rounds.unwrap_or_else(|| self.params.schedule().total_rounds()),
+            rng: StdRng::seed_from_u64(derive_seed(spec.seed ^ DECISION_SEED_SALT, index, trial)),
+            stop: &self.stop,
+            observer,
+        };
+        Ok(pushsim::build_and_visit(config, self.noise.clone(), spec.backend, dynamics)??)
+    }
 }
 
 /// One dynamics trial waiting for its network.
 struct DynamicsTrial<'a> {
-    dynamics: DynamicsPoint<'a>,
+    rule: RuleSpec,
+    counts: &'a [usize],
+    plurality: Opinion,
+    budget: u64,
     rng: StdRng,
+    stop: &'a StopCondition,
     observer: &'a mut dyn Observer,
 }
 
-impl BackendVisitor<Result<DynamicsOutcome, SimError>> for DynamicsTrial<'_> {
-    fn visit<B: PushBackend>(mut self, mut net: B) -> Result<DynamicsOutcome, SimError> {
-        let DynamicsPoint {
-            rule,
-            counts,
-            plurality,
-            stop,
-        } = self.dynamics;
-        net.seed_counts(counts)?;
-        Ok(rule.build::<B>().run_until(
+impl BackendVisitor<Result<Outcome, SimError>> for DynamicsTrial<'_> {
+    fn visit<B: PushBackend>(mut self, mut net: B) -> Result<Outcome, SimError> {
+        net.seed_counts(self.counts)?;
+        Ok(self.rule.run(
             &mut net,
             &mut self.rng,
-            Some(plurality),
-            stop,
+            self.plurality,
+            self.budget,
+            self.stop,
             self.observer,
         ))
     }
@@ -1000,15 +880,17 @@ pub(crate) fn run_protocol(
         .run(backend, instance, observer)
 }
 
-/// The dynamics' effective stop condition: the round budget and consensus
-/// (the classic behavior) plus whatever the spec's `stop.*` keys add.
-fn dynamics_stop(budget: u64, extra: &StopCondition) -> StopCondition {
-    let mut conditions = vec![
-        StopCondition::MaxRounds(budget),
-        StopCondition::ConsensusReached,
-    ];
-    if *extra != StopCondition::ScheduleExhausted {
-        conditions.push(extra.clone());
+/// The stop condition of a point's trials: the spec's `stop.*` keys, plus
+/// consensus for the dynamics (the classic end of a baseline run; its
+/// round budget is [`RuleSpec::run`]'s own).
+fn trial_stop(spec: &ScenarioSpec) -> StopCondition {
+    let stop = spec.stop.to_condition();
+    if !matches!(spec.kind, ScenarioKind::DynamicsRule { .. }) {
+        return stop;
+    }
+    let mut conditions = vec![StopCondition::ConsensusReached];
+    if stop != StopCondition::ScheduleExhausted {
+        conditions.push(stop);
     }
     StopCondition::Any(conditions)
 }
@@ -1231,10 +1113,11 @@ mod tests {
                 spec.delivery = pushsim::DeliverySemantics::Poissonized;
             }
             let report = Runner::new(spec).unwrap().run().unwrap();
-            let PointSummary::Dynamics(summary) = &report.points()[0].summary else {
-                panic!("dynamics scenarios produce dynamics summaries");
+            let PointSummary::Protocol(summary) = &report.points()[0].summary else {
+                panic!("dynamics scenarios aggregate into trial summaries");
             };
             assert_eq!(summary.share.len(), 2);
+            assert_eq!(summary.stage1_bias.len(), 0, "dynamics have no stages");
         }
     }
 

@@ -31,6 +31,11 @@
 //!   itself and its one entry point, [`Session::run`], which executes an
 //!   instance (rumor spreading, plurality consensus, or Stage 2 alone) on
 //!   a chosen backend.
+//! * [`run_phases`] / [`Phase`] / [`Decision`] — the one phase driver every
+//!   run goes through: a sequence of phases, each a stage label, a round
+//!   count and one of the backend's decision operators. The protocol's
+//!   two stages are such a sequence, and so is each baseline dynamics of
+//!   the `opinion-dynamics` crate (one phase, over and over).
 //! * [`Outcome`] / [`PhaseRecord`] — per-run and per-phase results
 //!   (consensus, winner, bias trajectory, message counts).
 //! * [`observe`] — the observation layer: watch a run phase
@@ -71,6 +76,7 @@ mod error;
 mod memory;
 pub mod observe;
 mod params;
+mod phase;
 mod protocol;
 mod record;
 mod stage1;
@@ -78,11 +84,10 @@ mod stage2;
 
 pub use error::ProtocolError;
 pub use memory::MemoryMeter;
-pub use observe::{
-    Fanout, NoObserver, Observer, PhaseSnapshot, RunProgress, StopCondition,
-};
+pub use observe::{Fanout, NoObserver, Observer, PhaseSnapshot, StopCondition};
 pub use params::{ProtocolConstants, ProtocolParams, ProtocolParamsBuilder, Schedule};
-pub use protocol::{Instance, Outcome, Session, TwoStageProtocol};
+pub use phase::{run_phases, Decision, Outcome, Phase};
+pub use protocol::{Instance, Session, TwoStageProtocol};
 /// Which backend a run executes on (defined by `pushsim`'s admission
 /// table, re-exported here because every run entry point takes one).
 pub use pushsim::ExecutionBackend;

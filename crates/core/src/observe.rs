@@ -4,7 +4,7 @@
 //! per-phase bias amplification of Lemmas 7 and 12, Stage 1's activation
 //! growth (Claims 2–3), the majority-preservation boundary — so executions
 //! must be observable while they run, not only summarized afterwards. This
-//! module provides the three pieces:
+//! module provides the two pieces:
 //!
 //! * [`Observer`] — a callback trait notified at phase boundaries with a
 //!   cheap [`PhaseSnapshot`] (built from the O(k) population tallies both
@@ -16,14 +16,15 @@
 //!   boundaries, replacing hard-coded round budgets: stop after a maximum
 //!   number of rounds, on consensus, once the bias towards the reference
 //!   opinion reaches a threshold, or when the bias plateaus.
-//! * [`RunProgress`] — the bookkeeping a run loop maintains so stop
-//!   conditions can be evaluated without rescanning the population.
 //!
-//! Protocol runs attach observers through
-//! [`Session`](crate::Session); the baseline dynamics through
-//! `Dynamics::run_until` in the `opinion-dynamics` crate. Ready-made
-//! observers (trajectory recording, streaming statistics, JSONL sinks)
-//! live in the `gossip-analysis` crate.
+//! Both are served by the one phase driver, [`run_phases`](crate::run_phases),
+//! which every run goes through: protocol runs attach observers through
+//! [`Session`](crate::Session), the baseline dynamics through
+//! `RuleSpec::run` in the `opinion-dynamics` crate. The driver keeps the
+//! run's progress (rounds, consensus, recent biases) so stop conditions
+//! are evaluated without rescanning the population. Ready-made observers
+//! (trajectory recording, streaming statistics, JSONL sinks) live in the
+//! `gossip-analysis` crate.
 
 use crate::record::StageId;
 use pushsim::OpinionDistribution;
@@ -309,7 +310,7 @@ impl StopCondition {
     }
 
     /// `true` if the run should stop given the progress so far.
-    pub fn should_stop(&self, progress: &RunProgress) -> bool {
+    pub(crate) fn should_stop(&self, progress: &RunProgress) -> bool {
         match self {
             StopCondition::ScheduleExhausted => false,
             StopCondition::MaxRounds(limit) => progress.rounds() >= *limit,
@@ -330,25 +331,18 @@ impl StopCondition {
     }
 }
 
-/// What a run loop tracks so [`StopCondition`]s can be evaluated in O(1)
-/// (plus O(window) for plateaus) at every phase boundary.
+/// What the phase driver tracks so [`StopCondition`]s can be evaluated in
+/// O(1) (plus O(window) for plateaus) at every phase boundary.
 #[derive(Debug, Clone, Default)]
-pub struct RunProgress {
+pub(crate) struct RunProgress {
     rounds: u64,
     consensus: bool,
-    phase_count: usize,
     /// Retained bias history; 0 means unbounded.
     keep: usize,
     biases: Vec<Option<f64>>,
 }
 
 impl RunProgress {
-    /// Fresh progress: zero rounds, no consensus, no bias history (kept
-    /// unbounded — prefer [`for_stop`](Self::for_stop) in run loops).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fresh progress retaining only as much bias history as `stop` can
     /// ever inspect (the largest plateau window + 1, at least one entry),
     /// so long runs — the baseline dynamics step once per round — stay
@@ -364,7 +358,6 @@ impl RunProgress {
     pub fn note_phase(&mut self, snapshot: &PhaseSnapshot) {
         self.rounds = snapshot.total_rounds();
         self.consensus = snapshot.is_consensus();
-        self.phase_count += 1;
         self.biases.push(snapshot.bias());
         if self.keep > 0 && self.biases.len() > self.keep {
             let excess = self.biases.len() - self.keep;
@@ -395,11 +388,6 @@ impl RunProgress {
     /// anyone was opinionated.
     pub fn bias(&self) -> Option<f64> {
         self.biases.last().copied().flatten()
-    }
-
-    /// Number of finished phases.
-    pub fn phases(&self) -> usize {
-        self.phase_count
     }
 
     /// `true` if the bias moved by at most `tolerance` over the last
@@ -466,14 +454,14 @@ mod tests {
 
     #[test]
     fn schedule_exhausted_never_stops() {
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         progress.note_phase(&snapshot(1_000_000, vec![100, 0, 0], 0, Some(1.0)));
         assert!(!StopCondition::ScheduleExhausted.should_stop(&progress));
     }
 
     #[test]
     fn max_rounds_and_consensus_fire_when_reached() {
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         assert!(!StopCondition::MaxRounds(10).should_stop(&progress));
         assert!(!StopCondition::ConsensusReached.should_stop(&progress));
         progress.note_phase(&snapshot(10, vec![50, 40, 10], 0, Some(0.1)));
@@ -485,16 +473,16 @@ mod tests {
 
     #[test]
     fn sync_primes_consensus_without_recording_a_phase() {
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         progress.sync(0, true);
         assert!(StopCondition::ConsensusReached.should_stop(&progress));
-        assert_eq!(progress.phases(), 0);
+        assert_eq!(progress.rounds(), 0);
         assert_eq!(progress.bias(), None);
     }
 
     #[test]
     fn bias_threshold_needs_a_defined_bias() {
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         progress.note_phase(&snapshot(5, vec![0, 0, 0], 100, None));
         assert!(!StopCondition::BiasAtLeast(0.5).should_stop(&progress));
         progress.note_phase(&snapshot(10, vec![80, 10, 10], 0, Some(0.7)));
@@ -508,7 +496,7 @@ mod tests {
             window: 2,
             tolerance: 0.01,
         };
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         progress.note_phase(&snapshot(1, vec![60, 40, 0], 0, Some(0.2)));
         progress.note_phase(&snapshot(2, vec![60, 40, 0], 0, Some(0.2)));
         // Only one transition so far: not enough history.
@@ -556,7 +544,7 @@ mod tests {
             window: 1,
             tolerance: 1.0,
         };
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         progress.note_phase(&snapshot(1, vec![0, 0, 0], 100, None));
         progress.note_phase(&snapshot(2, vec![50, 0, 0], 100, Some(1.0)));
         assert!(!plateau.should_stop(&progress));
@@ -566,7 +554,7 @@ mod tests {
 
     #[test]
     fn any_and_all_compose() {
-        let mut progress = RunProgress::new();
+        let mut progress = RunProgress::default();
         progress.note_phase(&snapshot(50, vec![90, 10, 0], 0, Some(0.8)));
         let rounds = StopCondition::MaxRounds(10);
         let consensus = StopCondition::ConsensusReached;

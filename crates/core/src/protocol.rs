@@ -1,90 +1,14 @@
-//! The complete two-stage protocol and its outcome type.
+//! The complete two-stage protocol and its one entry point.
 
 use crate::error::ProtocolError;
-use crate::memory::MemoryMeter;
-use crate::observe::{Observer, RunProgress, StopCondition};
+use crate::observe::{Observer, StopCondition};
 use crate::params::ProtocolParams;
-use crate::record::{PhaseRecord, StageId};
+use crate::phase::{run_phases, Outcome};
 use crate::{stage1, stage2};
 use noisy_channel::NoiseMatrix;
-use pushsim::{
-    BackendVisitor, ExecutionBackend, Opinion, OpinionDistribution, PushBackend, SimConfig,
-};
+use pushsim::{BackendVisitor, ExecutionBackend, Opinion, PushBackend, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The result of one protocol execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    correct_opinion: Opinion,
-    final_distribution: OpinionDistribution,
-    rounds: u64,
-    messages: u64,
-    phase_records: Vec<PhaseRecord>,
-    memory: MemoryMeter,
-}
-
-impl Outcome {
-    /// The correct opinion of the instance: the source's opinion for rumor
-    /// spreading, the initial plurality opinion for plurality consensus.
-    pub fn correct_opinion(&self) -> Opinion {
-        self.correct_opinion
-    }
-
-    /// The opinion distribution at the end of the execution.
-    pub fn final_distribution(&self) -> &OpinionDistribution {
-        &self.final_distribution
-    }
-
-    /// `true` if every agent finished opinionated and supporting the same
-    /// opinion (whichever it is).
-    pub fn consensus_reached(&self) -> bool {
-        self.final_distribution.is_consensus()
-    }
-
-    /// The final plurality opinion, if one exists (with consensus this is
-    /// the unanimous opinion).
-    pub fn winning_opinion(&self) -> Option<Opinion> {
-        self.final_distribution.plurality()
-    }
-
-    /// `true` if the protocol succeeded: consensus was reached *on the
-    /// correct opinion*.
-    pub fn succeeded(&self) -> bool {
-        self.final_distribution.is_consensus_on(self.correct_opinion)
-    }
-
-    /// Total number of rounds executed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Total number of messages pushed.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Per-phase records, Stage 1 phases first.
-    pub fn phase_records(&self) -> &[PhaseRecord] {
-        &self.phase_records
-    }
-
-    /// The records of the given stage only.
-    pub fn stage_records(&self, stage: StageId) -> impl Iterator<Item = &PhaseRecord> {
-        self.phase_records.iter().filter(move |r| r.stage() == stage)
-    }
-
-    /// The bias towards the correct opinion at the end of every phase
-    /// (`None` entries mean nobody was opinionated yet).
-    pub fn bias_trajectory(&self) -> Vec<Option<f64>> {
-        self.phase_records.iter().map(|r| r.bias_after()).collect()
-    }
-
-    /// The memory-accounting meter of the run.
-    pub fn memory(&self) -> &MemoryMeter {
-        &self.memory
-    }
-}
 
 /// The two-stage noisy rumor-spreading / plurality-consensus protocol of
 /// Fraigniaud & Natale (PODC 2016).
@@ -238,7 +162,7 @@ impl TwoStageProtocol {
     }
 
     /// Runs the schedule on an already-seeded network — both stages, or
-    /// Stage 2 alone — the single generic execution path shared by every
+    /// Stage 2 alone — through the one phase driver shared by every
     /// backend. The observer is notified at every phase boundary and the
     /// stop condition is evaluated there; with [`NoObserver`](crate::NoObserver) and
     /// [`StopCondition::ScheduleExhausted`] this is byte-for-byte the
@@ -253,55 +177,14 @@ impl TwoStageProtocol {
         stop: &StopCondition,
     ) -> Outcome {
         let schedule = self.params.schedule();
-        let mut meter = MemoryMeter::new(self.params.num_opinions());
-        let mut progress = RunProgress::for_stop(stop);
-        progress.sync(0, net.is_consensus());
-        let mut records = Vec::new();
-        if with_stage1 {
-            records = stage1::run(
-                &mut net,
-                schedule.stage1_phase_lengths(),
-                reference,
-                &mut rng,
-                &mut meter,
-                observer,
-                stop,
-                &mut progress,
-            );
-            if !stop.should_stop(&progress) {
-                observer.on_stage_transition(StageId::One, StageId::Two);
-            }
-        }
-        records.extend(stage2::run(
-            &mut net,
-            schedule.stage2_sample_sizes(),
-            reference,
-            &mut rng,
-            &mut meter,
-            observer,
-            stop,
-            &mut progress,
-        ));
-        let outcome = self.outcome_from(net, records, meter, reference);
-        observer.on_finish();
-        outcome
-    }
-
-    fn outcome_from<B: PushBackend>(
-        &self,
-        net: B,
-        records: Vec<PhaseRecord>,
-        memory: MemoryMeter,
-        reference: Opinion,
-    ) -> Outcome {
-        Outcome {
-            correct_opinion: reference,
-            final_distribution: net.distribution(),
-            rounds: net.rounds_executed(),
-            messages: net.messages_sent(),
-            phase_records: records,
-            memory,
-        }
+        let stage1_lengths = if with_stage1 {
+            schedule.stage1_phase_lengths()
+        } else {
+            &[]
+        };
+        let phases = stage1::phases(stage1_lengths)
+            .chain(stage2::phases(schedule.stage2_sample_sizes()));
+        run_phases(&mut net, phases, reference, &mut rng, observer, stop)
     }
 }
 
@@ -508,6 +391,7 @@ mod tests {
     use super::*;
     use crate::observe::NoObserver;
     use crate::params::ProtocolConstants;
+    use crate::record::StageId;
     use pushsim::{ChurnSpec, ClockSpec, FaultSpec, TopologySpec};
 
     fn uniform_noise(k: usize, eps: f64) -> NoiseMatrix {

@@ -19,97 +19,41 @@
 //! the bias towards the correct opinion degrades by at most a factor `ε/2`
 //! per phase (Lemma 7), ending at `Ω(√(log n / n))` (Lemma 4).
 //!
-//! The stage is **backend-generic**: it drives any
-//! [`PushBackend`] through the shared phase lifecycle
-//! (`begin_phase` → opinionated pushes → `end_phase` →
-//! `resolve_uniform_adoption` over the undecided agents). Opinions never
+//! The stage is a list of [`Phase`]s for the one phase driver
+//! ([`run_phases`](crate::run_phases)), which runs them on any backend:
+//! each phase pushes for its scheduled length and ends in
+//! `resolve_uniform_adoption` over the undecided agents. Opinions never
 //! change mid-phase — adoption happens strictly after `end_phase` — so
 //! pushing the live state each round is exactly the paper's
 //! "push the opinion held at the beginning of the phase" rule.
 
-use crate::memory::MemoryMeter;
-use crate::observe::{Observer, PhaseSnapshot, RunProgress, StopCondition};
-use crate::record::{PhaseRecord, StageId};
-use pushsim::{AdoptionScope, Opinion, PhaseObservation, PushBackend};
-use rand::rngs::StdRng;
+use crate::phase::{Decision, Phase};
+use crate::record::StageId;
+use pushsim::AdoptionScope;
 
-/// Runs Stage 1 phases on `net` (any [`PushBackend`]) until the schedule
-/// is exhausted or `stop` fires at a phase boundary.
-///
-/// `phase_lengths` is the Stage 1 schedule (in rounds), `reference` is the
-/// correct opinion used for bias bookkeeping, `rng` drives the agents'
-/// adoption choices, and `meter` accumulates memory-footprint statistics.
-/// `observer` is notified at every phase boundary with a cheap
-/// [`PhaseSnapshot`]; observation never touches `rng` or the backend's
-/// delivery RNG, so attaching any observer leaves the execution
-/// bit-identical. `progress` carries the run's cumulative state for the
-/// stop condition (shared with Stage 2).
-///
-/// Returns one [`PhaseRecord`] per executed phase.
-#[allow(clippy::too_many_arguments)] // one argument per snapshot field
-pub(crate) fn run<B: PushBackend>(
-    net: &mut B,
-    phase_lengths: &[u64],
-    reference: Opinion,
-    rng: &mut StdRng,
-    meter: &mut MemoryMeter,
-    observer: &mut dyn Observer,
-    stop: &StopCondition,
-    progress: &mut RunProgress,
-) -> Vec<PhaseRecord> {
-    let mut records = Vec::with_capacity(phase_lengths.len());
-    for (phase_index, &length) in phase_lengths.iter().enumerate() {
-        if stop.should_stop(progress) {
-            break;
-        }
-        observer.on_phase_begin(Some(StageId::One), phase_index);
-        net.begin_phase();
-        let mut messages = 0u64;
-        for _ in 0..length {
-            messages += net.push_opinionated_round().messages_sent();
-        }
-        net.end_phase();
-
-        // Undecided agents that received at least one message adopt one
-        // uniformly random received opinion; they push from the next phase.
-        net.resolve_uniform_adoption(AdoptionScope::UndecidedOnly, rng);
-
-        meter.record_counter(net.observation().max_inbox());
-        meter.record_phase();
-        let record = PhaseRecord::new(
-            StageId::One,
-            phase_index,
-            length,
-            messages,
-            net.distribution(),
-            reference,
-        );
-        let snapshot = PhaseSnapshot::new(
-            Some(StageId::One),
-            phase_index,
-            length,
-            net.rounds_executed(),
-            messages,
-            net.messages_sent(),
-            record.distribution_after().clone(),
-            record.bias_after(),
-        )
-        .with_topology(net.config().topology().label());
-        observer.on_phase_end(&snapshot);
-        progress.note_phase(&snapshot);
-        records.push(record);
-    }
-    records
+/// Stage 1's phases: one per entry of `phase_lengths` (the Stage 1
+/// schedule, in rounds), each decided by the undecided agents' uniform
+/// adoption.
+pub(crate) fn phases(phase_lengths: &[u64]) -> impl Iterator<Item = Phase> + '_ {
+    phase_lengths.iter().map(|&rounds| Phase {
+        stage: Some(StageId::One),
+        rounds,
+        decision: Decision::UniformAdoption(AdoptionScope::UndecidedOnly),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{NoObserver, StopCondition};
     use crate::params::ProtocolParams;
+    use crate::phase::{run_phases, Outcome};
     use noisy_channel::NoiseMatrix;
     use pushsim::{
-        CountingNetwork, DeliverySemantics, Network, NodeState, OpinionDistribution, SimConfig,
+        CountingNetwork, DeliverySemantics, Network, NodeState, Opinion, OpinionDistribution,
+        PushBackend, SimConfig,
     };
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn network(n: usize, k: usize, eps: f64, seed: u64) -> Network {
@@ -118,24 +62,20 @@ mod tests {
         Network::new(config, noise).unwrap()
     }
 
-    /// The stage with no observer and no early stop (the pre-observation
-    /// call shape).
+    /// The stage alone, with no observer and no early stop.
     fn run_all<B: PushBackend>(
         net: &mut B,
         phase_lengths: &[u64],
         reference: Opinion,
         rng: &mut StdRng,
-        meter: &mut MemoryMeter,
-    ) -> Vec<PhaseRecord> {
-        run(
+    ) -> Outcome {
+        run_phases(
             net,
-            phase_lengths,
+            phases(phase_lengths),
             reference,
             rng,
-            meter,
-            &mut crate::observe::NoObserver,
+            &mut NoObserver,
             &StopCondition::ScheduleExhausted,
-            &mut RunProgress::new(),
         )
     }
 
@@ -148,14 +88,13 @@ mod tests {
         let mut net = network(n, 3, eps, 1);
         net.seed_rumor(0, Opinion::new(1)).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let mut meter = MemoryMeter::new(3);
-        let records = run_all(
+        let outcome = run_all(
             &mut net,
             schedule.stage1_phase_lengths(),
             Opinion::new(1),
             &mut rng,
-            &mut meter,
         );
+        let records = outcome.phase_records();
         assert_eq!(records.len(), schedule.stage1_phases());
         let final_dist = net.distribution();
         assert_eq!(
@@ -170,12 +109,12 @@ mod tests {
         assert!(bias > 0.0, "bias {bias} should be positive");
         // Activation is monotone non-decreasing across phases.
         let mut last = 0.0;
-        for r in &records {
+        for r in records {
             assert!(r.opinionated_fraction_after() >= last);
             last = r.opinionated_fraction_after();
         }
-        assert!(meter.max_phase_counter() > 0);
-        assert_eq!(meter.num_phases() as usize, records.len());
+        assert!(outcome.memory().max_phase_counter() > 0);
+        assert_eq!(outcome.memory().num_phases() as usize, records.len());
     }
 
     #[test]
@@ -188,13 +127,11 @@ mod tests {
         let before: Vec<NodeState> = net.states().to_vec();
         let params = ProtocolParams::builder(n, 2).epsilon(eps).build().unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut meter = MemoryMeter::new(2);
         run_all(
             &mut net,
             params.schedule().stage1_phase_lengths(),
             Opinion::new(0),
             &mut rng,
-            &mut meter,
         );
         for (node, state) in before.iter().enumerate() {
             if let Some(o) = state.opinion() {
@@ -212,8 +149,8 @@ mod tests {
         let mut net = network(50, 2, 0.3, 5);
         // Nobody is opinionated: no messages are ever sent.
         let mut rng = StdRng::seed_from_u64(6);
-        let mut meter = MemoryMeter::new(2);
-        let records = run_all(&mut net, &[10], Opinion::new(0), &mut rng, &mut meter);
+        let outcome = run_all(&mut net, &[10], Opinion::new(0), &mut rng);
+        let records = outcome.phase_records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].messages(), 0);
         let dist: OpinionDistribution = net.distribution();
@@ -238,14 +175,13 @@ mod tests {
         let mut net = CountingNetwork::new(config, noise).unwrap();
         net.seed_rumor_at(0, Opinion::new(1)).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let mut meter = MemoryMeter::new(3);
-        let records = run_all(
+        let outcome = run_all(
             &mut net,
             schedule.stage1_phase_lengths(),
             Opinion::new(1),
             &mut rng,
-            &mut meter,
         );
+        let records = outcome.phase_records();
         assert_eq!(records.len(), schedule.stage1_phases());
         let final_dist = net.distribution();
         assert_eq!(
@@ -256,11 +192,11 @@ mod tests {
         assert!(final_dist.bias_towards(Opinion::new(1)).unwrap() > 0.0);
         // Activation is monotone non-decreasing across phases.
         let mut last = 0.0;
-        for r in &records {
+        for r in records {
             assert!(r.opinionated_fraction_after() >= last);
             last = r.opinionated_fraction_after();
         }
-        assert!(meter.max_phase_counter() > 0);
+        assert!(outcome.memory().max_phase_counter() > 0);
     }
 
     #[test]
@@ -271,8 +207,8 @@ mod tests {
         let mut net = network(50, 2, 0.3, 7);
         net.seed_rumor(0, Opinion::new(0)).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let mut meter = MemoryMeter::new(2);
-        let records = run_all(&mut net, &[1, 1], Opinion::new(0), &mut rng, &mut meter);
+        let outcome = run_all(&mut net, &[1, 1], Opinion::new(0), &mut rng);
+        let records = outcome.phase_records();
         assert_eq!(records[0].messages(), 1);
         // In phase 2 the source plus at most one adopter push.
         assert!(records[1].messages() <= 2);

@@ -14,94 +14,40 @@
 //! the bias exceeds 1/2 and the final long phase completes the convergence
 //! (Lemma 12).
 //!
-//! Like Stage 1, the stage is **backend-generic**: the sample-majority
-//! decision operator is [`PushBackend::resolve_sample_majority`], which the
-//! agent-level backend implements per agent (a multivariate-hypergeometric
-//! draw from the inbox) and the counting backend implements with the
-//! count-level closed forms of process P (a binomial threshold event plus
-//! `maj(Multinomial(L, h/H))` splits — see `pushsim::counting`).
+//! Like Stage 1, the stage is a list of [`Phase`]s for the one phase
+//! driver ([`run_phases`](crate::run_phases)), and hence
+//! **backend-generic**: the sample-majority decision operator is
+//! [`PushBackend::resolve_sample_majority`](pushsim::PushBackend::resolve_sample_majority),
+//! which the agent-level backend implements per agent (a
+//! multivariate-hypergeometric draw from the inbox) and the counting
+//! backend implements with the count-level closed forms of process P (a
+//! binomial threshold event plus `maj(Multinomial(L, h/H))` splits — see
+//! `pushsim::counting`).
 
-use crate::memory::MemoryMeter;
-use crate::observe::{Observer, PhaseSnapshot, RunProgress, StopCondition};
-use crate::record::{PhaseRecord, StageId};
-use pushsim::{Opinion, PhaseObservation, PushBackend};
-use rand::rngs::StdRng;
+use crate::phase::{Decision, Phase};
+use crate::record::StageId;
 
-/// Runs Stage 2 phases on `net` (any [`PushBackend`]) until the schedule
-/// is exhausted or `stop` fires at a phase boundary.
-///
-/// `sample_sizes` lists the per-phase sample sizes `L` (each phase lasts
-/// `2L` rounds), `reference` is the plurality opinion used for bias
-/// bookkeeping, `rng` drives sampling and tie-breaking, and `meter`
-/// accumulates memory statistics. `observer` and `progress` behave exactly
-/// as in Stage 1's `run`: phase-boundary snapshots, no RNG access, shared
-/// stop-condition state.
-///
-/// Returns one [`PhaseRecord`] per executed phase.
-#[allow(clippy::too_many_arguments)] // one argument per snapshot field
-pub(crate) fn run<B: PushBackend>(
-    net: &mut B,
-    sample_sizes: &[u64],
-    reference: Opinion,
-    rng: &mut StdRng,
-    meter: &mut MemoryMeter,
-    observer: &mut dyn Observer,
-    stop: &StopCondition,
-    progress: &mut RunProgress,
-) -> Vec<PhaseRecord> {
-    let mut records = Vec::with_capacity(sample_sizes.len());
-    for (phase_index, &sample_size) in sample_sizes.iter().enumerate() {
-        if stop.should_stop(progress) {
-            break;
-        }
-        observer.on_phase_begin(Some(StageId::Two), phase_index);
-        let rounds = 2 * sample_size;
-        net.begin_phase();
-        let mut messages = 0u64;
-        for _ in 0..rounds {
-            // Opinions do not change in the middle of a phase, so pushing
-            // the live state every round matches the paper's rule.
-            messages += net.push_opinionated_round().messages_sent();
-        }
-        net.end_phase();
-        net.resolve_sample_majority(sample_size, rng);
-
-        meter.record_sample_size(sample_size);
-        meter.record_counter(net.observation().max_inbox());
-        meter.record_phase();
-        let record = PhaseRecord::new(
-            StageId::Two,
-            phase_index,
-            rounds,
-            messages,
-            net.distribution(),
-            reference,
-        );
-        let snapshot = PhaseSnapshot::new(
-            Some(StageId::Two),
-            phase_index,
-            rounds,
-            net.rounds_executed(),
-            messages,
-            net.messages_sent(),
-            record.distribution_after().clone(),
-            record.bias_after(),
-        )
-        .with_topology(net.config().topology().label());
-        observer.on_phase_end(&snapshot);
-        progress.note_phase(&snapshot);
-        records.push(record);
-    }
-    records
+/// Stage 2's phases: one of `2L` rounds per entry `L` of `sample_sizes`,
+/// each decided by the sample majority of `L` received messages.
+pub(crate) fn phases(sample_sizes: &[u64]) -> impl Iterator<Item = Phase> + '_ {
+    sample_sizes.iter().map(|&sample_size| Phase {
+        stage: Some(StageId::Two),
+        rounds: 2 * sample_size,
+        decision: Decision::SampleMajority(sample_size),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{NoObserver, StopCondition};
+    use crate::phase::{run_phases, Outcome};
     use noisy_channel::NoiseMatrix;
     use pushsim::{
-        CountingNetwork, DeliverySemantics, Network, OpinionDistribution, SimConfig,
+        CountingNetwork, DeliverySemantics, Network, Opinion, OpinionDistribution, PushBackend,
+        SimConfig,
     };
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn network(n: usize, k: usize, eps: f64, seed: u64) -> Network {
@@ -110,24 +56,20 @@ mod tests {
         Network::new(config, noise).unwrap()
     }
 
-    /// The stage with no observer and no early stop (the pre-observation
-    /// call shape).
+    /// The stage alone, with no observer and no early stop.
     fn run_all<B: PushBackend>(
         net: &mut B,
         sample_sizes: &[u64],
         reference: Opinion,
         rng: &mut StdRng,
-        meter: &mut MemoryMeter,
-    ) -> Vec<PhaseRecord> {
-        run(
+    ) -> Outcome {
+        run_phases(
             net,
-            sample_sizes,
+            phases(sample_sizes),
             reference,
             rng,
-            meter,
-            &mut crate::observe::NoObserver,
+            &mut NoObserver,
             &StopCondition::ScheduleExhausted,
-            &mut RunProgress::new(),
         )
     }
 
@@ -139,19 +81,19 @@ mod tests {
         // 40% / 30% / 30% split: bias 0.1 towards opinion 0.
         net.seed_counts(&[240, 180, 180]).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut meter = MemoryMeter::new(3);
         // A handful of amplification phases followed by one long phase.
         let ell = 61;
         let ell_final = 201;
         let sizes = vec![ell, ell, ell, ell, ell_final];
-        let records = run_all(&mut net, &sizes, Opinion::new(0), &mut rng, &mut meter);
+        let outcome = run_all(&mut net, &sizes, Opinion::new(0), &mut rng);
+        let records = outcome.phase_records();
         assert_eq!(records.len(), sizes.len());
         let final_dist: OpinionDistribution = net.distribution();
         assert!(
             final_dist.is_consensus_on(Opinion::new(0)),
             "expected consensus on opinion 0, got {final_dist}"
         );
-        assert_eq!(meter.max_sample_size(), ell_final);
+        assert_eq!(outcome.memory().max_sample_size(), ell_final);
     }
 
     #[test]
@@ -169,9 +111,8 @@ mod tests {
             let mut net = network(n, 2, eps, 100 + seed);
             net.seed_counts(&[majority, minority]).unwrap();
             let mut rng = StdRng::seed_from_u64(200 + seed);
-            let mut meter = MemoryMeter::new(2);
-            let records = run_all(&mut net, &[41], Opinion::new(0), &mut rng, &mut meter);
-            total_bias_after += records[0].bias_after().unwrap();
+            let outcome = run_all(&mut net, &[41], Opinion::new(0), &mut rng);
+            total_bias_after += outcome.phase_records()[0].bias_after().unwrap();
         }
         let avg = total_bias_after / trials as f64;
         let start = 2.0 * majority as f64 / n as f64 - 1.0;
@@ -196,18 +137,18 @@ mod tests {
         let mut net = CountingNetwork::new(config, noise).unwrap();
         net.seed_counts(&[240, 180, 180]).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut meter = MemoryMeter::new(3);
         let ell = 61;
         let ell_final = 201;
         let sizes = vec![ell, ell, ell, ell, ell_final];
-        let records = run_all(&mut net, &sizes, Opinion::new(0), &mut rng, &mut meter);
+        let outcome = run_all(&mut net, &sizes, Opinion::new(0), &mut rng);
+        let records = outcome.phase_records();
         assert_eq!(records.len(), sizes.len());
         let final_dist = net.distribution();
         assert!(
             final_dist.is_consensus_on(Opinion::new(0)),
             "expected consensus on opinion 0, got {final_dist}"
         );
-        assert_eq!(meter.max_sample_size(), ell_final);
+        assert_eq!(outcome.memory().max_sample_size(), ell_final);
         // Node conservation throughout.
         assert_eq!(final_dist.num_nodes(), n);
     }
@@ -226,8 +167,7 @@ mod tests {
         net.seed_counts(&[2, 1]).unwrap();
         let before = net.distribution();
         let mut rng = StdRng::seed_from_u64(13);
-        let mut meter = MemoryMeter::new(2);
-        run_all(&mut net, &[1001], Opinion::new(0), &mut rng, &mut meter);
+        run_all(&mut net, &[1001], Opinion::new(0), &mut rng);
         assert_eq!(net.distribution().counts(), before.counts());
     }
 
@@ -239,8 +179,7 @@ mod tests {
         net.seed_counts(&[2, 1]).unwrap();
         let before = net.distribution();
         let mut rng = StdRng::seed_from_u64(13);
-        let mut meter = MemoryMeter::new(2);
-        run_all(&mut net, &[1001], Opinion::new(0), &mut rng, &mut meter);
+        run_all(&mut net, &[1001], Opinion::new(0), &mut rng);
         assert_eq!(net.distribution().counts(), before.counts());
     }
 
@@ -252,8 +191,7 @@ mod tests {
         let mut net = network(n, 2, 0.4, 14);
         net.seed_counts(&[200, 40]).unwrap(); // 60 undecided
         let mut rng = StdRng::seed_from_u64(15);
-        let mut meter = MemoryMeter::new(2);
-        run_all(&mut net, &[31, 31, 101], Opinion::new(0), &mut rng, &mut meter);
+        run_all(&mut net, &[31, 31, 101], Opinion::new(0), &mut rng);
         let dist = net.distribution();
         assert_eq!(dist.undecided(), 0, "stragglers should be recruited: {dist}");
         assert!(dist.is_consensus_on(Opinion::new(0)));
@@ -267,9 +205,8 @@ mod tests {
         let mut net = network(n, 2, 0.45, 16);
         net.seed_counts(&[100, 100]).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
-        let mut meter = MemoryMeter::new(2);
         let sizes = vec![31; 12];
-        run_all(&mut net, &sizes, Opinion::new(0), &mut rng, &mut meter);
+        run_all(&mut net, &sizes, Opinion::new(0), &mut rng);
         let dist = net.distribution();
         assert_eq!(dist.undecided(), 0);
         // Not asserting *which* opinion wins — only that the system is in a

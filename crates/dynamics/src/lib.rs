@@ -18,30 +18,34 @@
 //! Natale; running them under the same noise matrix shows where simple
 //! dynamics break down and how much the two-stage protocol buys.
 //!
-//! All dynamics implement the **backend-generic** [`Dynamics`] trait: each
-//! rule is written once against [`pushsim::PushBackend`] and runs unchanged
-//! on the agent-level [`Network`] *and* the count-level network behind
-//! [`CountingNetwork`](pushsim::CountingNetwork) and
-//! [`BlockCountingNetwork`](pushsim::BlockCountingNetwork) (O(k²) random
-//! draws per step on the complete graph, independent of the population
-//! size). One [`step`](Dynamics::step) is a full synchronous update (every
+//! Each rule is one [`RuleSpec`] and one [`Phase`](plurality_core::Phase):
+//! a few push rounds, then one of the backend's decision operators
+//! (`resolve_*` on [`pushsim::PushBackend`]). [`RuleSpec::run`] repeats
+//! that phase through plurality-core's phase driver — the loop that also
+//! runs the protocol's two stages — and returns the same
+//! [`Outcome`](plurality_core::Outcome) a protocol run does. It runs
+//! unchanged on the agent-level [`Network`](pushsim::Network) *and* the
+//! count-level network behind [`CountingNetwork`](pushsim::CountingNetwork)
+//! and [`BlockCountingNetwork`](pushsim::BlockCountingNetwork) (O(k²)
+//! random draws per step on the complete graph, independent of the
+//! population size). One step is a full synchronous update: every
 //! opinionated agent pushes, then every agent applies the rule to the
-//! messages it received), and [`run`](Dynamics::run) iterates until
-//! consensus or a round limit.
+//! messages it received.
 //!
-//! The per-backend mechanics live in the backend's decision operators
-//! (`resolve_*` on [`pushsim::PushBackend`]): per-agent inbox sampling on
-//! the agent backend, closed count-level forms of process P per degree
-//! class on the count-level backends. The count-level forms are exact for
-//! the voter, undecided-state and h-majority rules; the median rule's two
-//! same-inbox draws are mean-field approximated (see
+//! The per-backend mechanics live in the backend's decision operators:
+//! per-agent inbox sampling on the agent backend, closed count-level forms
+//! of process P per degree class on the count-level backends. The
+//! count-level forms are exact for the voter, undecided-state and
+//! h-majority rules; the median rule's two same-inbox draws are mean-field
+//! approximated (see
 //! [`resolve_median`](pushsim::PushBackend::resolve_median)).
 //!
 //! # Example
 //!
 //! ```
 //! use noisy_channel::NoiseMatrix;
-//! use opinion_dynamics::{Dynamics, ThreeMajority};
+//! use opinion_dynamics::RuleSpec;
+//! use plurality_core::{NoObserver, StopCondition};
 //! use pushsim::{Network, Opinion, SimConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -52,24 +56,33 @@
 //! net.seed_counts(&[200, 100])?;
 //!
 //! let mut rng = StdRng::seed_from_u64(2);
-//! let outcome = ThreeMajority::new().run(&mut net, &mut rng, 2_000);
+//! let plurality = Opinion::new(0);
+//! let until_consensus = StopCondition::ConsensusReached;
+//! let outcome = RuleSpec::ThreeMajority.run(
+//!     &mut net,
+//!     &mut rng,
+//!     plurality,
+//!     2_000,
+//!     &until_consensus,
+//!     &mut NoObserver,
+//! );
 //! // Under channel noise the baseline has no absorbing state, so it hovers
 //! // near — but not exactly at — consensus on the plurality opinion.
-//! assert_eq!(outcome.winner(), Some(Opinion::new(0)));
+//! assert_eq!(outcome.winning_opinion(), Some(plurality));
 //! let share = outcome.final_distribution().counts()[0] as f64 / 300.0;
 //! assert!(share > 0.8);
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The same dynamics on the counting backend at a population the agent
-//! backend could not touch (the count-level network is driven through
-//! [`pushsim::PushBackend`]):
+//! The same rule on the counting backend at a population the agent
+//! backend could not touch:
 //!
 //! ```
 //! use noisy_channel::NoiseMatrix;
-//! use opinion_dynamics::{Dynamics, ThreeMajority};
-//! use pushsim::{CountingNetwork, DeliverySemantics, PushBackend, SimConfig};
+//! use opinion_dynamics::RuleSpec;
+//! use plurality_core::{NoObserver, StopCondition};
+//! use pushsim::{CountingNetwork, DeliverySemantics, Opinion, PushBackend, SimConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,7 +94,14 @@
 //! let mut net = CountingNetwork::new(config, noise)?;
 //! net.seed_counts(&[700_000, 300_000])?;
 //! let mut rng = StdRng::seed_from_u64(2);
-//! let outcome = ThreeMajority::new().run(&mut net, &mut rng, 600);
+//! let outcome = RuleSpec::ThreeMajority.run(
+//!     &mut net,
+//!     &mut rng,
+//!     Opinion::new(0),
+//!     600,
+//!     &StopCondition::ConsensusReached,
+//!     &mut NoObserver,
+//! );
 //! let share = outcome.final_distribution().counts()[0] as f64 / 1e6;
 //! assert!(share > 0.9);
 //! # Ok(())
@@ -93,143 +113,39 @@
 
 mod majority;
 mod median;
-mod outcome;
 mod rule;
 mod undecided;
 mod voter;
 
-pub use majority::{HMajority, ThreeMajority};
-pub use median::MedianRule;
-pub use outcome::DynamicsOutcome;
 pub use rule::RuleSpec;
-pub use undecided::UndecidedState;
-pub use voter::Voter;
-
-use plurality_core::observe::{NoObserver, Observer, PhaseSnapshot, RunProgress, StopCondition};
-use pushsim::{Network, Opinion, PushBackend};
-use rand::rngs::StdRng;
-
-/// A synchronous opinion dynamics over the noisy uniform push model,
-/// generic over the simulation backend.
-///
-/// Implementors define one update step in terms of the backend's phase
-/// lifecycle and decision operators; the provided [`run`](Dynamics::run)
-/// method iterates steps until consensus or a limit. The default backend
-/// parameter keeps `Box<dyn Dynamics>` meaning "a dynamics over the
-/// agent-level [`Network`]".
-pub trait Dynamics<B: PushBackend = Network> {
-    /// A short human-readable name for tables and plots.
-    fn name(&self) -> &'static str;
-
-    /// Executes one synchronous update: every opinionated agent pushes its
-    /// opinion, messages are delivered through the noisy channel, and every
-    /// agent applies the dynamics' update rule to its received multiset.
-    /// Decision randomness comes from `rng` (delivery randomness from the
-    /// backend's own RNG).
-    fn step(&mut self, net: &mut B, rng: &mut StdRng);
-
-    /// Runs the dynamics until the network reaches consensus or at least
-    /// `max_rounds` rounds have been executed, whichever comes first (a step
-    /// that was already in progress when the limit is hit is finished, so
-    /// the actual round count can exceed `max_rounds` by one step).
-    ///
-    /// Equivalent to [`run_until`](Dynamics::run_until) with the stop
-    /// condition `max-rounds OR consensus` and no observer; kept as the
-    /// concise entry point for budgeted runs.
-    fn run(&mut self, net: &mut B, rng: &mut StdRng, max_rounds: u64) -> DynamicsOutcome {
-        self.run_until(
-            net,
-            rng,
-            None,
-            &StopCondition::Any(vec![
-                StopCondition::MaxRounds(max_rounds),
-                StopCondition::ConsensusReached,
-            ]),
-            &mut NoObserver,
-        )
-    }
-
-    /// Runs the dynamics until `stop` fires, notifying `observer` after
-    /// every step — the observable generalization of
-    /// [`run`](Dynamics::run), mirroring the protocol's
-    /// `Session` API.
-    ///
-    /// Each step is reported as one "phase" with `stage = None`;
-    /// `reference` (usually the initial plurality opinion) is the opinion
-    /// the snapshots' bias — and hence
-    /// [`StopCondition::BiasAtLeast`] / [`StopCondition::Plateau`] — is
-    /// measured against; with `None` the bias is undefined and those
-    /// conditions never fire. Observation never touches `rng` or the
-    /// backend's delivery RNG, so attaching any observer leaves the
-    /// execution bit-identical.
-    ///
-    /// The stop condition is evaluated *before* each step on the current
-    /// state (the consensus poll uses [`PushBackend::is_consensus`], O(k)
-    /// on both backends), so a [`StopCondition::ScheduleExhausted`]
-    /// condition — which never fires — would loop forever: budget the run
-    /// with [`StopCondition::MaxRounds`] or a convergence condition.
-    fn run_until(
-        &mut self,
-        net: &mut B,
-        rng: &mut StdRng,
-        reference: Option<Opinion>,
-        stop: &StopCondition,
-        observer: &mut dyn Observer,
-    ) -> DynamicsOutcome {
-        let start_rounds = net.rounds_executed();
-        let start_messages = net.messages_sent();
-        let mut progress = RunProgress::for_stop(stop);
-        progress.sync(0, net.is_consensus());
-        let mut step_index = 0usize;
-        let mut messages_before = 0u64;
-        while !stop.should_stop(&progress) {
-            observer.on_phase_begin(None, step_index);
-            self.step(net, rng);
-            let distribution = net.distribution();
-            let bias = reference.and_then(|r| distribution.bias_towards(r));
-            let total_rounds = net.rounds_executed() - start_rounds;
-            let total_messages = net.messages_sent() - start_messages;
-            let snapshot = PhaseSnapshot::new(
-                None,
-                step_index,
-                total_rounds - progress.rounds(),
-                total_rounds,
-                total_messages - messages_before,
-                total_messages,
-                distribution,
-                bias,
-            )
-            .with_topology(net.config().topology().label());
-            observer.on_phase_end(&snapshot);
-            progress.note_phase(&snapshot);
-            messages_before = total_messages;
-            step_index += 1;
-        }
-        observer.on_finish();
-        let final_distribution = net.distribution();
-        DynamicsOutcome::new(
-            self.name(),
-            net.rounds_executed() - start_rounds,
-            net.messages_sent() - start_messages,
-            final_distribution,
-        )
-    }
-}
-
-/// Helper shared by the single-round dynamics: one phase of exactly one
-/// push round, ready for a `resolve_*` decision operator.
-pub(crate) fn one_round_phase<B: PushBackend>(net: &mut B) {
-    net.begin_phase();
-    net.push_opinionated_round();
-    net.end_phase();
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use noisy_channel::NoiseMatrix;
-    use pushsim::{CountingNetwork, DeliverySemantics, Opinion, SimConfig};
+    use plurality_core::{NoObserver, Observer, Outcome, PhaseSnapshot, StopCondition};
+    use pushsim::{CountingNetwork, DeliverySemantics, Network, Opinion, PushBackend, SimConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The classic budgeted run: `rule` until consensus or `budget` rounds,
+    /// with the bias measured towards opinion 0.
+    pub(crate) fn run<B: PushBackend>(
+        rule: RuleSpec,
+        net: &mut B,
+        rng: &mut StdRng,
+        budget: u64,
+    ) -> Outcome {
+        let consensus = StopCondition::ConsensusReached;
+        rule.run(net, rng, Opinion::new(0), budget, &consensus, &mut NoObserver)
+    }
+
+    /// Exactly `count` steps of `rule`, consensus or not.
+    pub(crate) fn steps<B: PushBackend>(rule: RuleSpec, net: &mut B, rng: &mut StdRng, count: u64) {
+        let budget = count * rule.phase().rounds;
+        let never = StopCondition::ScheduleExhausted;
+        rule.run(net, rng, Opinion::new(0), budget, &never, &mut NoObserver);
+    }
 
     fn biased_network(seed: u64) -> Network {
         // Noiseless channel: the classic setting in which all these dynamics
@@ -246,49 +162,47 @@ mod tests {
     /// majority-seeking dynamics converge on the plurality opinion.
     #[test]
     fn all_dynamics_converge_without_noise() {
-        let dynamics: Vec<(Box<dyn Dynamics>, bool)> = vec![
+        let rules = [
             // The voter model converges but its winner is only *likely* to be
             // the plurality opinion, so we do not assert the winner for it.
-            (Box::new(Voter::new()), false),
-            (Box::new(ThreeMajority::new()), true),
-            (Box::new(HMajority::new(5)), true),
-            (Box::new(UndecidedState::new()), true),
-            (Box::new(MedianRule::new()), true),
+            (RuleSpec::Voter, false),
+            (RuleSpec::ThreeMajority, true),
+            (RuleSpec::HMajority { h: 5 }, true),
+            (RuleSpec::Undecided, true),
+            (RuleSpec::Median, true),
         ];
-        for (i, (mut dyn_, check_winner)) in dynamics.into_iter().enumerate() {
+        for (i, (rule, check_winner)) in rules.into_iter().enumerate() {
             let mut net = biased_network(40 + i as u64);
             let mut rng = StdRng::seed_from_u64(140 + i as u64);
-            let outcome = dyn_.run(&mut net, &mut rng, 6_000);
+            let outcome = run(rule, &mut net, &mut rng, 6_000);
             assert!(
-                outcome.converged(),
-                "{} did not converge: {}",
-                dyn_.name(),
+                outcome.consensus_reached(),
+                "{rule} did not converge: {}",
                 outcome.final_distribution()
             );
             if check_winner {
                 assert_eq!(
-                    outcome.winner(),
+                    outcome.winning_opinion(),
                     Some(Opinion::new(0)),
-                    "{} converged on the wrong opinion",
-                    dyn_.name()
+                    "{rule} converged on the wrong opinion"
                 );
             }
         }
     }
 
-    /// The same trait objects, boxed over the *counting* backend: every
-    /// rule is one generic implementation, so the whole baseline suite also
-    /// runs count-based.
+    /// The same rules on the *counting* backend: every rule is one phase
+    /// for the one driver, so the whole baseline suite also runs
+    /// count-based.
     #[test]
     fn all_dynamics_run_on_the_counting_backend() {
-        let dynamics: Vec<Box<dyn Dynamics<CountingNetwork>>> = vec![
-            Box::new(Voter::new()),
-            Box::new(ThreeMajority::new()),
-            Box::new(HMajority::new(5)),
-            Box::new(UndecidedState::new()),
-            Box::new(MedianRule::new()),
+        let rules = [
+            RuleSpec::Voter,
+            RuleSpec::ThreeMajority,
+            RuleSpec::HMajority { h: 5 },
+            RuleSpec::Undecided,
+            RuleSpec::Median,
         ];
-        for (i, mut dyn_) in dynamics.into_iter().enumerate() {
+        for (i, rule) in rules.into_iter().enumerate() {
             let noise = NoiseMatrix::uniform(2, 0.3).unwrap();
             let config = SimConfig::builder(50_000, 2)
                 .seed(70 + i as u64)
@@ -298,13 +212,12 @@ mod tests {
             let mut net = CountingNetwork::new(config, noise).unwrap();
             net.seed_counts(&[35_000, 15_000]).unwrap();
             let mut rng = StdRng::seed_from_u64(170 + i as u64);
-            let outcome = dyn_.run(&mut net, &mut rng, 120);
+            let outcome = run(rule, &mut net, &mut rng, 120);
             let dist = outcome.final_distribution();
             assert_eq!(
                 dist.num_nodes(),
                 50_000,
-                "{} does not conserve the population: {dist}",
-                dyn_.name()
+                "{rule} does not conserve the population: {dist}"
             );
         }
     }
@@ -315,22 +228,20 @@ mod tests {
     #[test]
     fn majority_dynamics_reach_near_consensus_under_noise() {
         let noise = NoiseMatrix::uniform(2, 0.45).unwrap();
-        let dynamics: Vec<Box<dyn Dynamics>> = vec![
-            Box::new(ThreeMajority::new()),
-            Box::new(HMajority::new(7)),
-        ];
-        for (i, mut dyn_) in dynamics.into_iter().enumerate() {
+        for (i, rule) in [RuleSpec::ThreeMajority, RuleSpec::HMajority { h: 7 }]
+            .into_iter()
+            .enumerate()
+        {
             let config = SimConfig::builder(300, 2).seed(60 + i as u64).build().unwrap();
             let mut net = Network::new(config, noise.clone()).unwrap();
             net.seed_counts(&[210, 90]).unwrap();
             let mut rng = StdRng::seed_from_u64(160 + i as u64);
-            let outcome = dyn_.run(&mut net, &mut rng, 300);
+            let outcome = run(rule, &mut net, &mut rng, 300);
             let dist = outcome.final_distribution();
             let plurality_share = dist.counts()[0] as f64 / dist.num_nodes() as f64;
             assert!(
                 plurality_share > 0.85,
-                "{} only reached a plurality share of {plurality_share}: {dist}",
-                dyn_.name()
+                "{rule} only reached a plurality share of {plurality_share}: {dist}"
             );
         }
     }
@@ -361,15 +272,12 @@ mod tests {
         net.seed_counts(&[210, 90]).unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         let mut trace = Trace::default();
-        let stop = StopCondition::Any(vec![
-            StopCondition::BiasAtLeast(0.9),
-            StopCondition::MaxRounds(5_000),
-        ]);
-        let outcome = ThreeMajority::new().run_until(
+        let outcome = RuleSpec::ThreeMajority.run(
             &mut net,
             &mut rng,
-            Some(Opinion::new(0)),
-            &stop,
+            Opinion::new(0),
+            5_000,
+            &StopCondition::BiasAtLeast(0.9),
             &mut trace,
         );
         assert!(trace.finished);
@@ -380,6 +288,7 @@ mod tests {
             trace.last_bias
         );
         assert!(outcome.rounds() < 5_000, "stopped well before the budget");
+        assert!(outcome.phase_records().is_empty(), "steps keep no records");
     }
 
     #[test]
@@ -392,10 +301,6 @@ mod tests {
             let mut net = Network::new(config, noise).unwrap();
             net.seed_counts(&[250, 100]).unwrap();
             let mut rng = StdRng::seed_from_u64(32);
-            let stop = StopCondition::Any(vec![
-                StopCondition::MaxRounds(200),
-                StopCondition::ConsensusReached,
-            ]);
             if observed {
                 struct Count(usize);
                 impl Observer for Count {
@@ -404,24 +309,21 @@ mod tests {
                     }
                 }
                 let mut count = Count(0);
-                let outcome = Voter::new().run_until(
+                let outcome = RuleSpec::Voter.run(
                     &mut net,
                     &mut rng,
-                    Some(Opinion::new(0)),
-                    &stop,
+                    Opinion::new(0),
+                    200,
+                    &StopCondition::ConsensusReached,
                     &mut count,
                 );
                 assert!(count.0 > 0);
                 outcome
             } else {
-                Voter::new().run(&mut net, &mut rng, 200)
+                run(RuleSpec::Voter, &mut net, &mut rng, 200)
             }
         };
-        let plain = run_one(false);
-        let observed = run_one(true);
-        assert_eq!(plain.final_distribution(), observed.final_distribution());
-        assert_eq!(plain.rounds(), observed.rounds());
-        assert_eq!(plain.messages(), observed.messages());
+        assert_eq!(run_one(false), run_one(true));
     }
 
     #[test]
@@ -431,8 +333,8 @@ mod tests {
         let mut net = Network::new(config, noise).unwrap();
         net.seed_counts(&[50, 0]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let outcome = Voter::new().run(&mut net, &mut rng, 100);
-        assert!(outcome.converged());
+        let outcome = run(RuleSpec::Voter, &mut net, &mut rng, 100);
+        assert!(outcome.consensus_reached());
         assert_eq!(outcome.rounds(), 0);
     }
 
@@ -444,8 +346,8 @@ mod tests {
         let config = SimConfig::builder(50, 2).seed(5).build().unwrap();
         let mut net = Network::new(config, noise).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let outcome = Voter::new().run(&mut net, &mut rng, 25);
-        assert!(!outcome.converged());
+        let outcome = run(RuleSpec::Voter, &mut net, &mut rng, 25);
+        assert!(!outcome.consensus_reached());
         assert_eq!(outcome.rounds(), 25);
 
         // A dynamics whose step spans several rounds may overshoot by at
@@ -455,8 +357,8 @@ mod tests {
             NoiseMatrix::uniform(2, 0.3).unwrap(),
         )
         .unwrap();
-        let outcome = ThreeMajority::new().run(&mut net, &mut rng, 25);
-        assert!(!outcome.converged());
+        let outcome = run(RuleSpec::ThreeMajority, &mut net, &mut rng, 25);
+        assert!(!outcome.consensus_reached());
         assert!(outcome.rounds() >= 25 && outcome.rounds() < 25 + 6);
     }
 
@@ -474,14 +376,14 @@ mod tests {
         let mut net = make(5);
         net.seed_counts(&[1_000, 0]).unwrap();
         let mut rng = StdRng::seed_from_u64(15);
-        let outcome = Voter::new().run(&mut net, &mut rng, 100);
-        assert!(outcome.converged());
+        let outcome = run(RuleSpec::Voter, &mut net, &mut rng, 100);
+        assert!(outcome.consensus_reached());
         assert_eq!(outcome.rounds(), 0);
-        assert_eq!(outcome.winner(), Some(Opinion::new(0)));
+        assert_eq!(outcome.winning_opinion(), Some(Opinion::new(0)));
 
         let mut net = make(6);
-        let outcome = Voter::new().run(&mut net, &mut rng, 25);
-        assert!(!outcome.converged());
+        let outcome = run(RuleSpec::Voter, &mut net, &mut rng, 25);
+        assert!(!outcome.consensus_reached());
         assert_eq!(outcome.rounds(), 25);
     }
 }

@@ -1,51 +1,36 @@
 //! The median rule of Doerr et al. (stabilizing consensus).
+//!
+//! The **median rule** \[15\]: opinions are treated as integers; in every
+//! round each agent looks at two uniformly random received messages (with
+//! replacement) and moves to the *median* of its own opinion and the two
+//! observed values. Undecided agents adopt one random received opinion.
+//!
+//! In the noiseless setting the median rule solves stabilizing consensus in
+//! `O(log n)` rounds and tolerates `O(√n)` adversarial corruptions per
+//! round; under the paper's channel noise it converges to the median of the
+//! initial opinions rather than the plurality, which is exactly the
+//! behavioural difference experiment T1 illustrates.
+//!
+//! On the count-level backends the rule is mean-field approximated (the
+//! two draws are treated as independent categorical observations; see
+//! [`PushBackend::resolve_median`](pushsim::PushBackend::resolve_median)).
 
-use crate::{one_round_phase, Dynamics};
-use pushsim::PushBackend;
-use rand::rngs::StdRng;
+use plurality_core::{Decision, Phase};
 
-/// The **median rule** \[15\]: opinions are treated as integers; in every
-/// round each agent looks at two uniformly random received messages (with
-/// replacement) and moves to the *median* of its own opinion and the two
-/// observed values. Undecided agents adopt one random received opinion.
-///
-/// In the noiseless setting the median rule solves stabilizing consensus in
-/// `O(log n)` rounds and tolerates `O(√n)` adversarial corruptions per
-/// round; under the paper's channel noise it converges to the median of the
-/// initial opinions rather than the plurality, which is exactly the
-/// behavioural difference experiment T1 illustrates.
-///
-/// On the counting backend the rule is mean-field approximated (the two
-/// draws are treated as independent categorical observations; see
-/// [`PushBackend::resolve_median`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MedianRule {
-    _private: (),
-}
-
-impl MedianRule {
-    /// Creates a median-rule dynamics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<B: PushBackend> Dynamics<B> for MedianRule {
-    fn name(&self) -> &'static str {
-        "median"
-    }
-
-    fn step(&mut self, net: &mut B, rng: &mut StdRng) {
-        one_round_phase(net);
-        net.resolve_median(rng);
-    }
-}
+/// One median-rule step: one push round, then the median update.
+pub(crate) const PHASE: Phase = Phase {
+    stage: None,
+    rounds: 1,
+    decision: Decision::Median,
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::tests::{run, steps};
+    use crate::RuleSpec;
     use noisy_channel::NoiseMatrix;
-    use pushsim::{CountingNetwork, DeliverySemantics, Network, Opinion, SimConfig};
+    use pushsim::{CountingNetwork, DeliverySemantics, Network, Opinion, PushBackend, SimConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
@@ -55,10 +40,7 @@ mod tests {
         let mut net = Network::new(config, noise).unwrap();
         net.seed_counts(&[0, 60, 0]).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let mut dynamics = MedianRule::new();
-        for _ in 0..10 {
-            dynamics.step(&mut net, &mut rng);
-        }
+        steps(RuleSpec::Median, &mut net, &mut rng, 10);
         assert!(net.distribution().is_consensus_on(Opinion::new(1)));
     }
 
@@ -71,17 +53,17 @@ mod tests {
         let mut net = Network::new(config, noise).unwrap();
         net.seed_counts(&[400, 350, 150]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let outcome = MedianRule::new().run(&mut net, &mut rng, 2_000);
-        assert!(outcome.converged());
-        assert_eq!(outcome.winner(), Some(Opinion::new(1)));
+        let outcome = run(RuleSpec::Median, &mut net, &mut rng, 2_000);
+        assert!(outcome.consensus_reached());
+        assert_eq!(outcome.winning_opinion(), Some(Opinion::new(1)));
     }
 
     #[test]
     fn counting_median_moves_to_the_median_opinion() {
-        // The same generic implementation on the counting backend: opinion
-        // 0 holds the plurality but opinion 1 is the median of the initial
-        // multiset; under a noiseless channel the median rule should
-        // concentrate on 1.
+        // The same rule on the counting backend: opinion 0 holds the
+        // plurality but opinion 1 is the median of the initial multiset;
+        // under a noiseless channel the median rule should concentrate
+        // on 1.
         let noise = NoiseMatrix::identity(3).unwrap();
         let config = SimConfig::builder(90_000, 3)
             .seed(4)
@@ -91,7 +73,7 @@ mod tests {
         let mut net = CountingNetwork::new(config, noise).unwrap();
         net.seed_counts(&[40_000, 35_000, 15_000]).unwrap();
         let mut rng = StdRng::seed_from_u64(14);
-        let outcome = MedianRule::new().run(&mut net, &mut rng, 200);
+        let outcome = run(RuleSpec::Median, &mut net, &mut rng, 200);
         let dist = outcome.final_distribution();
         let share = dist.counts()[1] as f64 / dist.num_nodes() as f64;
         assert!(share > 0.9, "median share {share}: {dist}");
@@ -105,8 +87,8 @@ mod tests {
         let mut net = Network::new(config, noise).unwrap();
         net.seed_counts(&[260, 140]).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let outcome = MedianRule::new().run(&mut net, &mut rng, 2_000);
-        assert!(outcome.converged());
-        assert_eq!(outcome.winner(), Some(Opinion::new(0)));
+        let outcome = run(RuleSpec::Median, &mut net, &mut rng, 2_000);
+        assert!(outcome.consensus_reached());
+        assert_eq!(outcome.winning_opinion(), Some(Opinion::new(0)));
     }
 }

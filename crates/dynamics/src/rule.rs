@@ -1,29 +1,30 @@
 //! Declarative selection of a baseline dynamics rule.
 //!
 //! A [`RuleSpec`] names one of this crate's dynamics together with its
-//! parameters, deferring the choice of simulation backend: the boxed rule
-//! is materialized per run with [`RuleSpec::build`], which is generic over
-//! [`PushBackend`]. This is what makes the baselines configurable from
-//! scenario spec files — the experiment layer stores the textual form
-//! (`voter`, `h-majority(15)`, …) and instantiates the rule on whichever
-//! backend the run resolves to.
+//! parameters. Each rule is one [`Phase`] — a few push rounds and one of
+//! the backend's decision operators — which [`RuleSpec::run`] repeats
+//! through plurality-core's phase driver on whichever backend the run
+//! resolves to. This is what makes the baselines configurable from
+//! scenario spec files: the experiment layer stores the textual form
+//! (`voter`, `h-majority(15)`, …).
 //!
 //! ```
 //! use opinion_dynamics::RuleSpec;
-//! use pushsim::Network;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let spec: RuleSpec = "h-majority(15)".parse()?;
-//! let rule = spec.build::<Network>();
-//! assert_eq!(rule.name(), "h-majority");
+//! // One step: 30 push rounds, then the majority of a 15-message sample.
+//! assert_eq!(spec.phase().rounds, 30);
 //! // The canonical text form round-trips.
 //! assert_eq!(spec.to_string().parse::<RuleSpec>()?, spec);
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::{Dynamics, HMajority, MedianRule, ThreeMajority, UndecidedState, Voter};
-use pushsim::PushBackend;
+use crate::{majority, median, undecided, voter};
+use plurality_core::{run_phases, Observer, Outcome, Phase, StopCondition};
+use pushsim::{Opinion, PushBackend};
+use rand::rngs::StdRng;
 use std::fmt;
 use std::str::FromStr;
 
@@ -34,18 +35,24 @@ use std::str::FromStr;
 /// `voter`, `3-majority`, `h-majority(h)`, `undecided`, `median`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleSpec {
-    /// The voter model ([`Voter`]).
+    /// The voter model: one push round, then every agent that received a
+    /// message adopts one of them uniformly at random.
     Voter,
-    /// The 3-majority dynamics ([`ThreeMajority`]).
+    /// The 3-majority dynamics: h-majority with `h = 3`.
     ThreeMajority,
-    /// The h-majority dynamics with sample size `h` ([`HMajority`]).
+    /// The h-majority dynamics: `2h` push rounds, then every agent that
+    /// received at least `h` messages adopts the majority of a uniform
+    /// sample of `h` of them.
     HMajority {
         /// Number of received opinions sampled per update.
         h: u32,
     },
-    /// The undecided-state dynamics ([`UndecidedState`]).
+    /// The undecided-state dynamics: one push round, then each agent looks
+    /// at one received message, adopts it if undecided and becomes
+    /// undecided if it disagrees.
     Undecided,
-    /// The median rule ([`MedianRule`]).
+    /// The median rule: one push round, then each agent moves to the
+    /// median of its own opinion and two received messages.
     Median,
 }
 
@@ -60,15 +67,44 @@ impl RuleSpec {
         RuleSpec::Median,
     ];
 
-    /// Instantiates the rule for the backend `B`.
-    pub fn build<B: PushBackend>(&self) -> Box<dyn Dynamics<B>> {
-        match *self {
-            RuleSpec::Voter => Box::new(Voter::new()),
-            RuleSpec::ThreeMajority => Box::new(ThreeMajority::new()),
-            RuleSpec::HMajority { h } => Box::new(HMajority::new(h)),
-            RuleSpec::Undecided => Box::new(UndecidedState::new()),
-            RuleSpec::Median => Box::new(MedianRule::new()),
+    /// The rule's one stage-less phase (a step): its push rounds and its
+    /// decision operator.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `HMajority { h: 0 }`, which [`FromStr`] never produces.
+    pub fn phase(self) -> Phase {
+        match self {
+            RuleSpec::Voter => voter::PHASE,
+            RuleSpec::ThreeMajority => majority::phase(3),
+            RuleSpec::HMajority { h } => majority::phase(h),
+            RuleSpec::Undecided => undecided::PHASE,
+            RuleSpec::Median => median::PHASE,
         }
+    }
+
+    /// Runs the rule on `net` (any [`PushBackend`]) through the phase
+    /// driver ([`run_phases`]): its [`phase`](Self::phase), over and over,
+    /// until `budget` rounds have run or `stop` fires at a step boundary.
+    ///
+    /// `reference` (usually the initial plurality opinion) is the opinion
+    /// the bias — and hence [`StopCondition::BiasAtLeast`] and
+    /// [`StopCondition::Plateau`] — is measured against, and `rng` drives
+    /// the decisions. `observer` sees every step as a stage-less phase;
+    /// it never touches `rng` or the backend's delivery RNG, so attaching
+    /// one leaves the run bit-identical. The budget is checked between
+    /// steps, so a step that starts below it completes.
+    pub fn run<B: PushBackend>(
+        self,
+        net: &mut B,
+        rng: &mut StdRng,
+        reference: Opinion,
+        budget: u64,
+        stop: &StopCondition,
+        observer: &mut dyn Observer,
+    ) -> Outcome {
+        let stop = StopCondition::Any(vec![StopCondition::MaxRounds(budget), stop.clone()]);
+        run_phases(net, std::iter::repeat(self.phase()), reference, rng, observer, &stop)
     }
 }
 
@@ -116,7 +152,7 @@ impl FromStr for RuleSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pushsim::{CountingNetwork, Network};
+    use plurality_core::Decision;
 
     #[test]
     fn display_round_trips_for_every_rule() {
@@ -127,13 +163,15 @@ mod tests {
     }
 
     #[test]
-    fn build_produces_the_named_rule_on_both_backends() {
-        assert_eq!(RuleSpec::Voter.build::<Network>().name(), "voter");
-        assert_eq!(
-            RuleSpec::HMajority { h: 7 }.build::<CountingNetwork>().name(),
-            "h-majority"
-        );
-        assert_eq!(RuleSpec::Median.build::<Network>().name(), "median");
+    fn single_round_rules_step_one_round_into_their_own_decision() {
+        for (rule, decision) in [
+            (RuleSpec::Voter, Decision::UniformAdoption(pushsim::AdoptionScope::AllAgents)),
+            (RuleSpec::Undecided, Decision::UndecidedState),
+            (RuleSpec::Median, Decision::Median),
+        ] {
+            let step = rule.phase();
+            assert_eq!((step.stage, step.rounds, step.decision), (None, 1, decision), "{rule}");
+        }
     }
 
     #[test]

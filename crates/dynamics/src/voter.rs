@@ -1,48 +1,34 @@
 //! The voter model: adopt one uniformly random received opinion.
+//!
+//! The classic **voter model** adapted to the push setting: in every round
+//! each opinionated agent pushes its opinion, and every agent that received
+//! at least one message adopts one of the received opinions chosen uniformly
+//! at random (counting multiplicities). Undecided agents join the process by
+//! the same rule.
+//!
+//! Without noise the voter model reaches consensus in `O(n)` expected rounds
+//! on the complete graph but offers only a weak plurality guarantee (the
+//! probability of winning equals the initial share). With noise it has no
+//! absorbing state at all — which is precisely why the paper's protocol
+//! needs its sample-majority stage.
 
-use crate::{one_round_phase, Dynamics};
-use pushsim::{AdoptionScope, PushBackend};
-use rand::rngs::StdRng;
+use plurality_core::{Decision, Phase};
+use pushsim::AdoptionScope;
 
-/// The classic **voter model** adapted to the push setting: in every round
-/// each opinionated agent pushes its opinion, and every agent that received
-/// at least one message adopts one of the received opinions chosen uniformly
-/// at random (counting multiplicities). Undecided agents join the process by
-/// the same rule.
-///
-/// Without noise the voter model reaches consensus in `O(n)` expected rounds
-/// on the complete graph but offers only a weak plurality guarantee (the
-/// probability of winning equals the initial share). With noise it has no
-/// absorbing state at all — which is precisely why the paper's protocol
-/// needs its sample-majority stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Voter {
-    _private: (),
-}
-
-impl Voter {
-    /// Creates a voter-model dynamics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<B: PushBackend> Dynamics<B> for Voter {
-    fn name(&self) -> &'static str {
-        "voter"
-    }
-
-    fn step(&mut self, net: &mut B, rng: &mut StdRng) {
-        one_round_phase(net);
-        net.resolve_uniform_adoption(AdoptionScope::AllAgents, rng);
-    }
-}
+/// One voter step: one push round, then uniform adoption by every agent.
+pub(crate) const PHASE: Phase = Phase {
+    stage: None,
+    rounds: 1,
+    decision: Decision::UniformAdoption(AdoptionScope::AllAgents),
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::tests::steps;
+    use crate::RuleSpec;
     use noisy_channel::NoiseMatrix;
-    use pushsim::{CountingNetwork, DeliverySemantics, Network, Opinion, SimConfig};
+    use pushsim::{CountingNetwork, DeliverySemantics, Network, Opinion, PushBackend, SimConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
@@ -52,10 +38,7 @@ mod tests {
         let mut net = Network::new(config, noise).unwrap();
         net.seed_counts(&[40, 0]).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let mut voter = Voter::new();
-        for _ in 0..20 {
-            voter.step(&mut net, &mut rng);
-        }
+        steps(RuleSpec::Voter, &mut net, &mut rng, 20);
         assert!(net.distribution().is_consensus_on(Opinion::new(0)));
     }
 
@@ -66,17 +49,14 @@ mod tests {
         let mut net = Network::new(config, noise).unwrap();
         net.seed_counts(&[20, 10]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut voter = Voter::new();
         let undecided_before = net.distribution().undecided();
-        for _ in 0..30 {
-            voter.step(&mut net, &mut rng);
-        }
+        steps(RuleSpec::Voter, &mut net, &mut rng, 30);
         assert!(net.distribution().undecided() < undecided_before);
     }
 
     #[test]
     fn counting_voter_conserves_population_and_recruits_undecided() {
-        // The same generic implementation, on the counting backend.
+        // The same rule, on the counting backend.
         let noise = NoiseMatrix::uniform(3, 0.3).unwrap();
         let config = SimConfig::builder(50_000, 3)
             .seed(2)
@@ -86,10 +66,7 @@ mod tests {
         let mut net = CountingNetwork::new(config, noise).unwrap();
         net.seed_counts(&[20_000, 10_000, 5_000]).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
-        let mut voter = Voter::new();
-        for _ in 0..30 {
-            voter.step(&mut net, &mut rng);
-        }
+        steps(RuleSpec::Voter, &mut net, &mut rng, 30);
         let dist = net.distribution();
         assert_eq!(dist.num_nodes(), 50_000);
         assert!(dist.undecided() < 15_000, "undecided should shrink: {dist}");
@@ -97,6 +74,6 @@ mod tests {
 
     #[test]
     fn name_is_stable() {
-        assert_eq!(Dynamics::<Network>::name(&Voter::new()), "voter");
+        assert_eq!(RuleSpec::Voter.to_string(), "voter");
     }
 }

@@ -80,9 +80,9 @@
 //! ([`ExecutionBackend`]) and the one generic build-and-visit dispatch
 //! ([`build_and_visit`]).
 //!
-//! Code written against `PushBackend` (the `plurality-core` protocol
-//! stages, every `opinion-dynamics` rule, the experiment harness) runs
-//! unchanged on any backend; each backend's phase result is exposed
+//! Code written against `PushBackend` (the `plurality-core` phase driver,
+//! which runs the protocol's stages and every `opinion-dynamics` rule, and
+//! the experiment harness) runs unchanged on any backend; each backend's phase result is exposed
 //! through the [`PhaseObservation`] trait ([`Inboxes`] vs
 //! [`BlockPhaseTally`], one [`PhaseTally`] per degree class).
 //!

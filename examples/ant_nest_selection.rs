@@ -70,25 +70,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== baselines under the same noise ==");
     let budget = outcome.rounds();
     let mut table = Table::new(vec!["dynamics", "rounds", "winner", "plurality share"]);
-    let baselines: Vec<Box<dyn Dynamics>> = vec![
-        Box::new(UndecidedState::new()),
-        Box::new(ThreeMajority::new()),
-        Box::new(Voter::new()),
-    ];
-    for mut dynamics in baselines {
+    for rule in [RuleSpec::Undecided, RuleSpec::ThreeMajority, RuleSpec::Voter] {
         let config = SimConfig::builder(colony_size, num_sites).seed(42).build()?;
         let mut net = Network::new(config, noise.clone())?;
         net.seed_counts(&scout_counts)?;
         let mut rng = StdRng::seed_from_u64(7);
-        let result = dynamics.run(&mut net, &mut rng, budget);
+        let result = rule.run(
+            &mut net,
+            &mut rng,
+            outcome.correct_opinion(),
+            budget,
+            &StopCondition::ConsensusReached,
+            &mut NoObserver,
+        );
         let dist = result.final_distribution();
         let share = dist.counts().iter().max().copied().unwrap_or(0) as f64
             / dist.num_nodes() as f64;
         table.push_row(vec![
-            dynamics.name().to_string(),
+            rule.to_string(),
             result.rounds().to_string(),
             result
-                .winner()
+                .winning_opinion()
                 .map_or("-".to_string(), |o| o.index().to_string()),
             format!("{share:.3}"),
         ]);

@@ -85,10 +85,7 @@ pub mod prelude {
     pub use noisy_channel::{
         families, MpReport, NoiseError, NoiseMatrix, NoiseSpec, PairwiseMargin,
     };
-    pub use opinion_dynamics::{
-        Dynamics, DynamicsOutcome, HMajority, MedianRule, RuleSpec, ThreeMajority,
-        UndecidedState, Voter,
-    };
+    pub use opinion_dynamics::RuleSpec;
     pub use plurality_core::{
         bounds, ExecutionBackend, Instance, MemoryMeter, NoObserver, Observer, Outcome,
         PhaseRecord, PhaseSnapshot, ProtocolConstants, ProtocolError, ProtocolParams, Schedule,
