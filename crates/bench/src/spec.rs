@@ -146,7 +146,8 @@ pub enum ScenarioKind {
         /// The initial opinion configuration.
         init: InitSpec,
         /// Round budget; defaults to the two-stage protocol's own schedule
-        /// length for the same `(n, k, ε)` when absent.
+        /// length for the same `(n, k, ε)` when absent. The rule runs only
+        /// the whole steps that fit in it (see [`RuleSpec::run`]).
         rounds: Option<u64>,
     },
     /// The Proposition 1 sample-majority gap, evaluated below the

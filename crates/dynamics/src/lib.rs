@@ -350,8 +350,8 @@ mod tests {
         assert!(!outcome.consensus_reached());
         assert_eq!(outcome.rounds(), 25);
 
-        // A dynamics whose step spans several rounds may overshoot by at
-        // most one step.
+        // A dynamics whose step spans several rounds runs only the whole
+        // steps within the budget: four 6-round steps of 3-majority.
         let mut net = Network::new(
             SimConfig::builder(50, 2).seed(7).build().unwrap(),
             NoiseMatrix::uniform(2, 0.3).unwrap(),
@@ -359,7 +359,7 @@ mod tests {
         .unwrap();
         let outcome = run(RuleSpec::ThreeMajority, &mut net, &mut rng, 25);
         assert!(!outcome.consensus_reached());
-        assert!(outcome.rounds() >= 25 && outcome.rounds() < 25 + 6);
+        assert_eq!(outcome.rounds(), 24);
     }
 
     #[test]

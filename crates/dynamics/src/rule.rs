@@ -84,16 +84,18 @@ impl RuleSpec {
     }
 
     /// Runs the rule on `net` (any [`PushBackend`]) through the phase
-    /// driver ([`run_phases`]): its [`phase`](Self::phase), over and over,
-    /// until `budget` rounds have run or `stop` fires at a step boundary.
+    /// driver ([`run_phases`]): its [`phase`](Self::phase), once for every
+    /// whole step that fits in `budget` rounds, or until `stop` fires at a
+    /// step boundary. A run never exceeds its budget: an h-majority step
+    /// spans `2h` rounds, so `h-majority(15)` on a 1977-round budget runs
+    /// 65 steps, 1950 rounds.
     ///
     /// `reference` (usually the initial plurality opinion) is the opinion
     /// the bias — and hence [`StopCondition::BiasAtLeast`] and
     /// [`StopCondition::Plateau`] — is measured against, and `rng` drives
     /// the decisions. `observer` sees every step as a stage-less phase;
     /// it never touches `rng` or the backend's delivery RNG, so attaching
-    /// one leaves the run bit-identical. The budget is checked between
-    /// steps, so a step that starts below it completes.
+    /// one leaves the run bit-identical.
     pub fn run<B: PushBackend>(
         self,
         net: &mut B,
@@ -103,8 +105,9 @@ impl RuleSpec {
         stop: &StopCondition,
         observer: &mut dyn Observer,
     ) -> Outcome {
-        let stop = StopCondition::Any(vec![StopCondition::MaxRounds(budget), stop.clone()]);
-        run_phases(net, std::iter::repeat(self.phase()), reference, rng, observer, &stop)
+        let step = self.phase();
+        let steps = usize::try_from(budget / step.rounds).unwrap_or(usize::MAX);
+        run_phases(net, std::iter::repeat_n(step, steps), reference, rng, observer, stop)
     }
 }
 
