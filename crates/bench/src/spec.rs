@@ -850,9 +850,22 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Rejects sweep axes on kinds that cannot interpret them.
+    /// Rejects sweep axes on kinds that cannot interpret them, and a
+    /// dynamics budget shorter than one step of its rule (which would run
+    /// nothing).
     fn validate_kind_specific_axes(&self) -> Result<(), SpecError> {
         let sweep = &self.sweep;
+        if let ScenarioKind::DynamicsRule { rule, rounds, .. } = &self.kind {
+            if *rule == (RuleSpec::HMajority { h: 0 }) {
+                return Err(SpecError::Invalid("h-majority needs h of at least 1".into()));
+            }
+            let step = rule.phase().rounds;
+            if let Some(rounds) = rounds.filter(|&rounds| rounds < step) {
+                return Err(SpecError::Invalid(format!(
+                    "rounds = {rounds} is below the {step}-round step of {rule}"
+                )));
+            }
+        }
         match &self.kind {
             ScenarioKind::SampleMajorityGap { ell, delta } => {
                 if !sweep.n.is_empty() || !sweep.eps.is_empty() || !sweep.bias.is_empty() {
@@ -1843,6 +1856,27 @@ mod tests {
         assert!(spec.validate().is_err(), "stage-1 bias is protocol-only");
         spec.metrics = vec![Metric::Share, Metric::Rounds];
         assert!(spec.validate().is_ok());
+        // An explicit budget must fit at least one step of the rule: one
+        // round, or 2h rounds for h-majority.
+        for (rule, rounds, ok) in [
+            (RuleSpec::Voter, 0, false),
+            (RuleSpec::Voter, 1, true),
+            (RuleSpec::HMajority { h: 15 }, 5, false),
+            (RuleSpec::HMajority { h: 15 }, 29, false),
+            (RuleSpec::HMajority { h: 15 }, 30, true),
+            (RuleSpec::HMajority { h: 0 }, 30, false),
+        ] {
+            spec.kind = ScenarioKind::DynamicsRule {
+                rule,
+                init: InitSpec::Biased { bias: 0.1 },
+                rounds: Some(rounds),
+            };
+            let result = spec.validate();
+            assert_eq!(result.is_ok(), ok, "{rule} with rounds = {rounds}: {result:?}");
+            if !ok {
+                assert!(matches!(result, Err(SpecError::Invalid(_))));
+            }
+        }
 
         // The LP verdict needs an initial bias to evaluate the matrix at.
         let mut spec = rumor_spec();

@@ -152,8 +152,13 @@ fn kind_strategy(k: usize) -> impl Strategy<Value = ScenarioKind> {
         (0..k).prop_map(|source| ScenarioKind::RumorSpreading { source }),
         init_strategy(k).prop_map(|init| ScenarioKind::PluralityConsensus { init }),
         init_strategy(k).prop_map(|init| ScenarioKind::Stage2Only { init }),
-        (rule_strategy(), init_strategy(k), prop::option::of(1u64..100_000)).prop_map(
-            |(rule, init, rounds)| ScenarioKind::DynamicsRule { rule, init, rounds }
+        // An explicit budget fits at least one step of the rule.
+        (rule_strategy(), init_strategy(k), prop::option::of(0u64..100_000)).prop_map(
+            |(rule, init, extra)| ScenarioKind::DynamicsRule {
+                rule,
+                init,
+                rounds: extra.map(|extra| rule.phase().rounds + extra),
+            }
         ),
         ((1u64..500), (0.0f64..0.9))
             .prop_map(|(ell, delta)| ScenarioKind::SampleMajorityGap { ell, delta }),
