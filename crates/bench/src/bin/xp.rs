@@ -22,7 +22,9 @@
 //! not parse or validate; campaigns: an oracle violation, with a
 //! ready-to-paste replay command; load: dropped or corrupted responses), 2
 //! on usage errors (unknown command/experiment, unreadable spec file, a
-//! variant experiment where one spec is needed, malformed flags).
+//! variant experiment where one spec is needed, malformed flags). Output
+//! goes through one locked stdout writer; when its reader goes away
+//! (`xp list | head -1`), `xp` stops writing and exits 0.
 
 use gossip_analysis::table::Table;
 use noisy_bench::campaign::{self, CampaignOptions};
@@ -32,7 +34,7 @@ use noisy_bench::service::SpecService;
 use noisy_bench::spec::ScenarioSpec;
 use noisy_bench::{Cli, Scale};
 use noisy_serve::{loadtest, signal, Server, ServerConfig};
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE_HEAD: &str = "\
@@ -71,32 +73,53 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     };
-    match command.as_str() {
-        "list" => cmd_list(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "show" => cmd_show(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "load" => cmd_load(&args[1..]),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            ExitCode::SUCCESS
-        }
+    let rest = &args[1..];
+    let mut out = io::stdout().lock();
+    let result = match command.as_str() {
+        "list" => cmd_list(rest, &mut out),
+        "run" => cmd_run(rest, &mut out),
+        "show" => cmd_show(rest, &mut out),
+        "campaign" => cmd_campaign(rest, &mut out),
+        "serve" => Ok(cmd_serve(rest, &mut out)),
+        "load" => cmd_load(rest, &mut out),
+        "help" | "--help" | "-h" => writeln!(out, "{}", usage()).map(|()| ExitCode::SUCCESS),
         other => {
             eprintln!("error: unknown command {other:?}\n\n{}", usage());
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
+        }
+    };
+    match result.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader has all the output it wants (`xp show t1 | head -1`).
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
         }
     }
 }
 
-fn cmd_list(rest: &[String]) -> ExitCode {
+/// Sorts a failed run's error: a write error on stdout goes back to `main`
+/// (which exits 0 when the reader left), anything else is reported under
+/// `context` as a run failure (exit 1).
+fn run_failure(e: Box<dyn std::error::Error>, context: &str) -> io::Result<ExitCode> {
+    match e.downcast::<io::Error>() {
+        Ok(e) => Err(*e),
+        Err(e) => {
+            eprintln!("error: {context}: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+fn cmd_list(rest: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let mut json = false;
     for arg in rest {
         match arg.as_str() {
             "--json" => json = true,
             other => {
                 eprintln!("error: unknown `xp list` argument {other:?}\n\n{}", usage());
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
@@ -121,11 +144,11 @@ fn cmd_list(rest: &[String]) -> ExitCode {
         ]);
     }
     if json {
-        print!("{}", table.to_json_lines());
+        write!(out, "{}", table.to_json_lines())?;
     } else {
-        print!("{table}");
+        write!(out, "{table}")?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The experiment name, `--spec` path and remaining shared CLI flags of an
@@ -163,60 +186,54 @@ fn split_run_args(rest: &[String]) -> Result<RunArgs, String> {
     Ok((name, spec_path, cli_args))
 }
 
-fn cmd_run(rest: &[String]) -> ExitCode {
+fn cmd_run(rest: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let (name, spec_path, cli_args) = match split_run_args(rest) {
         Ok(parts) => parts,
         Err(message) => {
             eprintln!("error: {message}\n\n{}", usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     if cli_args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+        writeln!(out, "{}", usage())?;
+        return Ok(ExitCode::SUCCESS);
     }
     let cli = match Cli::try_parse_from(cli_args) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     match (name, spec_path) {
         (Some(name), None) => {
             let experiment = match find_experiment(&name) {
                 Ok(experiment) => experiment,
-                Err(e) => return e.exit(),
+                Err(e) => return Ok(e.exit()),
             };
-            match registry::run(experiment, &cli) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: experiment {name} failed: {e}");
-                    ExitCode::FAILURE
-                }
+            match registry::run_to(experiment, &cli, out) {
+                Ok(()) => Ok(ExitCode::SUCCESS),
+                Err(e) => run_failure(e, &format!("experiment {name} failed")),
             }
         }
         (None, Some(path)) => {
             let spec = match read_spec_file(&path) {
                 Ok(spec) => spec,
-                Err(e) => return e.exit(),
+                Err(e) => return Ok(e.exit()),
             };
             let heading = format!("running spec {path} ({} scenario)\n", spec.kind.name());
-            match registry::run_spec_to(spec, &heading, &cli, &mut std::io::stdout().lock()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    ExitCode::FAILURE
-                }
+            match registry::run_spec_to(spec, &heading, &cli, out) {
+                Ok(()) => Ok(ExitCode::SUCCESS),
+                Err(e) => run_failure(e, &path),
             }
         }
         (Some(_), Some(_)) => {
             eprintln!("error: give an experiment name or --spec, not both\n\n{}", usage());
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
         (None, None) => {
             eprintln!("error: `xp run` needs an experiment name or --spec <path>\n\n{}", usage());
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     }
 }
@@ -292,38 +309,38 @@ fn resolve_spec(source: &str, scale: Scale) -> Result<ScenarioSpec, SourceError>
     }
 }
 
-fn cmd_show(rest: &[String]) -> ExitCode {
+fn cmd_show(rest: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let (name, spec_path, cli_args) = match split_run_args(rest) {
         Ok(parts) => parts,
         Err(message) => {
             eprintln!("error: {message}\n\n{}", usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let cli = match Cli::try_parse_from(cli_args) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let (Some(name), None) = (name, spec_path) else {
         eprintln!("error: `xp show` takes an experiment name\n\n{}", usage());
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     let experiment = match find_experiment(&name) {
         Ok(experiment) => experiment,
-        Err(e) => return e.exit(),
+        Err(e) => return Ok(e.exit()),
     };
-    println!("# {}: {}", experiment.name, experiment.title);
+    writeln!(out, "# {}: {}", experiment.name, experiment.title)?;
     for mut variant in experiment.variants(cli.scale) {
         if !experiment.is_spec() {
-            println!("\n# variant: {}", variant.label);
+            writeln!(out, "\n# variant: {}", variant.label)?;
         }
         registry::apply_cli(&mut variant.spec, &cli);
-        print!("{}", variant.spec.to_text());
+        write!(out, "{}", variant.spec.to_text())?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Campaign-specific arguments: the spec source (registered name or file
@@ -403,23 +420,23 @@ fn split_campaign_args(rest: &[String]) -> Result<CampaignArgs, String> {
     Ok(parsed)
 }
 
-fn cmd_campaign(rest: &[String]) -> ExitCode {
+fn cmd_campaign(rest: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let args = match split_campaign_args(rest) {
         Ok(args) => args,
         Err(message) => {
             eprintln!("error: {message}\n\n{}", usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     if args.cli_args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+        writeln!(out, "{}", usage())?;
+        return Ok(ExitCode::SUCCESS);
     }
     let cli = match Cli::try_parse_from(args.cli_args.clone()) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let Some(source) = args.source.clone() else {
@@ -427,12 +444,12 @@ fn cmd_campaign(rest: &[String]) -> ExitCode {
             "error: `xp campaign` needs an experiment name or --spec <path>\n\n{}",
             usage()
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
 
     let mut spec = match resolve_spec(&source, cli.scale) {
         Ok(spec) => spec,
-        Err(e) => return e.exit(),
+        Err(e) => return Ok(e.exit()),
     };
     registry::apply_cli(&mut spec, &cli);
 
@@ -450,48 +467,50 @@ fn cmd_campaign(rest: &[String]) -> ExitCode {
     if args.replay {
         let Some(seed_text) = args.replay_seed else {
             eprintln!("error: --replay needs the failing seed to re-run\n\n{}", usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         };
         let seed = match parse_seed(&seed_text) {
             Ok(seed) => seed,
             Err(message) => {
                 eprintln!("error: {message}\n\n{}", usage());
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
-        return replay_campaign(&spec, &options, seed, &cli);
+        return replay_campaign(&spec, &options, seed, &cli, out);
     }
 
-    cli.note(&format!(
+    let heading = format!(
         "campaign: {} scenario, {} seeds per cell (oracles: count conservation, consensus \
          correctness, bias monotonicity @ {}, round envelope @ {}x)\n",
         spec.kind.name(),
         options.seeds,
         options.tolerance,
         options.slack,
-    ));
+    );
+    cli.note_to(&heading, out)?;
     match campaign::run_campaign(&spec, &options) {
         Ok(report) => {
-            cli.emit(&report.to_table());
+            cli.emit_to(&report.to_table(), out)?;
             if report.passed() {
-                cli.note(&format!(
+                let verdict = format!(
                     "\ncampaign PASS: {} cells x {} seeds, no oracle violations",
                     report.cells().len(),
                     options.seeds,
-                ));
-                ExitCode::SUCCESS
+                );
+                cli.note_to(&verdict, out)?;
+                Ok(ExitCode::SUCCESS)
             } else {
                 // Failure details go to stderr so `--json` stdout stays
                 // machine-parseable.
                 for line in report.failure_lines(&source) {
                     eprintln!("{line}");
                 }
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             }
         }
         Err(e) => {
             eprintln!("error: {source}: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -501,13 +520,15 @@ fn replay_campaign(
     options: &CampaignOptions,
     seed: u64,
     cli: &Cli,
-) -> ExitCode {
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
     match campaign::replay(spec, options, seed) {
         Ok(outcome) => {
-            cli.note(&format!(
+            let heading = format!(
                 "replaying seed {} (cell {}, seed index {})\n",
                 outcome.seed, outcome.point.index, outcome.seed_index,
-            ));
+            );
+            cli.note_to(&heading, out)?;
             let mut table = Table::new(
                 gossip_analysis::observe::TRAJECTORY_HEADERS
                     .iter()
@@ -517,22 +538,22 @@ fn replay_campaign(
             for row in outcome.trajectory.rows() {
                 table.push_row(row);
             }
-            cli.emit(&table);
+            cli.emit_to(&table, out)?;
             if outcome.violations.is_empty() {
-                cli.note("\nreplay PASS: no oracle violations reproduced");
-                ExitCode::SUCCESS
+                cli.note_to("\nreplay PASS: no oracle violations reproduced", out)?;
+                Ok(ExitCode::SUCCESS)
             } else {
                 for violation in &outcome.violations {
                     eprintln!("{violation}");
                 }
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             }
         }
         // A seed that is not part of the campaign is a usage error, like
         // an unknown experiment name.
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     }
 }
@@ -634,7 +655,7 @@ fn split_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
 
 /// `xp serve`: run the scenario service until SIGINT/SIGTERM (or, with
 /// `--test-shutdown`, a `POST /v1/shutdown`), then drain and exit 0.
-fn cmd_serve(rest: &[String]) -> ExitCode {
+fn cmd_serve(rest: &[String], out: &mut dyn Write) -> ExitCode {
     let parsed = match split_serve_args(rest) {
         Ok(parsed) => parsed,
         Err(message) => {
@@ -660,7 +681,10 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
     };
     // Scripts scrape this line for the (possibly ephemeral) port, so it
     // must land before the first request can arrive: flush explicitly.
-    println!(
+    // Both lines are best effort: the server drains whether or not anyone
+    // reads them.
+    let _ = writeln!(
+        out,
         "xp serve: listening on http://{} (workers={}, queue-depth={}, cache-bytes={}{})",
         handle.addr(),
         parsed.workers,
@@ -668,12 +692,12 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
         parsed.cache_bytes,
         if parsed.test_shutdown { ", shutdown endpoint enabled" } else { "" },
     );
-    let _ = std::io::stdout().flush();
+    let _ = out.flush();
     while !signal::triggered() && !handle.shutdown_begun() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    println!("xp serve: shutting down (draining queue and connections)");
-    let _ = std::io::stdout().flush();
+    let _ = writeln!(out, "xp serve: shutting down (draining queue and connections)");
+    let _ = out.flush();
     handle.shutdown_and_wait();
     ExitCode::SUCCESS
 }
@@ -750,17 +774,17 @@ fn append_bench_entry(path: &str, entry: &str) -> Result<(), String> {
 /// `xp load`: hammer a scenario service with concurrent clients and
 /// verify every streamed response byte-for-byte. Self-hosts a server on
 /// an ephemeral port unless `--addr` points at a running one.
-fn cmd_load(rest: &[String]) -> ExitCode {
+fn cmd_load(rest: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let parsed = match split_load_args(rest) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}\n\n{}", usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let spec = match resolve_spec(&parsed.source, Scale::Quick) {
         Ok(spec) => spec,
-        Err(e) => return e.exit(),
+        Err(e) => return Ok(e.exit()),
     };
     // The expected bytes come from running the spec locally once; the
     // service must reproduce them exactly for every client.
@@ -768,14 +792,14 @@ fn cmd_load(rest: &[String]) -> ExitCode {
     let run = Runner::new(spec.clone()).and_then(|r| r.run_streamed(&mut expected));
     if let Err(e) = run {
         eprintln!("error: reference run failed: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let (addr, self_hosted) = match &parsed.addr {
         Some(addr) => match addr.parse() {
             Ok(addr) => (addr, None),
             Err(_) => {
                 eprintln!("error: invalid --addr {addr:?} (expected host:port)");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
         None => {
@@ -788,7 +812,7 @@ fn cmd_load(rest: &[String]) -> ExitCode {
                 Ok(handle) => (handle.addr(), Some(handle)),
                 Err(e) => {
                     eprintln!("error: cannot start server: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -803,42 +827,45 @@ fn cmd_load(rest: &[String]) -> ExitCode {
     }
     let name = format!("xp_load/{}_c{}x{}", parsed.source, parsed.clients, parsed.requests);
     if parsed.json {
-        println!("{}", report.to_json(&name));
+        writeln!(out, "{}", report.to_json(&name))?;
     } else {
-        println!(
+        writeln!(
+            out,
             "xp load: {} clients x {} requests against http://{addr}",
             parsed.clients, parsed.requests
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  ok {}/{} corrupted {} dropped {} backpressure-retries {}",
             report.ok,
             report.total_requests,
             report.corrupted,
             report.dropped,
             report.backpressure_retries
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  elapsed {:.2} s, throughput {:.1} req/s, mean latency {:.2} ms",
             report.elapsed.as_secs_f64(),
             report.throughput_rps(),
             report.mean_latency().as_secs_f64() * 1e3
-        );
+        )?;
     }
     if let Some(path) = &parsed.bench_append {
         if let Err(message) = append_bench_entry(path, &report.to_bench_entry(&name)) {
             eprintln!("error: cannot append bench entry: {message}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!("xp load: appended bench entry to {path}");
+        writeln!(out, "xp load: appended bench entry to {path}")?;
     }
     if report.clean() {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
             "error: load test not clean: {} corrupted, {} dropped of {}",
             report.corrupted, report.dropped, report.total_requests
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 

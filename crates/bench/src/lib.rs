@@ -223,17 +223,11 @@ options:
         Ok(cli)
     }
 
-    /// Prints `table` in the selected output format: aligned text by
-    /// default, JSON lines under `--json` (and under `--stream`, for the
-    /// campaign tables, which are only complete at the end).
-    pub fn emit(&self, table: &Table) {
-        let mut stdout = std::io::stdout().lock();
-        self.emit_to(table, &mut stdout).expect("write to stdout");
-    }
-
-    /// Writes `table` in the selected output format to `out` — the
-    /// sink-generic form of [`emit`](Self::emit), shared by the CLI
-    /// (stdout) and the scenario service (HTTP response buffers).
+    /// Writes `table` to `out` in the selected output format: aligned
+    /// text by default, JSON lines under `--json` (and under `--stream`,
+    /// for the campaign tables, which are only complete at the end).
+    /// Shared by the CLI (stdout) and the scenario service (HTTP response
+    /// buffers).
     pub fn emit_to(&self, table: &Table, out: &mut dyn std::io::Write) -> std::io::Result<()> {
         if self.json || self.stream {
             write!(out, "{}", table.to_json_lines())
@@ -242,15 +236,9 @@ options:
         }
     }
 
-    /// Prints a free-form context line — suppressed under `--json` and
-    /// `--stream` so the output stream stays machine-parseable.
-    pub fn note(&self, line: &str) {
-        let mut stdout = std::io::stdout().lock();
-        self.note_to(line, &mut stdout).expect("write to stdout");
-    }
-
-    /// Writes a context line to `out` (same `--json`/`--stream`
-    /// suppression as [`note`](Self::note)).
+    /// Writes a free-form context line to `out` — suppressed under
+    /// `--json` and `--stream` so the output stream stays
+    /// machine-parseable.
     pub fn note_to(&self, line: &str, out: &mut dyn std::io::Write) -> std::io::Result<()> {
         if !self.json && !self.stream {
             writeln!(out, "{line}")

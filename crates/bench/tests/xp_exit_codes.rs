@@ -1,9 +1,12 @@
 //! `xp`'s exit codes for a spec source that yields no spec, driven through
 //! the built binary: every command that takes a spec agrees that unknown
 //! names, unreadable paths and variant entries are usage errors (exit 2)
-//! and a file that reads but does not parse is a run failure (exit 1).
+//! and a file that reads but does not parse is a run failure (exit 1). A
+//! reader that closes `xp`'s stdout early (`xp list | head -1`) is not a
+//! failure (exit 0).
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 /// Runs `xp` with `args` and returns its exit code and stderr.
 fn xp(args: &[&str]) -> (i32, String) {
@@ -66,6 +69,36 @@ fn unknown_names_and_unreadable_paths_exit_2() {
         if args.contains(&"no-such-experiment") {
             // An unknown name lists the registered ones.
             assert!(stderr.contains("registered: f1, "), "xp {args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_leaves_exit_0() {
+    for args in [&["list"][..], &["show", "t1"]] {
+        // Close the pipe after the first line, and before the first line
+        // is even written.
+        for lines in [1, 0] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_xp"))
+                .args(args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("xp starts");
+            let mut reader = BufReader::new(child.stdout.take().expect("stdout is piped"));
+            if lines == 1 {
+                let mut first = String::new();
+                reader.read_line(&mut first).unwrap();
+                assert!(!first.is_empty(), "xp {args:?} printed nothing");
+            }
+            drop(reader);
+            let output = child.wait_with_output().expect("xp exits");
+            assert!(
+                output.status.success(),
+                "xp {args:?} after {lines} line(s) read: {:?} {}",
+                output.status,
+                String::from_utf8_lossy(&output.stderr)
+            );
         }
     }
 }
