@@ -148,7 +148,7 @@ pub struct CountConservation {
 impl CountConservation {
     /// An oracle expecting `expected_nodes` agents in every snapshot.
     pub fn new(expected_nodes: usize) -> Self {
-        Self::with_churn(expected_nodes, ChurnSpec::none())
+        Self::with_churn(expected_nodes, ChurnSpec::default())
     }
 
     /// An oracle that tracks the deterministic population trajectory the
@@ -375,7 +375,7 @@ impl OracleSuite {
     /// conservation, consensus correctness, bias monotonicity at the given
     /// tolerance, and the paper round envelope at the given slack.
     pub fn standard(num_nodes: usize, epsilon: f64, tolerance: f64, slack: f64) -> Self {
-        Self::standard_with_churn(num_nodes, epsilon, tolerance, slack, ChurnSpec::none())
+        Self::standard_with_churn(num_nodes, epsilon, tolerance, slack, ChurnSpec::default())
     }
 
     /// The standard suite for a run under population churn: identical to

@@ -26,7 +26,7 @@
 
 use crate::runner::{
     axis_cells, axis_columns, expand_grid, point_counts, point_protocol, protocol_instance,
-    run_protocol, validate_counts, GridPoint,
+    run_protocol, stop_at_consensus, validate_counts, GridPoint,
 };
 use crate::spec::{ScenarioSpec, SpecError};
 use gossip_analysis::observe::TrajectoryRecorder;
@@ -248,7 +248,7 @@ pub fn run_campaign(
             plans.len()
         ))
     })?;
-    let stop = campaign_stop(spec);
+    let stop = stop_at_consensus(spec);
 
     let verdicts = par_map(total, |flat| {
         let plan = &plans[(flat / seeds) as usize];
@@ -314,7 +314,7 @@ pub fn replay(
             spec.seed,
         )));
     };
-    let stop = campaign_stop(spec);
+    let stop = stop_at_consensus(spec);
     let mut recorder = TrajectoryRecorder::new();
     let violations = execute_one(spec, options, plan, &stop, seed, &mut recorder)?;
     Ok(ReplayOutcome {
@@ -356,18 +356,6 @@ fn prepare(spec: &ScenarioSpec, options: &CampaignOptions) -> Result<Vec<CellPla
         });
     }
     Ok(plans)
-}
-
-/// The campaign's effective stop condition: the spec's `stop.*` keys plus
-/// stop-on-consensus, so the round-envelope oracle judges convergence time
-/// rather than the fixed schedule length.
-fn campaign_stop(spec: &ScenarioSpec) -> StopCondition {
-    let mut conditions = vec![StopCondition::ConsensusReached];
-    let extra = spec.stop.to_condition();
-    if extra != StopCondition::ScheduleExhausted {
-        conditions.push(extra);
-    }
-    StopCondition::Any(conditions)
 }
 
 /// Executes one `(cell, seed)` run under the standard oracle suite, with
@@ -452,7 +440,7 @@ mod tests {
     #[test]
     fn fault_free_and_mild_fault_cells_pass_deterministically() {
         let mut spec = campaign_spec();
-        spec.sweep.fault = vec![FaultSpec::none(), "drop(0.2)".parse().unwrap()];
+        spec.sweep.fault = vec![FaultSpec::default(), "drop(0.2)".parse().unwrap()];
         let options = CampaignOptions {
             seeds: 8,
             ..CampaignOptions::default()
@@ -538,9 +526,9 @@ mod tests {
     #[test]
     fn churn_cells_compose_with_faults_under_the_churn_aware_count_oracle() {
         let mut spec = campaign_spec();
-        spec.sweep.fault = vec![FaultSpec::none(), "drop(0.1)".parse().unwrap()];
+        spec.sweep.fault = vec![FaultSpec::default(), "drop(0.1)".parse().unwrap()];
         spec.sweep.churn = vec![
-            pushsim::ChurnSpec::none(),
+            pushsim::ChurnSpec::default(),
             "join(0.05)+leave(0.05)".parse().unwrap(),
         ];
         let options = CampaignOptions {
@@ -601,7 +589,7 @@ mod tests {
     #[test]
     fn run_counts_past_u64_are_rejected_at_once() {
         let mut spec = campaign_spec();
-        spec.sweep.fault = vec![FaultSpec::none(), "drop(0.2)".parse().unwrap()];
+        spec.sweep.fault = vec![FaultSpec::default(), "drop(0.2)".parse().unwrap()];
         let options = CampaignOptions {
             seeds: u64::MAX,
             ..CampaignOptions::default()

@@ -154,18 +154,6 @@ options:
 
     /// Parses the options from an explicit argument list.
     ///
-    /// # Panics
-    ///
-    /// Panics with the [`CliError`] message (offending argument + usage
-    /// synopsis) on any parse failure — a mistyped flag must not silently
-    /// run the experiment with default options. Binaries should prefer
-    /// [`try_parse_from`](Self::try_parse_from) and exit cleanly instead.
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::try_parse_from(args).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Parses the options from an explicit argument list.
-    ///
     /// # Errors
     ///
     /// Returns a [`CliError`] naming the offending argument (unrecognized
@@ -399,42 +387,46 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::try_parse_from(to_args(args)).map_err(|e| e.to_string())
+    }
+
     #[test]
     fn cli_parses_the_shared_flags() {
-        let cli = Cli::parse_from(to_args(&[]));
+        let cli = parse(&[]).unwrap();
         assert_eq!(cli, Cli::default());
         assert_eq!(cli.scale, Scale::Quick);
         assert!(!cli.json);
         assert_eq!(cli.backend, None);
 
-        let cli = Cli::parse_from(to_args(&["--full", "--json", "--backend", "counting"]));
+        let cli = parse(&["--full", "--json", "--backend", "counting"]).unwrap();
         assert_eq!(cli.scale, Scale::Full);
         assert!(cli.json);
         assert_eq!(cli.backend, Some(ExecutionBackend::Counting));
 
-        let cli = Cli::parse_from(to_args(&["--backend=agent"]));
+        let cli = parse(&["--backend=agent"]).unwrap();
         assert_eq!(cli.backend, Some(ExecutionBackend::Agent));
     }
 
     #[test]
     fn cli_parses_trials_and_seed_overrides() {
-        let cli = Cli::parse_from(to_args(&["--trials", "12", "--seed=99"]));
+        let cli = parse(&["--trials", "12", "--seed=99"]).unwrap();
         assert_eq!(cli.trials, Some(12));
         assert_eq!(cli.seed, Some(99));
-        let cli = Cli::parse_from(to_args(&[]));
+        let cli = parse(&[]).unwrap();
         assert_eq!((cli.trials, cli.seed), (None, None));
     }
 
     #[test]
-    #[should_panic(expected = "invalid --backend")]
     fn cli_rejects_unknown_backends() {
-        let _ = Cli::parse_from(to_args(&["--backend", "gpu"]));
+        let err = parse(&["--backend", "gpu"]).unwrap_err();
+        assert!(err.contains("invalid --backend"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "unrecognized argument")]
     fn cli_rejects_mistyped_flags() {
-        let _ = Cli::parse_from(to_args(&["--fulll"]));
+        let err = parse(&["--fulll"]).unwrap_err();
+        assert!(err.contains("unrecognized argument"), "{err}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `churn`, `burst` and `scale`.
 
 use crate::runner::{self, Runner};
-use crate::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec};
+use crate::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec, SpecError};
 use crate::{Cli, Scale};
 use gossip_analysis::table::{json_line, Table};
 use noisy_channel::NoiseSpec;
@@ -144,7 +144,11 @@ pub fn run_spec_to(
     cli.note_to(heading, out)?;
     let runner = Runner::new(spec)?;
     if cli.stream {
-        runner.run_streamed(out)?;
+        // A write error stays an I/O error, as on the other output paths.
+        runner.run_streamed(out).map_err(|e| match e {
+            SpecError::Write(e) => Box::new(e) as Box<dyn Error>,
+            e => e.into(),
+        })?;
     } else {
         cli.emit_to(&runner.run()?.to_table(), out)?;
     }
@@ -587,7 +591,7 @@ fn churn_spec(scale: Scale) -> ScenarioSpec {
     spec.backend = ExecutionBackend::Counting;
     spec.observe = ObserveMode::Trajectory;
     spec.sweep.churn = vec![
-        ChurnSpec::none(),
+        ChurnSpec::default(),
         "join(0.05)+leave(0.05)".parse().expect("valid churn"),
         "join(0.04)+leave(0.01)".parse().expect("valid churn"),
         "join(0.01)+leave(0.04)".parse().expect("valid churn"),
@@ -622,7 +626,7 @@ fn burst_spec(scale: Scale) -> ScenarioSpec {
         "burst(0.5@5:2)".parse().expect("valid schedule"),
     ];
     spec.sweep.churn = vec![
-        ChurnSpec::none(),
+        ChurnSpec::default(),
         "burst(0.3@3)".parse().expect("valid churn"),
     ];
     spec

@@ -473,8 +473,10 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Same as [`run`](Self::run); write errors on `out` are ignored (the
-    /// run completes and the report is still built).
+    /// Same as [`run`](Self::run), and [`SpecError::Write`] with the first
+    /// write error on `out`, returned at the next grid point boundary
+    /// (after the trial, for trajectory specs): a run whose reader went
+    /// away stops computing.
     pub fn run_streamed(&self, out: &mut dyn Write) -> Result<RunReport, SpecError> {
         self.run_inner(Some(out))
     }
@@ -491,7 +493,7 @@ impl Runner {
             if let Some(out) = stream.as_mut() {
                 // Trajectory rows already streamed live from inside the run.
                 if spec.observe != ObserveMode::Trajectory {
-                    emit_rows(out, spec, &result);
+                    emit_rows(out, spec, &result).map_err(SpecError::Write)?;
                 }
             }
             points.push(result);
@@ -537,7 +539,10 @@ impl Runner {
             noise,
             counts,
             plurality,
-            stop: trial_stop(spec),
+            stop: match spec.kind {
+                ScenarioKind::DynamicsRule { .. } => stop_at_consensus(spec),
+                _ => spec.stop.to_condition(),
+            },
         };
         match spec.observe {
             ObserveMode::Summary => Ok(PointSummary::Protocol(run_trials(
@@ -601,6 +606,9 @@ impl Runner {
                     observers.push(sink);
                 }
                 trials.run(trial, &mut Fanout::new(observers))?;
+            }
+            if let Some(e) = sink.as_ref().and_then(StreamSink::error) {
+                return Err(SpecError::Write(std::io::Error::new(e.kind(), e.to_string())));
             }
             if spec.observe == ObserveMode::Trajectory {
                 trajectories.push(recorder);
@@ -880,29 +888,32 @@ pub(crate) fn run_protocol(
         .run(backend, instance, observer)
 }
 
-/// The stop condition of a point's trials: the spec's `stop.*` keys, plus
-/// consensus for the dynamics (the classic end of a baseline run; its
-/// round budget is [`RuleSpec::run`]'s own).
-fn trial_stop(spec: &ScenarioSpec) -> StopCondition {
-    let stop = spec.stop.to_condition();
-    if !matches!(spec.kind, ScenarioKind::DynamicsRule { .. }) {
-        return stop;
-    }
+/// The spec's `stop.*` keys plus consensus: a dynamics trial ends there
+/// (the classic end of a baseline run; its round budget is
+/// [`RuleSpec::run`]'s own), and so does every campaign run (so the
+/// round-envelope oracle judges convergence time rather than the fixed
+/// schedule length).
+pub(crate) fn stop_at_consensus(spec: &ScenarioSpec) -> StopCondition {
     let mut conditions = vec![StopCondition::ConsensusReached];
+    let stop = spec.stop.to_condition();
     if stop != StopCondition::ScheduleExhausted {
         conditions.push(stop);
     }
     StopCondition::Any(conditions)
 }
 
-/// Streams all rows of one completed point as JSON lines (ignoring write
-/// errors: streaming is best-effort, the report is the source of truth).
-fn emit_rows<W: Write + ?Sized>(out: &mut W, spec: &ScenarioSpec, result: &PointResult) {
+/// Streams all rows of one completed point as JSON lines, stopping at
+/// the first write error.
+fn emit_rows<W: Write + ?Sized>(
+    out: &mut W,
+    spec: &ScenarioSpec,
+    result: &PointResult,
+) -> std::io::Result<()> {
     let headers = headers(spec);
     for row in point_rows(spec, result) {
-        let _ = writeln!(out, "{}", json_line(&headers, &row));
+        writeln!(out, "{}", json_line(&headers, &row))?;
     }
-    let _ = out.flush();
+    out.flush()
 }
 
 pub(crate) fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
@@ -1465,6 +1476,53 @@ mod tests {
         assert_eq!(streamed, report.to_table().to_json_lines());
         assert!(streamed.lines().count() > 2, "one row per phase per trial");
         assert!(streamed.lines().all(|l| l.starts_with("{\"trial\":")));
+    }
+
+    /// A reader that leaves after the first line: every write past it
+    /// fails with a broken pipe, and the writer counts the write attempts
+    /// made after its first failure.
+    #[derive(Default)]
+    struct LeavesAfterOneLine {
+        lines: usize,
+        failed: bool,
+        attempts_after_failure: usize,
+    }
+
+    impl Write for LeavesAfterOneLine {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.failed {
+                self.attempts_after_failure += 1;
+            }
+            if self.lines >= 1 {
+                self.failed = true;
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_stream_write_ends_the_run_with_that_error() {
+        let mut summary = quick_spec(ScenarioKind::RumorSpreading { source: 0 });
+        summary.sweep.eps = vec![0.3, 0.4, 0.5];
+        let mut trajectory = quick_spec(ScenarioKind::RumorSpreading { source: 0 });
+        trajectory.observe = ObserveMode::Trajectory;
+        for spec in [summary, trajectory] {
+            let observe = spec.observe;
+            let mut out = LeavesAfterOneLine::default();
+            let err = Runner::new(spec).unwrap().run_streamed(&mut out).unwrap_err();
+            assert!(
+                matches!(&err, SpecError::Write(e) if e.kind() == std::io::ErrorKind::BrokenPipe),
+                "{observe:?}: {err}"
+            );
+            assert!(out.failed, "{observe:?}: the second line was attempted");
+            assert_eq!(out.attempts_after_failure, 0, "{observe:?}: writing went on");
+        }
     }
 
     #[test]

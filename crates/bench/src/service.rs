@@ -196,7 +196,7 @@ mod tests {
         let svc = SpecService;
         let mut spec = sweep_spec();
         spec.sweep = SweepAxes::default();
-        spec.sweep.churn = vec![ChurnSpec::none(), "leave(0.1)".parse().unwrap()];
+        spec.sweep.churn = vec![ChurnSpec::default(), "leave(0.1)".parse().unwrap()];
         spec.sweep.schedule = vec![NoiseSchedule::Const, "step(0.4@1)".parse().unwrap()];
         let plan = svc.plan(&spec.to_text()).expect("plan");
         let mut streamed = Vec::new();

@@ -622,7 +622,7 @@ impl ScenarioSpec {
             delivery: DeliverySemantics::Exact,
             topology: TopologySpec::Complete,
             fault: FaultSpec::default(),
-            churn: ChurnSpec::none(),
+            churn: ChurnSpec::default(),
             schedule: NoiseSchedule::Const,
             clock: ClockSpec::Sync,
             backend: ExecutionBackend::Auto,
@@ -1153,7 +1153,7 @@ impl ScenarioSpec {
             }
         }
 
-        let scenario = take_required(&mut map, "scenario")?;
+        let scenario = map.remove("scenario").ok_or(SpecError::Missing { key: "scenario" })?;
         let kind = match scenario.1 {
             "rumor" => ScenarioKind::RumorSpreading {
                 source: take_parsed(&mut map, "source")?.unwrap_or(0),
@@ -1164,17 +1164,11 @@ impl ScenarioSpec {
             "stage2" => ScenarioKind::Stage2Only {
                 init: take_init(&mut map)?,
             },
-            "dynamics" => {
-                let (line, rule) = take_required(&mut map, "rule")?;
-                let rule: RuleSpec = rule
-                    .parse()
-                    .map_err(|message: String| SpecError::Parse { line, message })?;
-                ScenarioKind::DynamicsRule {
-                    rule,
-                    init: take_init(&mut map)?,
-                    rounds: take_parsed(&mut map, "rounds")?,
-                }
-            }
+            "dynamics" => ScenarioKind::DynamicsRule {
+                rule: take_from_str(&mut map, "rule")?.ok_or(SpecError::Missing { key: "rule" })?,
+                init: take_init(&mut map)?,
+                rounds: take_parsed(&mut map, "rounds")?,
+            },
             "gap" => ScenarioKind::SampleMajorityGap {
                 ell: take_parsed(&mut map, "ell")?.unwrap_or(25),
                 delta: take_parsed(&mut map, "delta")?.unwrap_or(0.1),
@@ -1198,19 +1192,11 @@ impl ScenarioSpec {
         let n = take_parsed(&mut map, "n")?.ok_or(SpecError::Missing { key: "n" })?;
         let k = take_parsed(&mut map, "k")?.ok_or(SpecError::Missing { key: "k" })?;
         let epsilon: f64 = take_parsed(&mut map, "epsilon")?.unwrap_or(0.2);
-        let noise = match map.remove("noise") {
-            Some((line, value)) => value
-                .parse::<NoiseSpec>()
-                .map_err(|e| SpecError::Parse {
-                    line,
-                    message: e.to_string(),
-                })?,
-            None => NoiseSpec::Uniform { epsilon },
-        };
+        let noise = take_from_str(&mut map, "noise")?.unwrap_or(NoiseSpec::Uniform { epsilon });
         let delivery = take_from_str(&mut map, "delivery")?.unwrap_or(DeliverySemantics::Exact);
         let topology = take_from_str(&mut map, "topology")?.unwrap_or(TopologySpec::Complete);
         let fault = take_from_str(&mut map, "fault")?.unwrap_or_default();
-        let churn = take_from_str(&mut map, "churn")?.unwrap_or_else(ChurnSpec::none);
+        let churn = take_from_str(&mut map, "churn")?.unwrap_or_default();
         let schedule = take_from_str(&mut map, "schedule")?.unwrap_or(NoiseSchedule::Const);
         let clock = take_from_str(&mut map, "clock")?.unwrap_or(ClockSpec::Sync);
         let backend = take_from_str(&mut map, "backend")?.unwrap_or(ExecutionBackend::Auto);
@@ -1348,10 +1334,6 @@ fn join<T: fmt::Display>(values: &[T]) -> String {
 
 type RawMap<'a> = BTreeMap<&'a str, (usize, &'a str)>;
 
-fn take_required<'a>(map: &mut RawMap<'a>, key: &'static str) -> Result<(usize, &'a str), SpecError> {
-    map.remove(key).ok_or(SpecError::Missing { key })
-}
-
 fn take_parsed<T: std::str::FromStr>(
     map: &mut RawMap<'_>,
     key: &'static str,
@@ -1365,16 +1347,18 @@ fn take_parsed<T: std::str::FromStr>(
     }
 }
 
+/// Takes a spelled value, whose parse error is the message.
 fn take_from_str<T>(map: &mut RawMap<'_>, key: &'static str) -> Result<Option<T>, SpecError>
 where
-    T: std::str::FromStr<Err = String>,
+    T: std::str::FromStr,
+    T::Err: fmt::Display,
 {
     match map.remove(key) {
         None => Ok(None),
-        Some((line, value)) => value
-            .parse()
-            .map(Some)
-            .map_err(|message| SpecError::Parse { line, message }),
+        Some((line, value)) => value.parse().map(Some).map_err(|e: T::Err| SpecError::Parse {
+            line,
+            message: e.to_string(),
+        }),
     }
 }
 
@@ -1434,6 +1418,8 @@ pub enum SpecError {
     Noise(NoiseError),
     /// Simulator configuration failed when materializing a run.
     Sim(SimError),
+    /// Writing a streamed result row failed (the reader went away).
+    Write(std::io::Error),
 }
 
 impl fmt::Display for SpecError {
@@ -1445,6 +1431,7 @@ impl fmt::Display for SpecError {
             SpecError::Protocol(e) => write!(f, "invalid protocol parameters: {e}"),
             SpecError::Noise(e) => write!(f, "invalid noise matrix: {e}"),
             SpecError::Sim(e) => write!(f, "invalid simulation config: {e}"),
+            SpecError::Write(e) => write!(f, "cannot write the result stream: {e}"),
         }
     }
 }
@@ -1455,6 +1442,7 @@ impl std::error::Error for SpecError {
             SpecError::Protocol(e) => Some(e),
             SpecError::Noise(e) => Some(e),
             SpecError::Sim(e) => Some(e),
+            SpecError::Write(e) => Some(e),
             _ => None,
         }
     }
@@ -1602,7 +1590,7 @@ mod tests {
 
         let mut spec = rumor_spec();
         spec.sweep.fault = vec![
-            FaultSpec::none(),
+            FaultSpec::default(),
             "drop(0.2)".parse().unwrap(),
             "crash(0.1@2)".parse().unwrap(),
         ];
@@ -1661,7 +1649,7 @@ mod tests {
         assert!(spec.validate().is_ok());
         // An all-disabled spec composes with everything.
         let mut spec = rumor_spec();
-        spec.fault = FaultSpec::none();
+        spec.fault = FaultSpec::default();
         spec.sweep.topology = vec![TopologySpec::Ring];
         assert!(spec.validate().is_ok());
     }
@@ -1679,7 +1667,7 @@ mod tests {
 
         let mut spec = rumor_spec();
         spec.sweep.churn = vec![
-            ChurnSpec::none(),
+            ChurnSpec::default(),
             "join(0.05)+leave(0.05)".parse().unwrap(),
             "burst(0.3@2)".parse().unwrap(),
         ];

@@ -184,3 +184,42 @@ fn specs_failing_admission_are_refused_and_the_worker_stays_free() {
     wait_for_done(addr, json_u64(&next.text(), "id"));
     handle.shutdown_and_wait();
 }
+
+/// Polls `path` until its body contains `needle` (two minutes at most).
+fn wait_for(addr: SocketAddr, path: &str, needle: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let text = http::request(addr, "GET", path, b"").expect("GET completes").text();
+        if text.contains(needle) {
+            return text;
+        }
+        assert!(Instant::now() < deadline, "{path} never showed {needle}: {text}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// An agent population too large to allocate passes validation, but its
+/// run ends in a typed error: the job fails, and the only worker lives on
+/// to run the next job.
+#[test]
+fn an_unallocatable_population_fails_its_job_and_the_worker_survives() {
+    let oversized = "scenario = rumor\nn = 4611686018427387904\nk = 3\nbackend = agent\ntrials = 1\n";
+    let handle = Server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        SpecService,
+    )
+    .expect("server starts");
+    let addr = handle.addr();
+    let failed = json_u64(&submit(addr, oversized).text(), "id");
+    let status = wait_for(addr, &format!("/v1/runs/{failed}"), "\"failed\"");
+    assert!(status.contains("too large"), "{status}");
+
+    let next = submit(addr, "scenario = rumor\nn = 256\nk = 2\nepsilon = 0.3\nseed = 3\n");
+    wait_for_done(addr, json_u64(&next.text(), "id"));
+    wait_for(addr, "/v1/stats", "\"in_flight\":0,");
+    handle.shutdown_and_wait();
+}

@@ -363,8 +363,36 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         })
 }
 
+/// The keys whose values are spelled families (`ring`, `crash(0.1@2)`,
+/// `h-majority(15)`, …), as base values or as sweep axes.
+const SPELLED_KEYS: [&str; 9] = [
+    "noise", "rule", "topology", "fault", "churn", "schedule", "clock", "delivery", "backend",
+];
+
+/// `text` with the value of every spelled key in upper case.
+fn upper_case_spelled_values(text: &str) -> String {
+    text.lines()
+        .map(|line| match line.split_once(" = ") {
+            Some((key, value)) if SPELLED_KEYS.contains(&key.trim_start_matches("sweep.")) => {
+                format!("{key} = {}\n", value.to_ascii_uppercase())
+            }
+            _ => format!("{line}\n"),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Spelled values fold case: upper-casing every one of them in a
+    /// canonical text parses back to an equal spec.
+    #[test]
+    fn upper_case_spelled_values_parse_to_the_same_spec(spec in spec_strategy()) {
+        let text = upper_case_spelled_values(&spec.to_text());
+        let parsed = ScenarioSpec::from_text(&text)
+            .unwrap_or_else(|e| panic!("upper-cased spec must parse: {e}\n{text}"));
+        prop_assert_eq!(parsed, spec);
+    }
 
     /// Generated specs are valid by construction, and spec -> text -> spec
     /// is the identity for every one of them.
@@ -431,6 +459,14 @@ fn load_error(text: &str) -> String {
     ScenarioSpec::from_text(text)
         .expect_err("spec must be rejected at load time")
         .to_string()
+}
+
+#[test]
+fn a_family_given_twice_is_refused_whatever_its_value() {
+    for value in ["fault = drop(0)+drop(0.1)", "churn = leave(0)+leave(0.1)"] {
+        let err = load_error(&format!("scenario = plurality\nbias = 0.2\nn = 500\nk = 3\n{value}\n"));
+        assert!(err.contains("given more than once"), "{value}: {err}");
+    }
 }
 
 #[test]

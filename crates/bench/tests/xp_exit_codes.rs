@@ -2,8 +2,8 @@
 //! the built binary: every command that takes a spec agrees that unknown
 //! names, unreadable paths and variant entries are usage errors (exit 2)
 //! and a file that reads but does not parse is a run failure (exit 1). A
-//! reader that closes `xp`'s stdout early (`xp list | head -1`) is not a
-//! failure (exit 0).
+//! reader that closes `xp`'s stdout early (`xp list | head -1`, or a
+//! `--stream` run piped to `head -1`) is not a failure (exit 0).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -75,7 +75,8 @@ fn unknown_names_and_unreadable_paths_exit_2() {
 
 #[test]
 fn a_reader_that_closes_stdout_early_leaves_exit_0() {
-    for args in [&["list"][..], &["show", "t1"]] {
+    let spec = format!("{}/../../examples/specs/rumor_vs_eps.spec", env!("CARGO_MANIFEST_DIR"));
+    for args in [&["list"][..], &["show", "t1"], &["run", "--spec", &spec, "--stream"]] {
         // Close the pipe after the first line, and before the first line
         // is even written.
         for lines in [1, 0] {

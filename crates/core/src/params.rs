@@ -197,9 +197,9 @@ impl ProtocolParams {
             delivery: DeliverySemantics::Exact,
             topology: TopologySpec::Complete,
             fault: FaultSpec::default(),
-            churn: ChurnSpec::none(),
-            schedule_noise: NoiseSchedule::constant(),
-            clock: ClockSpec::sync(),
+            churn: ChurnSpec::default(),
+            schedule_noise: NoiseSchedule::default(),
+            clock: ClockSpec::default(),
             constants: ProtocolConstants::default(),
         }
     }
@@ -378,7 +378,7 @@ impl ProtocolParamsBuilder {
         self
     }
 
-    /// Sets the injected faults (default [`FaultSpec::none`], the paper's
+    /// Sets the injected faults (default `none`, the paper's
     /// fault-free model). Feasibility against `k`, the topology and the
     /// execution backend is validated when the run's network is built.
     pub fn fault(mut self, fault: FaultSpec) -> Self {
@@ -386,7 +386,7 @@ impl ProtocolParamsBuilder {
         self
     }
 
-    /// Sets the population/edge churn (default [`ChurnSpec::none`], the
+    /// Sets the population/edge churn (default `none`, the
     /// paper's static population). Feasibility against `k`, the topology,
     /// the faults and the execution backend is validated when the run's
     /// network is built.
@@ -395,7 +395,7 @@ impl ProtocolParamsBuilder {
         self
     }
 
-    /// Sets the noise schedule `ε(t)` (default [`NoiseSchedule::constant`],
+    /// Sets the noise schedule `ε(t)` (default `const`,
     /// the paper's time-invariant channel). Scheduled ε values are
     /// validated against the uniform family's domain when the run's
     /// network is built.
@@ -404,7 +404,7 @@ impl ProtocolParamsBuilder {
         self
     }
 
-    /// Sets the clock model (default [`ClockSpec::sync`], the paper's
+    /// Sets the clock model (default `sync`, the paper's
     /// synchronous rounds). Backend support is validated when the run's
     /// network is built.
     pub fn clock(mut self, clock: ClockSpec) -> Self {

@@ -219,7 +219,7 @@ pub fn run_phases<B: PushBackend>(
             distribution,
             bias,
         )
-        .with_topology(net.config().topology().label());
+        .with_topology(net.config().topology().to_string());
         observer.on_phase_end(&snapshot);
         progress.note_phase(&snapshot);
     }

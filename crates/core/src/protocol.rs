@@ -607,9 +607,9 @@ mod tests {
     fn auto_resolution_preserves_the_requested_semantics() {
         use pushsim::DeliverySemantics::{BallsIntoBins, Exact, Poissonized};
         let complete = TopologySpec::Complete;
-        let no_fault = FaultSpec::none();
-        let no_churn = ChurnSpec::none();
-        let sync = ClockSpec::sync();
+        let no_fault = FaultSpec::default();
+        let no_churn = ChurnSpec::default();
+        let sync = ClockSpec::default();
         // Exact-semantics requests (processes O and B) stay agent-level at
         // *every* scale: the counting backend only implements process P,
         // so resolving them to it would change the delivery law, not just

@@ -6,7 +6,8 @@
 //! through plurality-core's phase driver on whichever backend the run
 //! resolves to. This is what makes the baselines configurable from
 //! scenario spec files: the experiment layer stores the textual form
-//! (`voter`, `h-majority(15)`, …).
+//! (`voter`, `h-majority(15)`, …), spelled through the one grammar of spec
+//! values, [`noisy_channel::text`].
 //!
 //! ```
 //! use opinion_dynamics::RuleSpec;
@@ -22,6 +23,7 @@
 //! ```
 
 use crate::{majority, median, undecided, voter};
+use noisy_channel::text::{Form, Grammar};
 use plurality_core::{run_phases, Observer, Outcome, Phase, StopCondition};
 use pushsim::{Opinion, PushBackend};
 use rand::rngs::StdRng;
@@ -31,8 +33,9 @@ use std::str::FromStr;
 /// A baseline dynamics rule plus its parameters, independent of the
 /// simulation backend.
 ///
-/// Textual forms accepted by [`FromStr`] (and produced by `Display`):
-/// `voter`, `3-majority`, `h-majority(h)`, `undecided`, `median`.
+/// Textual forms accepted by [`FromStr`] (and produced by `Display`, both
+/// through [`noisy_channel::text`]), case-insensitive: `voter`,
+/// `3-majority`, `h-majority(h)`, `undecided`, `median`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleSpec {
     /// The voter model: one push round, then every agent that received a
@@ -111,15 +114,25 @@ impl RuleSpec {
     }
 }
 
+const VOTER: Form = "voter";
+const THREE_MAJORITY: Form = "3-majority";
+const H_MAJORITY: Form = "h-majority(h)";
+const UNDECIDED: Form = "undecided";
+const MEDIAN: Form = "median";
+const RULE: Grammar = Grammar::single(
+    "dynamics rule",
+    &[VOTER, THREE_MAJORITY, H_MAJORITY, UNDECIDED, MEDIAN],
+);
+
 impl fmt::Display for RuleSpec {
     /// The canonical textual form (parseable back via [`FromStr`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            RuleSpec::Voter => write!(f, "voter"),
-            RuleSpec::ThreeMajority => write!(f, "3-majority"),
-            RuleSpec::HMajority { h } => write!(f, "h-majority({h})"),
-            RuleSpec::Undecided => write!(f, "undecided"),
-            RuleSpec::Median => write!(f, "median"),
+            RuleSpec::Voter => RULE.write(f, VOTER, &[]),
+            RuleSpec::ThreeMajority => RULE.write(f, THREE_MAJORITY, &[]),
+            RuleSpec::HMajority { h } => RULE.write(f, H_MAJORITY, &[&h]),
+            RuleSpec::Undecided => RULE.write(f, UNDECIDED, &[]),
+            RuleSpec::Median => RULE.write(f, MEDIAN, &[]),
         }
     }
 }
@@ -128,27 +141,17 @@ impl FromStr for RuleSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        match s.to_ascii_lowercase().as_str() {
-            "voter" => return Ok(RuleSpec::Voter),
-            "3-majority" => return Ok(RuleSpec::ThreeMajority),
-            "undecided" => return Ok(RuleSpec::Undecided),
-            "median" => return Ok(RuleSpec::Median),
-            _ => {}
-        }
-        if let Some(rest) = s.strip_prefix("h-majority(") {
-            if let Some(arg) = rest.strip_suffix(')') {
-                if let Ok(h) = arg.trim().parse::<u32>() {
-                    if h >= 1 {
-                        return Ok(RuleSpec::HMajority { h });
-                    }
-                }
-            }
-        }
-        Err(format!(
-            "unknown dynamics rule {s:?} (expected voter, 3-majority, h-majority(h), \
-             undecided or median)"
-        ))
+        let term = RULE.parse(s)?;
+        Ok(match term.form {
+            VOTER => RuleSpec::Voter,
+            THREE_MAJORITY => RuleSpec::ThreeMajority,
+            H_MAJORITY => match term.arg(0)? {
+                0 => return Err(format!("{H_MAJORITY} needs h >= 1")),
+                h => RuleSpec::HMajority { h },
+            },
+            UNDECIDED => RuleSpec::Undecided,
+            _ => RuleSpec::Median,
+        })
     }
 }
 

@@ -32,7 +32,10 @@
 //! * [`NoiseSpec`] — a declarative, `k`-independent family-plus-parameters
 //!   description with a round-trippable textual form (`uniform(0.25)`,
 //!   `reset(0.4, 1)`, …), used by the experiment harness's scenario spec
-//!   files.
+//!   files;
+//! * [`text`] — the one grammar of spec values (`family(args)`, `+`-joined
+//!   families, case folding, error text), through which every spec value
+//!   type of the workspace prints and parses.
 //!
 //! # Example
 //!
@@ -66,6 +69,7 @@ pub mod mp;
 pub mod sampling;
 mod spec;
 pub mod spectral;
+pub mod text;
 
 pub use error::NoiseError;
 pub use matrix::NoiseMatrix;

@@ -8,7 +8,8 @@
 //! (`uniform(0.25)`, `cyclic(0.05)`, …) and materializes the matrix per
 //! sweep point.
 //!
-//! The textual grammar is `family(arg, …)`:
+//! The textual grammar is `family(arg, …)`, spelled through the
+//! workspace's one grammar of spec values ([`text`](crate::text)):
 //!
 //! | text                  | family                                            |
 //! |-----------------------|---------------------------------------------------|
@@ -35,14 +36,16 @@
 use crate::error::NoiseError;
 use crate::families;
 use crate::matrix::NoiseMatrix;
+use crate::text::{Form, Grammar, Term};
 use std::fmt;
 use std::str::FromStr;
 
 /// A noise-matrix family plus its parameters, independent of the opinion
 /// count `k`.
 ///
-/// The textual grammar (produced by `Display`, parsed by `FromStr`) is
-/// `family(arg, …)`: `uniform(eps)`, `flip(eps)` (k = 2 only),
+/// The textual grammar (produced by `Display`, parsed by `FromStr`, both
+/// through [`text`](crate::text)) is `family(arg, …)`, case-insensitive:
+/// `uniform(eps)`, `flip(eps)` (k = 2 only),
 /// `cyclic(lambda)`, `reset(lambda, target)`, `diag(eps)` (k = 3 only) and
 /// `band(p, q_low, q_high)`, each mapping to the constructor of the same
 /// family in [`families`].
@@ -153,16 +156,24 @@ impl NoiseSpec {
     }
 }
 
+const UNIFORM: Form = "uniform(eps)";
+const FLIP: Form = "flip(eps)";
+const CYCLIC: Form = "cyclic(lambda)";
+const RESET: Form = "reset(lambda, target)";
+const DIAG: Form = "diag(eps)";
+const BAND: Form = "band(p, q_low, q_high)";
+const NOISE: Grammar = Grammar::single("noise", &[UNIFORM, FLIP, CYCLIC, RESET, DIAG, BAND]);
+
 impl fmt::Display for NoiseSpec {
     /// The canonical textual form (parseable back via [`FromStr`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            NoiseSpec::Uniform { epsilon } => write!(f, "uniform({epsilon})"),
-            NoiseSpec::BinaryFlip { epsilon } => write!(f, "flip({epsilon})"),
-            NoiseSpec::Cyclic { lambda } => write!(f, "cyclic({lambda})"),
-            NoiseSpec::Reset { lambda, target } => write!(f, "reset({lambda}, {target})"),
-            NoiseSpec::DiagonallyDominant { epsilon } => write!(f, "diag({epsilon})"),
-            NoiseSpec::Band { p, q_low, q_high } => write!(f, "band({p}, {q_low}, {q_high})"),
+            NoiseSpec::Uniform { epsilon } => NOISE.write(f, UNIFORM, &[&epsilon]),
+            NoiseSpec::BinaryFlip { epsilon } => NOISE.write(f, FLIP, &[&epsilon]),
+            NoiseSpec::Cyclic { lambda } => NOISE.write(f, CYCLIC, &[&lambda]),
+            NoiseSpec::Reset { lambda, target } => NOISE.write(f, RESET, &[&lambda, &target]),
+            NoiseSpec::DiagonallyDominant { epsilon } => NOISE.write(f, DIAG, &[&epsilon]),
+            NoiseSpec::Band { p, q_low, q_high } => NOISE.write(f, BAND, &[&p, &q_low, &q_high]),
         }
     }
 }
@@ -171,73 +182,24 @@ impl FromStr for NoiseSpec {
     type Err = NoiseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = || {
-            NoiseError::InvalidSpec(format!(
-                "malformed noise spec {s:?} (expected family(args): uniform(eps), flip(eps), \
-                 cyclic(lambda), reset(lambda, target), diag(eps) or band(p, q_low, q_high))"
-            ))
+        let spec = |term: Term| -> Result<Self, String> {
+            Ok(match term.form {
+                UNIFORM => NoiseSpec::Uniform { epsilon: term.arg(0)? },
+                FLIP => NoiseSpec::BinaryFlip { epsilon: term.arg(0)? },
+                CYCLIC => NoiseSpec::Cyclic { lambda: term.arg(0)? },
+                RESET => NoiseSpec::Reset {
+                    lambda: term.arg(0)?,
+                    target: term.arg(1)?,
+                },
+                DIAG => NoiseSpec::DiagonallyDominant { epsilon: term.arg(0)? },
+                _ => NoiseSpec::Band {
+                    p: term.arg(0)?,
+                    q_low: term.arg(1)?,
+                    q_high: term.arg(2)?,
+                },
+            })
         };
-        let s = s.trim();
-        let open = s.find('(').ok_or_else(bad)?;
-        if !s.ends_with(')') {
-            return Err(bad());
-        }
-        let name = s[..open].trim();
-        let args: Vec<&str> = s[open + 1..s.len() - 1]
-            .split(',')
-            .map(str::trim)
-            .collect();
-        let float = |i: usize| -> Result<f64, NoiseError> {
-            args.get(i)
-                .and_then(|a| a.parse::<f64>().ok())
-                .ok_or_else(bad)
-        };
-        let int = |i: usize| -> Result<usize, NoiseError> {
-            args.get(i)
-                .and_then(|a| a.parse::<usize>().ok())
-                .ok_or_else(bad)
-        };
-        let expect_arity = |n: usize| -> Result<(), NoiseError> {
-            if args.len() == n {
-                Ok(())
-            } else {
-                Err(bad())
-            }
-        };
-        match name {
-            "uniform" => {
-                expect_arity(1)?;
-                Ok(NoiseSpec::Uniform { epsilon: float(0)? })
-            }
-            "flip" => {
-                expect_arity(1)?;
-                Ok(NoiseSpec::BinaryFlip { epsilon: float(0)? })
-            }
-            "cyclic" => {
-                expect_arity(1)?;
-                Ok(NoiseSpec::Cyclic { lambda: float(0)? })
-            }
-            "reset" => {
-                expect_arity(2)?;
-                Ok(NoiseSpec::Reset {
-                    lambda: float(0)?,
-                    target: int(1)?,
-                })
-            }
-            "diag" => {
-                expect_arity(1)?;
-                Ok(NoiseSpec::DiagonallyDominant { epsilon: float(0)? })
-            }
-            "band" => {
-                expect_arity(3)?;
-                Ok(NoiseSpec::Band {
-                    p: float(0)?,
-                    q_low: float(1)?,
-                    q_high: float(2)?,
-                })
-            }
-            _ => Err(bad()),
-        }
+        NOISE.parse(s).and_then(spec).map_err(NoiseError::InvalidSpec)
     }
 }
 

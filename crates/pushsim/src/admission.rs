@@ -333,7 +333,7 @@ impl Capability {
                 format!("{} with process {}", backend(), config.delivery().label())
             };
             return Err(SimError::UnsupportedTopology {
-                topology: topology.label(),
+                topology: topology.to_string(),
                 context,
             });
         }
@@ -344,7 +344,7 @@ impl Capability {
         };
         if !faults_ok {
             return Err(SimError::UnsupportedFault {
-                fault: fault.label(),
+                fault: fault.to_string(),
                 context: backend(),
             });
         }
@@ -388,7 +388,7 @@ pub(crate) fn check_model(config: &SimConfig) -> Result<(), SimError> {
     };
     if !MODEL_DELIVERY_TOPOLOGIES[delivery as usize].supports(topology) {
         return Err(SimError::UnsupportedTopology {
-            topology: topology.label(),
+            topology: topology.to_string(),
             context: format!("process {}", delivery.label()),
         });
     }
@@ -396,7 +396,7 @@ pub(crate) fn check_model(config: &SimConfig) -> Result<(), SimError> {
     // uniformly, which needs every agent to reach every other.
     if !fault.is_none() && !topology.is_complete() {
         return Err(SimError::UnsupportedFault {
-            fault: fault.label(),
+            fault: fault.to_string(),
             context: format!("topology {topology} (faults need the complete graph)"),
         });
     }

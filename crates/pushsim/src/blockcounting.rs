@@ -969,7 +969,7 @@ mod tests {
             .seed(1)
             .fault(FaultSpec {
                 drop: 0.1,
-                ..FaultSpec::none()
+                ..FaultSpec::default()
             })
             .build()
             .unwrap();

@@ -78,7 +78,7 @@ impl std::str::FromStr for DeliverySemantics {
 /// Configuration of a [`Network`](crate::Network).
 ///
 /// Use [`SimConfig::builder`] to construct one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     num_nodes: usize,
     num_opinions: usize,
@@ -191,14 +191,14 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the injected faults (default [`FaultSpec::none`], i.e. the
+    /// Sets the injected faults (default `none`, i.e. the
     /// fault-free paper model).
     pub fn fault(mut self, fault: FaultSpec) -> Self {
         self.fault = fault;
         self
     }
 
-    /// Sets the population/edge churn (default [`ChurnSpec::none`], i.e.
+    /// Sets the population/edge churn (default `none`, i.e.
     /// the static-population paper model).
     pub fn churn(mut self, churn: ChurnSpec) -> Self {
         self.churn = churn;
@@ -417,7 +417,7 @@ mod tests {
         // A disabled spec composes with every topology.
         assert!(SimConfig::builder(10, 3)
             .topology(TopologySpec::Ring)
-            .fault(FaultSpec::none())
+            .fault(FaultSpec::default())
             .build()
             .is_ok());
     }

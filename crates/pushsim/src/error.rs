@@ -89,6 +89,12 @@ pub enum SimError {
         /// Which configuration it was combined with.
         context: String,
     },
+    /// A per-agent buffer of the simulation state cannot be allocated:
+    /// its size overflows `usize` or exceeds the memory available.
+    TooLarge {
+        /// Which buffer, and how many elements it needed.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -139,11 +145,46 @@ impl fmt::Display for SimError {
             SimError::UnsupportedTemporal { feature, context } => {
                 write!(f, "{feature} is not supported by {context}")
             }
+            SimError::TooLarge { reason } => {
+                write!(f, "simulation state too large: {reason}")
+            }
         }
     }
 }
 
 impl Error for SimError {}
+
+/// The [`SimError::TooLarge`] of `len` elements of `what` whose
+/// reservation failed with `cause`.
+pub(crate) fn too_large(len: usize, what: &str, cause: impl fmt::Display) -> SimError {
+    SimError::TooLarge {
+        reason: format!("{len} {what}: {cause}"),
+    }
+}
+
+/// An empty buffer with room for `len` elements, reserved fallibly: a
+/// population too large for memory is a [`SimError::TooLarge`] instead of
+/// an abort. `what` names the elements in the error.
+pub(crate) fn with_room<T>(len: usize, what: &str) -> Result<Vec<T>, SimError> {
+    let mut buffer = Vec::new();
+    buffer.try_reserve_exact(len).map_err(|e| too_large(len, what, e))?;
+    Ok(buffer)
+}
+
+/// `len` copies of `value`, reserved as [`with_room`] does.
+pub(crate) fn filled<T: Clone>(len: usize, value: T, what: &str) -> Result<Vec<T>, SimError> {
+    let mut buffer = with_room(len, what)?;
+    buffer.resize(len, value);
+    Ok(buffer)
+}
+
+/// `count × per_item` elements, or [`SimError::TooLarge`] when the
+/// product overflows `usize`.
+pub(crate) fn checked_len(count: usize, per_item: usize, what: &str) -> Result<usize, SimError> {
+    count.checked_mul(per_item).ok_or_else(|| SimError::TooLarge {
+        reason: format!("{count} × {per_item} {what} overflow usize"),
+    })
+}
 
 #[cfg(test)]
 mod tests {

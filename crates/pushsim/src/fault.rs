@@ -22,9 +22,10 @@
 //!
 //! Like [`TopologySpec`](crate::TopologySpec), a `FaultSpec` has a
 //! canonical textual form that round-trips through `Display`/[`FromStr`]
+//! (both through the one grammar of spec values, [`noisy_channel::text`])
 //! and is the spelling scenario spec files use
 //! (`fault = drop(0.1)+byz(0.05:0)`). The all-disabled spec prints as
-//! `none`.
+//! `none`; each family appears at most once.
 //!
 //! ## Support boundaries
 //!
@@ -43,12 +44,13 @@
 //! workspace remain valid under the fault-capable simulator.
 
 use crate::error::SimError;
+use noisy_channel::text::{Form, Grammar};
 use std::fmt;
 use std::str::FromStr;
 
 /// Crashed agents: a fraction of the population falls silent at the end
 /// of a given phase.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashFault {
     /// The fraction of agents that crash, in `[0, 1]`.
     pub fraction: f64,
@@ -60,7 +62,7 @@ pub struct CrashFault {
 
 /// Byzantine agents: a fraction of the population always pushes a fixed
 /// opinion and never changes its own.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByzantineFault {
     /// The fraction of agents that are Byzantine, in `[0, 1]`.
     pub fraction: f64,
@@ -76,7 +78,7 @@ pub struct ByzantineFault {
 /// the pre-fault simulator). The textual form (`Display` / [`FromStr`])
 /// round-trips exactly; families are joined with `+` in the fixed order
 /// `drop`, `dup`, `delay`, `crash`, `byz`.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultSpec {
     /// Per-message drop probability in `[0, 1]` (applied post-noise).
     pub drop: f64,
@@ -93,61 +95,7 @@ pub struct FaultSpec {
     pub byzantine: Option<ByzantineFault>,
 }
 
-impl PartialEq for FaultSpec {
-    fn eq(&self, other: &Self) -> bool {
-        // Bitwise comparison keeps Eq/Hash lawful (NaN never survives
-        // `check`, which rejects non-finite probabilities).
-        let pair = |a: Option<CrashFault>, b: Option<CrashFault>| match (a, b) {
-            (None, None) => true,
-            (Some(x), Some(y)) => {
-                x.fraction.to_bits() == y.fraction.to_bits() && x.after_phase == y.after_phase
-            }
-            _ => false,
-        };
-        let byz = |a: Option<ByzantineFault>, b: Option<ByzantineFault>| match (a, b) {
-            (None, None) => true,
-            (Some(x), Some(y)) => {
-                x.fraction.to_bits() == y.fraction.to_bits() && x.opinion == y.opinion
-            }
-            _ => false,
-        };
-        self.drop.to_bits() == other.drop.to_bits()
-            && self.duplicate.to_bits() == other.duplicate.to_bits()
-            && self.delay.to_bits() == other.delay.to_bits()
-            && pair(self.crash, other.crash)
-            && byz(self.byzantine, other.byzantine)
-    }
-}
-
-impl Eq for FaultSpec {}
-
-impl std::hash::Hash for FaultSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.drop.to_bits().hash(state);
-        self.duplicate.to_bits().hash(state);
-        self.delay.to_bits().hash(state);
-        if let Some(c) = self.crash {
-            c.fraction.to_bits().hash(state);
-            c.after_phase.hash(state);
-        } else {
-            u64::MAX.hash(state);
-        }
-        if let Some(b) = self.byzantine {
-            b.fraction.to_bits().hash(state);
-            b.opinion.hash(state);
-        } else {
-            u64::MAX.hash(state);
-        }
-    }
-}
-
 impl FaultSpec {
-    /// The all-disabled spec (identical to `FaultSpec::default()`),
-    /// spelled `none`.
-    pub fn none() -> Self {
-        FaultSpec::default()
-    }
-
     /// `true` when every fault family is disabled. A disabled spec is
     /// guaranteed not to perturb any RNG stream of the simulation.
     pub fn is_none(&self) -> bool {
@@ -162,12 +110,6 @@ impl FaultSpec {
     /// count-based backend supports (everything except delayed delivery).
     pub fn aggregatable(&self) -> bool {
         self.delay == 0.0
-    }
-
-    /// The short human-readable label (identical to the `Display` form),
-    /// recorded in result tables and error messages.
-    pub fn label(&self) -> String {
-        self.to_string()
     }
 
     /// Checks that this fault spec is well-formed for a system with
@@ -190,16 +132,16 @@ impl FaultSpec {
                 })
             }
         };
-        probability("drop(p)", self.drop)?;
-        probability("dup(p)", self.duplicate)?;
-        probability("delay(p)", self.delay)?;
+        probability(DROP, self.drop)?;
+        probability(DUP, self.duplicate)?;
+        probability(DELAY, self.delay)?;
         let mut faulty_fraction = 0.0;
         if let Some(crash) = self.crash {
-            probability("crash(f@s)", crash.fraction)?;
+            probability(CRASH, crash.fraction)?;
             faulty_fraction += crash.fraction;
         }
         if let Some(byz) = self.byzantine {
-            probability("byz(f:j)", byz.fraction)?;
+            probability(BYZ, byz.fraction)?;
             if byz.opinion >= num_opinions {
                 return fail(format!(
                     "byz opinion {} is out of range for a system with {num_opinions} opinions",
@@ -218,131 +160,61 @@ impl FaultSpec {
     }
 }
 
+const DROP: Form = "drop(p)";
+const DUP: Form = "dup(p)";
+const DELAY: Form = "delay(p)";
+const CRASH: Form = "crash(f@s)";
+const BYZ: Form = "byz(f:j)";
+const FAULT: Grammar = Grammar::joined("fault", "none", &[DROP, DUP, DELAY, CRASH, BYZ]);
+
 impl fmt::Display for FaultSpec {
     /// The canonical spec-file spelling: `none`, or `+`-joined families in
     /// the fixed order `drop(p)`, `dup(p)`, `delay(p)`, `crash(f@s)`,
     /// `byz(f:j)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_none() {
-            return write!(f, "none");
-        }
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if first {
-                first = false;
-                Ok(())
-            } else {
-                write!(f, "+")
-            }
-        };
+        let mut out = FAULT.joined_writer(f);
         if self.drop != 0.0 {
-            sep(f)?;
-            write!(f, "drop({})", self.drop)?;
+            out.family(DROP, &[&self.drop])?;
         }
         if self.duplicate != 0.0 {
-            sep(f)?;
-            write!(f, "dup({})", self.duplicate)?;
+            out.family(DUP, &[&self.duplicate])?;
         }
         if self.delay != 0.0 {
-            sep(f)?;
-            write!(f, "delay({})", self.delay)?;
+            out.family(DELAY, &[&self.delay])?;
         }
         if let Some(crash) = self.crash {
-            sep(f)?;
-            write!(f, "crash({}@{})", crash.fraction, crash.after_phase)?;
+            out.family(CRASH, &[&crash.fraction, &crash.after_phase])?;
         }
         if let Some(byz) = self.byzantine {
-            sep(f)?;
-            write!(f, "byz({}:{})", byz.fraction, byz.opinion)?;
+            out.family(BYZ, &[&byz.fraction, &byz.opinion])?;
         }
-        Ok(())
+        out.finish()
     }
 }
 
 impl FromStr for FaultSpec {
     type Err = String;
 
-    /// Parses the canonical spelling (case-insensitive): `none`, or
-    /// `+`-joined `drop(p)`, `dup(p)`, `delay(p)`, `crash(f@s)`,
-    /// `byz(f:j)` in any order; each family at most once.
+    /// Parses `none`, or `+`-joined families in any order.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let lower = s.to_ascii_lowercase();
-        if lower == "none" {
-            return Ok(FaultSpec::default());
-        }
         let mut spec = FaultSpec::default();
-        for part in lower.split('+') {
-            let part = part.trim();
-            let parameterized = |name: &str| -> Option<&str> {
-                part.strip_prefix(name)?.strip_prefix('(')?.strip_suffix(')')
-            };
-            let duplicate_family =
-                |name: &str| -> String { format!("fault family {name} given more than once in {s:?}") };
-            if let Some(arg) = parameterized("drop") {
-                if spec.drop != 0.0 {
-                    return Err(duplicate_family("drop"));
+        for term in FAULT.parse_joined(s)? {
+            match term.form {
+                DROP => spec.drop = term.arg(0)?,
+                DUP => spec.duplicate = term.arg(0)?,
+                DELAY => spec.delay = term.arg(0)?,
+                CRASH => {
+                    spec.crash = Some(CrashFault {
+                        fraction: term.arg(0)?,
+                        after_phase: term.arg(1)?,
+                    })
                 }
-                spec.drop = arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("drop(p) needs a number, got {arg:?}"))?;
-            } else if let Some(arg) = parameterized("dup") {
-                if spec.duplicate != 0.0 {
-                    return Err(duplicate_family("dup"));
+                _ => {
+                    spec.byzantine = Some(ByzantineFault {
+                        fraction: term.arg(0)?,
+                        opinion: term.arg(1)?,
+                    })
                 }
-                spec.duplicate = arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("dup(p) needs a number, got {arg:?}"))?;
-            } else if let Some(arg) = parameterized("delay") {
-                if spec.delay != 0.0 {
-                    return Err(duplicate_family("delay"));
-                }
-                spec.delay = arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("delay(p) needs a number, got {arg:?}"))?;
-            } else if let Some(arg) = parameterized("crash") {
-                if spec.crash.is_some() {
-                    return Err(duplicate_family("crash"));
-                }
-                let (fraction, phase) = arg
-                    .split_once('@')
-                    .ok_or_else(|| format!("crash needs the form crash(f@s), got crash({arg})"))?;
-                let fraction = fraction
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("crash(f@s) needs a numeric fraction, got {fraction:?}"))?;
-                let after_phase = phase
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("crash(f@s) needs an integer phase, got {phase:?}"))?;
-                spec.crash = Some(CrashFault {
-                    fraction,
-                    after_phase,
-                });
-            } else if let Some(arg) = parameterized("byz") {
-                if spec.byzantine.is_some() {
-                    return Err(duplicate_family("byz"));
-                }
-                let (fraction, opinion) = arg
-                    .split_once(':')
-                    .ok_or_else(|| format!("byz needs the form byz(f:j), got byz({arg})"))?;
-                let fraction = fraction
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("byz(f:j) needs a numeric fraction, got {fraction:?}"))?;
-                let opinion = opinion
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("byz(f:j) needs an integer opinion, got {opinion:?}"))?;
-                spec.byzantine = Some(ByzantineFault { fraction, opinion });
-            } else {
-                return Err(format!(
-                    "unknown fault {part:?} in {s:?} (expected none, or +-joined \
-                     drop(p), dup(p), delay(p), crash(f@s), byz(f:j))"
-                ));
             }
         }
         Ok(spec)
@@ -352,8 +224,6 @@ impl FromStr for FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
 
     fn full() -> FaultSpec {
         FaultSpec {
@@ -378,7 +248,6 @@ mod tests {
         assert!(spec.aggregatable());
         assert_eq!(spec.to_string(), "none");
         assert_eq!("none".parse::<FaultSpec>().unwrap(), spec);
-        assert_eq!(FaultSpec::none(), spec);
     }
 
     #[test]
@@ -472,20 +341,6 @@ mod tests {
         };
         assert!(overfull.check(3).is_err());
         assert!(full().check(3).is_ok());
-    }
-
-    #[test]
-    fn eq_and_hash_are_consistent() {
-        let hash = |spec: &FaultSpec| {
-            let mut h = DefaultHasher::new();
-            spec.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(full(), full());
-        assert_eq!(hash(&full()), hash(&full()));
-        let mut other = full();
-        other.crash = None;
-        assert_ne!(full(), other);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Per-agent received-message multisets.
 
+use crate::error::{checked_len, filled, SimError};
 use crate::opinion::Opinion;
 use rand::Rng;
 
@@ -30,12 +31,18 @@ pub struct Inboxes {
 impl Inboxes {
     /// Creates empty inboxes for `num_nodes` agents over `num_opinions`
     /// opinions.
-    pub(crate) fn new(num_nodes: usize, num_opinions: usize) -> Self {
-        Self {
-            counts: vec![0; num_nodes * num_opinions],
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TooLarge`] if the `num_nodes × num_opinions` counts
+    /// overflow or cannot be allocated.
+    pub(crate) fn new(num_nodes: usize, num_opinions: usize) -> Result<Self, SimError> {
+        let len = checked_len(num_nodes, num_opinions, "inbox counts")?;
+        Ok(Self {
+            counts: filled(len, 0, "inbox counts")?,
             num_opinions,
             total_messages: 0,
-        }
+        })
     }
 
     /// Re-shapes the inboxes for a new number of agents (population
@@ -270,7 +277,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn filled_inboxes() -> Inboxes {
-        let mut inboxes = Inboxes::new(3, 3);
+        let mut inboxes = Inboxes::new(3, 3).unwrap();
         inboxes.deliver(0, 0);
         inboxes.deliver(0, 0);
         inboxes.deliver(0, 2);
@@ -338,7 +345,7 @@ mod tests {
         // Node receives 6 copies of opinion 0 and 4 of opinion 1; sampling 5
         // without replacement, the expected number of opinion-0 copies is
         // 5 * 6/10 = 3.
-        let mut inboxes = Inboxes::new(1, 2);
+        let mut inboxes = Inboxes::new(1, 2).unwrap();
         inboxes.deliver_many(0, 0, 6);
         inboxes.deliver_many(0, 1, 4);
         let mut rng = StdRng::seed_from_u64(3);

@@ -120,7 +120,7 @@
 //! [`ClockSpec`] desynchronizes the rounds themselves (`drift(ppm)` /
 //! `skew(p)` per-agent participation). Like faults, all temporal
 //! randomness comes from dedicated seed-salted RNGs,
-//! so `ChurnSpec::none()` + `NoiseSchedule::Const` + `ClockSpec::Sync`
+//! so `ChurnSpec::default()` + `NoiseSchedule::Const` + `ClockSpec::Sync`
 //! (the defaults) are **bit-for-bit** the static simulator (pinned by
 //! `tests/temporal_network.rs`).
 //!

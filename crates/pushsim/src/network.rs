@@ -3,7 +3,7 @@
 use crate::admission::{self, ExecutionBackend};
 use crate::config::{DeliverySemantics, SimConfig};
 use crate::distribution::OpinionDistribution;
-use crate::error::SimError;
+use crate::error::{filled, with_room, SimError};
 use crate::fault::FaultSpec;
 use crate::inbox::Inboxes;
 use crate::opinion::{NodeState, Opinion};
@@ -54,10 +54,15 @@ struct AgentFaults {
 }
 
 impl AgentFaults {
-    fn new(spec: FaultSpec, seed: u64, num_nodes: usize, num_opinions: usize) -> Self {
+    fn new(
+        spec: FaultSpec,
+        seed: u64,
+        num_nodes: usize,
+        num_opinions: usize,
+    ) -> Result<Self, SimError> {
         let mut rng = StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT);
-        let mut byzantine = vec![false; num_nodes];
-        let mut crashed = vec![false; num_nodes];
+        let mut byzantine = filled(num_nodes, false, "Byzantine flags")?;
+        let mut crashed = filled(num_nodes, false, "crash flags")?;
         let byz_count = spec
             .byzantine
             .map_or(0, |b| membership_count(b.fraction, num_nodes));
@@ -72,7 +77,8 @@ impl AgentFaults {
         if byz_count + crash_count > 0 {
             // One shuffle assigns both disjoint pools (`check` guarantees
             // the fractions fit together in the population).
-            let mut ids: Vec<usize> = (0..num_nodes).collect();
+            let mut ids = with_room(num_nodes, "agent ids")?;
+            ids.extend(0..num_nodes);
             ids.shuffle(&mut rng);
             for &node in &ids[..byz_count] {
                 byzantine[node] = true;
@@ -81,14 +87,14 @@ impl AgentFaults {
                 crashed[node] = true;
             }
         }
-        Self {
+        Ok(Self {
             spec,
             rng,
             byzantine,
             crashed,
             phases_completed: 0,
             delayed: vec![0; num_opinions],
-        }
+        })
     }
 
     /// `true` once the crash phase has fully ended.
@@ -150,16 +156,18 @@ struct AgentClock {
 }
 
 impl AgentClock {
-    fn new(spec: ClockSpec, seed: u64, num_nodes: usize) -> Self {
+    fn new(spec: ClockSpec, seed: u64, num_nodes: usize) -> Result<Self, SimError> {
         let mut rng = StdRng::seed_from_u64(seed ^ CLOCK_SEED_SALT);
         let rates = match spec {
             ClockSpec::Drift { ppm } => {
                 let d = ppm * 1e-6;
-                (0..num_nodes).map(|_| 1.0 + rng.gen_range(-d..d)).collect()
+                let mut rates = with_room(num_nodes, "clock rates")?;
+                rates.extend((0..num_nodes).map(|_| 1.0 + rng.gen_range(-d..d)));
+                rates
             }
             ClockSpec::Sync | ClockSpec::Skew { .. } => Vec::new(),
         };
-        Self { spec, rng, rates }
+        Ok(Self { spec, rng, rates })
     }
 
     /// Draws the clock state of one freshly joined agent.
@@ -507,6 +515,8 @@ impl Network {
     ///   capabilities do not cover the configuration.
     /// * [`SimError::InvalidTopology`] if the configured topology cannot
     ///   be realized (see [`Topology::build`]).
+    /// * [`SimError::TooLarge`] if a per-agent buffer cannot be allocated
+    ///   (its size overflows, or the memory is not there).
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
         admission::check_construction(&config, &noise, ExecutionBackend::Agent)?;
         let n = config.num_nodes();
@@ -517,11 +527,13 @@ impl Network {
         let mut topology_rng = StdRng::seed_from_u64(config.seed() ^ TOPOLOGY_SEED_SALT);
         let topology = Topology::build(config.topology(), n, &mut topology_rng)?;
         let faults = (!config.fault().is_none())
-            .then(|| AgentFaults::new(config.fault(), config.seed(), n, k));
+            .then(|| AgentFaults::new(config.fault(), config.seed(), n, k))
+            .transpose()?;
         let schedule = ScheduledNoise::build(config.schedule(), &noise);
         let churn = ChurnState::build(config.churn(), config.seed());
         let clock = (!config.clock().is_sync())
-            .then(|| AgentClock::new(config.clock(), config.seed(), n));
+            .then(|| AgentClock::new(config.clock(), config.seed(), n))
+            .transpose()?;
         let temporal =
             (churn.is_some() || clock.is_some() || schedule.is_some()).then_some(AgentTemporal {
                 churn,
@@ -534,10 +546,10 @@ impl Network {
             faults,
             temporal,
             rng: StdRng::seed_from_u64(config.seed()),
-            states: vec![NodeState::Undecided; n],
+            states: filled(n, NodeState::Undecided, "agent states")?,
             opinion_counts: vec![0; k],
             undecided_count: n,
-            inboxes: Inboxes::new(n, k),
+            inboxes: Inboxes::new(n, k)?,
             pending: vec![0; k],
             phase_open: false,
             rounds_executed: 0,
@@ -1025,6 +1037,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TopologySpec;
 
     fn small_net(delivery: DeliverySemantics, seed: u64) -> Network {
         let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
@@ -1047,6 +1060,16 @@ mod tests {
                 found: 4
             }
         );
+    }
+
+    #[test]
+    fn a_population_beyond_memory_is_a_typed_error() {
+        for topology in [TopologySpec::Complete, TopologySpec::Ring] {
+            let config = SimConfig::builder(1 << 62, 3).topology(topology).build().unwrap();
+            let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
+            let err = Network::new(config, noise).unwrap_err();
+            assert!(matches!(err, SimError::TooLarge { .. }), "{topology}: {err}");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   each tick.
 //!
 //! Each axis has a canonical textual form that round-trips through
-//! `Display`/[`FromStr`] and is the spelling scenario spec files use
+//! `Display`/[`FromStr`] (both through the one grammar of spec values,
+//! [`noisy_channel::text`]) and is the spelling scenario spec files use
 //! (`churn = join(0.02)+leave(0.05)`, `schedule = burst(0.05@3:2)`,
 //! `clock = drift(200000)`).
 //!
@@ -50,6 +51,7 @@
 //! [`admission`](crate::admission) module.
 
 use crate::error::SimError;
+use noisy_channel::text::{Form, Grammar};
 use std::fmt;
 use std::str::FromStr;
 
@@ -64,7 +66,7 @@ pub(crate) const CLOCK_SEED_SALT: u64 = 0xC10C_05EE_DD21_F7AD;
 
 /// A departure burst: a fraction of the population leaves at once at a
 /// scheduled phase boundary.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstChurn {
     /// The fraction of the population that departs, in `(0, 1)`.
     pub fraction: f64,
@@ -113,7 +115,7 @@ pub struct PopulationDelta {
 /// Magnitudes are deterministic (see [`ChurnSpec::population_delta`]);
 /// only which agents leave and what joiners believe is random, drawn
 /// from the dedicated churn RNG.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChurnSpec {
     /// Per-boundary join rate in `[0, 1)`: `⌊join·p⌋` agents arrive at
     /// every boundary.
@@ -132,49 +134,7 @@ pub struct ChurnSpec {
     pub rewire: f64,
 }
 
-impl PartialEq for ChurnSpec {
-    fn eq(&self, other: &Self) -> bool {
-        // Bitwise comparison keeps Eq/Hash lawful (NaN never survives
-        // `check`, which rejects non-finite rates).
-        let burst = |a: Option<BurstChurn>, b: Option<BurstChurn>| match (a, b) {
-            (None, None) => true,
-            (Some(x), Some(y)) => {
-                x.fraction.to_bits() == y.fraction.to_bits() && x.after_phase == y.after_phase
-            }
-            _ => false,
-        };
-        self.join.to_bits() == other.join.to_bits()
-            && self.join_opinion == other.join_opinion
-            && self.leave.to_bits() == other.leave.to_bits()
-            && burst(self.burst, other.burst)
-            && self.rewire.to_bits() == other.rewire.to_bits()
-    }
-}
-
-impl Eq for ChurnSpec {}
-
-impl std::hash::Hash for ChurnSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.join.to_bits().hash(state);
-        self.join_opinion.hash(state);
-        self.leave.to_bits().hash(state);
-        if let Some(b) = self.burst {
-            b.fraction.to_bits().hash(state);
-            b.after_phase.hash(state);
-        } else {
-            u64::MAX.hash(state);
-        }
-        self.rewire.to_bits().hash(state);
-    }
-}
-
 impl ChurnSpec {
-    /// The all-disabled spec (identical to `ChurnSpec::default()`),
-    /// spelled `none`.
-    pub fn none() -> Self {
-        ChurnSpec::default()
-    }
-
     /// `true` when every churn family is disabled. A disabled spec is
     /// guaranteed not to perturb any RNG stream of the simulation.
     pub fn is_none(&self) -> bool {
@@ -201,12 +161,6 @@ impl ChurnSpec {
         self.rewire == 0.0
     }
 
-    /// The short human-readable label (identical to the `Display` form),
-    /// recorded in result tables and error messages.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
     /// Checks that this churn spec is well-formed for a system with
     /// `num_opinions` opinions.
     ///
@@ -229,11 +183,11 @@ impl ChurnSpec {
                 })
             }
         };
-        rate("join(r)", self.join, 1.0)?;
-        rate("leave(r)", self.leave, 1.0)?;
+        rate(JOIN, self.join, 1.0)?;
+        rate(LEAVE, self.leave, 1.0)?;
         if let Some(opinion) = self.join_opinion {
             if self.join == 0.0 {
-                return fail("join(r:j) needs a join rate > 0".to_string());
+                return fail(format!("{JOIN_AS} needs a join rate > 0"));
             }
             if opinion >= num_opinions {
                 return fail(format!(
@@ -246,7 +200,7 @@ impl ChurnSpec {
         if let Some(burst) = self.burst {
             if !(burst.fraction.is_finite() && burst.fraction > 0.0 && burst.fraction < 1.0) {
                 return fail(format!(
-                    "burst(f@p) needs a fraction in (0, 1), got {}",
+                    "{CHURN_BURST} needs a fraction in (0, 1), got {}",
                     burst.fraction
                 ));
             }
@@ -260,7 +214,7 @@ impl ChurnSpec {
         }
         if !(self.rewire.is_finite() && (0.0..=1.0).contains(&self.rewire)) {
             return fail(format!(
-                "rewire(q) needs a probability in [0, 1], got {}",
+                "{REWIRE} needs a probability in [0, 1], got {}",
                 self.rewire
             ));
         }
@@ -308,124 +262,60 @@ impl ChurnSpec {
     }
 }
 
+const JOIN: Form = "join(r)";
+const JOIN_AS: Form = "join(r:j)";
+const LEAVE: Form = "leave(r)";
+const CHURN_BURST: Form = "burst(f@p)";
+const REWIRE: Form = "rewire(q)";
+const CHURN: Grammar =
+    Grammar::joined("churn", "none", &[JOIN, JOIN_AS, LEAVE, CHURN_BURST, REWIRE]);
+
 impl fmt::Display for ChurnSpec {
     /// The canonical spec-file spelling: `none`, or `+`-joined families
     /// in the fixed order `join(r)`/`join(r:j)`, `leave(r)`,
     /// `burst(f@p)`, `rewire(q)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_none() {
-            return write!(f, "none");
-        }
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if first {
-                first = false;
-                Ok(())
-            } else {
-                write!(f, "+")
-            }
-        };
+        let mut out = CHURN.joined_writer(f);
         if self.join != 0.0 {
-            sep(f)?;
             match self.join_opinion {
-                Some(opinion) => write!(f, "join({}:{})", self.join, opinion)?,
-                None => write!(f, "join({})", self.join)?,
+                Some(opinion) => out.family(JOIN_AS, &[&self.join, &opinion])?,
+                None => out.family(JOIN, &[&self.join])?,
             }
         }
         if self.leave != 0.0 {
-            sep(f)?;
-            write!(f, "leave({})", self.leave)?;
+            out.family(LEAVE, &[&self.leave])?;
         }
         if let Some(burst) = self.burst {
-            sep(f)?;
-            write!(f, "burst({}@{})", burst.fraction, burst.after_phase)?;
+            out.family(CHURN_BURST, &[&burst.fraction, &burst.after_phase])?;
         }
         if self.rewire != 0.0 {
-            sep(f)?;
-            write!(f, "rewire({})", self.rewire)?;
+            out.family(REWIRE, &[&self.rewire])?;
         }
-        Ok(())
+        out.finish()
     }
 }
 
 impl FromStr for ChurnSpec {
     type Err = String;
 
-    /// Parses the canonical spelling (case-insensitive): `none`, or
-    /// `+`-joined `join(r)` / `join(r:j)`, `leave(r)`, `burst(f@p)`,
-    /// `rewire(q)` in any order; each family at most once.
+    /// Parses `none`, or `+`-joined families in any order.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let lower = s.to_ascii_lowercase();
-        if lower == "none" {
-            return Ok(ChurnSpec::default());
-        }
         let mut spec = ChurnSpec::default();
-        for part in lower.split('+') {
-            let part = part.trim();
-            let parameterized = |name: &str| -> Option<&str> {
-                part.strip_prefix(name)?.strip_prefix('(')?.strip_suffix(')')
-            };
-            let duplicate_family = |name: &str| -> String {
-                format!("churn family {name} given more than once in {s:?}")
-            };
-            if let Some(arg) = parameterized("join") {
-                if spec.join != 0.0 {
-                    return Err(duplicate_family("join"));
+        for term in CHURN.parse_joined(s)? {
+            match term.form {
+                JOIN => spec.join = term.arg(0)?,
+                JOIN_AS => {
+                    spec.join = term.arg(0)?;
+                    spec.join_opinion = Some(term.arg(1)?);
                 }
-                let (rate, opinion) = match arg.split_once(':') {
-                    Some((rate, opinion)) => {
-                        let opinion = opinion.trim().parse::<usize>().map_err(|_| {
-                            format!("join(r:j) needs an integer opinion, got {opinion:?}")
-                        })?;
-                        (rate, Some(opinion))
-                    }
-                    None => (arg, None),
-                };
-                spec.join = rate
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("join(r) needs a number, got {rate:?}"))?;
-                spec.join_opinion = opinion;
-            } else if let Some(arg) = parameterized("leave") {
-                if spec.leave != 0.0 {
-                    return Err(duplicate_family("leave"));
+                LEAVE => spec.leave = term.arg(0)?,
+                CHURN_BURST => {
+                    spec.burst = Some(BurstChurn {
+                        fraction: term.arg(0)?,
+                        after_phase: term.arg(1)?,
+                    })
                 }
-                spec.leave = arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("leave(r) needs a number, got {arg:?}"))?;
-            } else if let Some(arg) = parameterized("burst") {
-                if spec.burst.is_some() {
-                    return Err(duplicate_family("burst"));
-                }
-                let (fraction, phase) = arg
-                    .split_once('@')
-                    .ok_or_else(|| format!("burst needs the form burst(f@p), got burst({arg})"))?;
-                let fraction = fraction.trim().parse::<f64>().map_err(|_| {
-                    format!("burst(f@p) needs a numeric fraction, got {fraction:?}")
-                })?;
-                let after_phase = phase
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("burst(f@p) needs an integer phase, got {phase:?}"))?;
-                spec.burst = Some(BurstChurn {
-                    fraction,
-                    after_phase,
-                });
-            } else if let Some(arg) = parameterized("rewire") {
-                if spec.rewire != 0.0 {
-                    return Err(duplicate_family("rewire"));
-                }
-                spec.rewire = arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("rewire(q) needs a number, got {arg:?}"))?;
-            } else {
-                return Err(format!(
-                    "unknown churn {part:?} in {s:?} (expected none, or +-joined \
-                     join(r), join(r:j), leave(r), burst(f@p), rewire(q))"
-                ));
+                _ => spec.rewire = term.arg(0)?,
             }
         }
         Ok(spec)
@@ -455,7 +345,7 @@ impl FromStr for ChurnSpec {
 /// consumes no randomness. Scheduled ε values must lie in the uniform
 /// family's domain `(0, 1 − 1/k]`; the upper bound is checked when the
 /// backend is built (where `k` is known).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum NoiseSchedule {
     /// The configured noise matrix is used for every phase (the paper's
     /// constant-channel model).
@@ -489,102 +379,11 @@ pub enum NoiseSchedule {
     },
 }
 
-impl PartialEq for NoiseSchedule {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (NoiseSchedule::Const, NoiseSchedule::Const) => true,
-            (
-                NoiseSchedule::Step {
-                    epsilon: a,
-                    from_phase: s,
-                },
-                NoiseSchedule::Step {
-                    epsilon: b,
-                    from_phase: t,
-                },
-            ) => a.to_bits() == b.to_bits() && s == t,
-            (
-                NoiseSchedule::Burst {
-                    epsilon: a,
-                    start_phase: s,
-                    width: w,
-                },
-                NoiseSchedule::Burst {
-                    epsilon: b,
-                    start_phase: t,
-                    width: v,
-                },
-            ) => a.to_bits() == b.to_bits() && s == t && w == v,
-            (
-                NoiseSchedule::Ramp {
-                    start: a0,
-                    end: a1,
-                    over_phases: p,
-                },
-                NoiseSchedule::Ramp {
-                    start: b0,
-                    end: b1,
-                    over_phases: q,
-                },
-            ) => a0.to_bits() == b0.to_bits() && a1.to_bits() == b1.to_bits() && p == q,
-            _ => false,
-        }
-    }
-}
-
-impl Eq for NoiseSchedule {}
-
-impl std::hash::Hash for NoiseSchedule {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            NoiseSchedule::Const => {}
-            NoiseSchedule::Step {
-                epsilon,
-                from_phase,
-            } => {
-                epsilon.to_bits().hash(state);
-                from_phase.hash(state);
-            }
-            NoiseSchedule::Burst {
-                epsilon,
-                start_phase,
-                width,
-            } => {
-                epsilon.to_bits().hash(state);
-                start_phase.hash(state);
-                width.hash(state);
-            }
-            NoiseSchedule::Ramp {
-                start,
-                end,
-                over_phases,
-            } => {
-                start.to_bits().hash(state);
-                end.to_bits().hash(state);
-                over_phases.hash(state);
-            }
-        }
-    }
-}
-
 impl NoiseSchedule {
-    /// The constant schedule (identical to `NoiseSchedule::default()`),
-    /// spelled `const`.
-    pub fn constant() -> Self {
-        NoiseSchedule::Const
-    }
-
     /// `true` for the constant schedule, which never swaps the noise
     /// matrix and is guaranteed not to perturb anything.
     pub fn is_const(&self) -> bool {
         matches!(self, NoiseSchedule::Const)
-    }
-
-    /// The short human-readable label (identical to the `Display` form),
-    /// recorded in result tables and error messages.
-    pub fn label(&self) -> String {
-        self.to_string()
     }
 
     /// Every ε value the schedule can produce (the interpolation of a
@@ -619,10 +418,10 @@ impl NoiseSchedule {
         }
         match *self {
             NoiseSchedule::Burst { width: 0, .. } => {
-                fail("burst(e@s:w) needs a window of at least one phase".to_string())
+                fail(format!("{SCHEDULE_BURST} needs a window of at least one phase"))
             }
             NoiseSchedule::Ramp { over_phases: 0, .. } => {
-                fail("ramp(e0:e1@p) needs at least one phase to ramp over".to_string())
+                fail(format!("{RAMP} needs at least one phase to ramp over"))
             }
             _ => Ok(()),
         }
@@ -657,26 +456,32 @@ impl NoiseSchedule {
     }
 }
 
+const CONST: Form = "const";
+const STEP: Form = "step(e@s)";
+const SCHEDULE_BURST: Form = "burst(e@s:w)";
+const RAMP: Form = "ramp(e0:e1@p)";
+const SCHEDULE: Grammar = Grammar::single("noise schedule", &[CONST, STEP, SCHEDULE_BURST, RAMP]);
+
 impl fmt::Display for NoiseSchedule {
     /// The canonical spec-file spelling: `const`, `step(e@s)`,
     /// `burst(e@s:w)` or `ramp(e0:e1@p)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            NoiseSchedule::Const => write!(f, "const"),
+            NoiseSchedule::Const => SCHEDULE.write(f, CONST, &[]),
             NoiseSchedule::Step {
                 epsilon,
                 from_phase,
-            } => write!(f, "step({epsilon}@{from_phase})"),
+            } => SCHEDULE.write(f, STEP, &[&epsilon, &from_phase]),
             NoiseSchedule::Burst {
                 epsilon,
                 start_phase,
                 width,
-            } => write!(f, "burst({epsilon}@{start_phase}:{width})"),
+            } => SCHEDULE.write(f, SCHEDULE_BURST, &[&epsilon, &start_phase, &width]),
             NoiseSchedule::Ramp {
                 start,
                 end,
                 over_phases,
-            } => write!(f, "ramp({start}:{end}@{over_phases})"),
+            } => SCHEDULE.write(f, RAMP, &[&start, &end, &over_phases]),
         }
     }
 }
@@ -684,68 +489,25 @@ impl fmt::Display for NoiseSchedule {
 impl FromStr for NoiseSchedule {
     type Err = String;
 
-    /// Parses the canonical spelling (case-insensitive): `const`,
-    /// `step(e@s)`, `burst(e@s:w)` or `ramp(e0:e1@p)`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let lower = s.to_ascii_lowercase();
-        if lower == "const" {
-            return Ok(NoiseSchedule::Const);
-        }
-        let parameterized = |name: &str| -> Option<&str> {
-            lower
-                .strip_prefix(name)?
-                .strip_prefix('(')?
-                .strip_suffix(')')
-        };
-        let number = |what: &str, v: &str| -> Result<f64, String> {
-            v.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("{what} needs a number, got {v:?}"))
-        };
-        let integer = |what: &str, v: &str| -> Result<u64, String> {
-            v.trim()
-                .parse::<u64>()
-                .map_err(|_| format!("{what} needs an integer phase count, got {v:?}"))
-        };
-        if let Some(arg) = parameterized("step") {
-            let (epsilon, phase) = arg
-                .split_once('@')
-                .ok_or_else(|| format!("step needs the form step(e@s), got step({arg})"))?;
-            Ok(NoiseSchedule::Step {
-                epsilon: number("step(e@s)", epsilon)?,
-                from_phase: integer("step(e@s)", phase)?,
-            })
-        } else if let Some(arg) = parameterized("burst") {
-            let (epsilon, window) = arg
-                .split_once('@')
-                .ok_or_else(|| format!("burst needs the form burst(e@s:w), got burst({arg})"))?;
-            let (start, width) = window
-                .split_once(':')
-                .ok_or_else(|| format!("burst needs the form burst(e@s:w), got burst({arg})"))?;
-            Ok(NoiseSchedule::Burst {
-                epsilon: number("burst(e@s:w)", epsilon)?,
-                start_phase: integer("burst(e@s:w)", start)?,
-                width: integer("burst(e@s:w)", width)?,
-            })
-        } else if let Some(arg) = parameterized("ramp") {
-            let (endpoints, over) = arg
-                .split_once('@')
-                .ok_or_else(|| format!("ramp needs the form ramp(e0:e1@p), got ramp({arg})"))?;
-            let (start, end) = endpoints
-                .split_once(':')
-                .ok_or_else(|| format!("ramp needs the form ramp(e0:e1@p), got ramp({arg})"))?;
-            Ok(NoiseSchedule::Ramp {
-                start: number("ramp(e0:e1@p)", start)?,
-                end: number("ramp(e0:e1@p)", end)?,
-                over_phases: integer("ramp(e0:e1@p)", over)?,
-            })
-        } else {
-            Err(format!(
-                "unknown noise schedule {s:?} (expected const, step(e@s), \
-                 burst(e@s:w) or ramp(e0:e1@p))"
-            ))
-        }
+        let term = SCHEDULE.parse(s)?;
+        Ok(match term.form {
+            CONST => NoiseSchedule::Const,
+            STEP => NoiseSchedule::Step {
+                epsilon: term.arg(0)?,
+                from_phase: term.arg(1)?,
+            },
+            SCHEDULE_BURST => NoiseSchedule::Burst {
+                epsilon: term.arg(0)?,
+                start_phase: term.arg(1)?,
+                width: term.arg(2)?,
+            },
+            _ => NoiseSchedule::Ramp {
+                start: term.arg(0)?,
+                end: term.arg(1)?,
+                over_phases: term.arg(2)?,
+            },
+        })
     }
 }
 
@@ -771,7 +533,7 @@ impl FromStr for NoiseSchedule {
 /// Only the agent backend supports non-`sync` clocks — the count-based
 /// backends have no per-agent identity to attach a clock to
 /// ([`TemporalCapability::clock`]).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ClockSpec {
     /// Lockstep synchronous rounds (the paper's model).
     #[default]
@@ -790,51 +552,11 @@ pub enum ClockSpec {
     },
 }
 
-impl PartialEq for ClockSpec {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ClockSpec::Sync, ClockSpec::Sync) => true,
-            (ClockSpec::Drift { ppm: a }, ClockSpec::Drift { ppm: b }) => {
-                a.to_bits() == b.to_bits()
-            }
-            (ClockSpec::Skew { miss: a }, ClockSpec::Skew { miss: b }) => {
-                a.to_bits() == b.to_bits()
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Eq for ClockSpec {}
-
-impl std::hash::Hash for ClockSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            ClockSpec::Sync => {}
-            ClockSpec::Drift { ppm } => ppm.to_bits().hash(state),
-            ClockSpec::Skew { miss } => miss.to_bits().hash(state),
-        }
-    }
-}
-
 impl ClockSpec {
-    /// The lockstep clock (identical to `ClockSpec::default()`),
-    /// spelled `sync`.
-    pub fn sync() -> Self {
-        ClockSpec::Sync
-    }
-
     /// `true` for lockstep synchronous rounds, which draw no clock
     /// randomness and perturb nothing.
     pub fn is_sync(&self) -> bool {
         matches!(self, ClockSpec::Sync)
-    }
-
-    /// The short human-readable label (identical to the `Display` form),
-    /// recorded in result tables and error messages.
-    pub fn label(&self) -> String {
-        self.to_string()
     }
 
     /// Checks that this clock spec is well-formed.
@@ -853,7 +575,7 @@ impl ClockSpec {
                     Ok(())
                 } else {
                     fail(format!(
-                        "drift(ppm) needs a drift in (0, 500000] ppm, got {ppm}"
+                        "{DRIFT} needs a drift in (0, 500000] ppm, got {ppm}"
                     ))
                 }
             }
@@ -862,7 +584,7 @@ impl ClockSpec {
                     Ok(())
                 } else {
                     fail(format!(
-                        "skew(p) needs a miss probability in (0, 1), got {miss}"
+                        "{SKEW} needs a miss probability in (0, 1), got {miss}"
                     ))
                 }
             }
@@ -870,14 +592,19 @@ impl ClockSpec {
     }
 }
 
+const SYNC: Form = "sync";
+const DRIFT: Form = "drift(ppm)";
+const SKEW: Form = "skew(p)";
+const CLOCK: Grammar = Grammar::single("clock", &[SYNC, DRIFT, SKEW]);
+
 impl fmt::Display for ClockSpec {
     /// The canonical spec-file spelling: `sync`, `drift(ppm)` or
     /// `skew(p)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ClockSpec::Sync => write!(f, "sync"),
-            ClockSpec::Drift { ppm } => write!(f, "drift({ppm})"),
-            ClockSpec::Skew { miss } => write!(f, "skew({miss})"),
+            ClockSpec::Sync => CLOCK.write(f, SYNC, &[]),
+            ClockSpec::Drift { ppm } => CLOCK.write(f, DRIFT, &[&ppm]),
+            ClockSpec::Skew { miss } => CLOCK.write(f, SKEW, &[&miss]),
         }
     }
 }
@@ -885,39 +612,13 @@ impl fmt::Display for ClockSpec {
 impl FromStr for ClockSpec {
     type Err = String;
 
-    /// Parses the canonical spelling (case-insensitive): `sync`,
-    /// `drift(ppm)` or `skew(p)`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let lower = s.to_ascii_lowercase();
-        if lower == "sync" {
-            return Ok(ClockSpec::Sync);
-        }
-        let parameterized = |name: &str| -> Option<&str> {
-            lower
-                .strip_prefix(name)?
-                .strip_prefix('(')?
-                .strip_suffix(')')
-        };
-        if let Some(arg) = parameterized("drift") {
-            Ok(ClockSpec::Drift {
-                ppm: arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("drift(ppm) needs a number, got {arg:?}"))?,
-            })
-        } else if let Some(arg) = parameterized("skew") {
-            Ok(ClockSpec::Skew {
-                miss: arg
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("skew(p) needs a number, got {arg:?}"))?,
-            })
-        } else {
-            Err(format!(
-                "unknown clock {s:?} (expected sync, drift(ppm) or skew(p))"
-            ))
-        }
+        let term = CLOCK.parse(s)?;
+        Ok(match term.form {
+            SYNC => ClockSpec::Sync,
+            DRIFT => ClockSpec::Drift { ppm: term.arg(0)? },
+            _ => ClockSpec::Skew { miss: term.arg(0)? },
+        })
     }
 }
 
@@ -985,8 +686,6 @@ impl TemporalCapability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
 
     fn full_churn() -> ChurnSpec {
         ChurnSpec {
@@ -1010,7 +709,6 @@ mod tests {
         assert!(spec.aggregatable());
         assert_eq!(spec.to_string(), "none");
         assert_eq!("none".parse::<ChurnSpec>().unwrap(), spec);
-        assert_eq!(ChurnSpec::none(), spec);
     }
 
     #[test]
@@ -1168,26 +866,11 @@ mod tests {
     }
 
     #[test]
-    fn churn_eq_and_hash_are_consistent() {
-        let hash = |spec: &ChurnSpec| {
-            let mut h = DefaultHasher::new();
-            spec.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(full_churn(), full_churn());
-        assert_eq!(hash(&full_churn()), hash(&full_churn()));
-        let mut other = full_churn();
-        other.burst = None;
-        assert_ne!(full_churn(), other);
-    }
-
-    #[test]
     fn default_schedule_is_const_and_prints_const() {
         let schedule = NoiseSchedule::default();
         assert!(schedule.is_const());
         assert_eq!(schedule.to_string(), "const");
         assert_eq!("const".parse::<NoiseSchedule>().unwrap(), schedule);
-        assert_eq!(NoiseSchedule::constant(), schedule);
         for phase in 0..10 {
             assert_eq!(schedule.epsilon_at(phase), None);
         }
@@ -1297,7 +980,6 @@ mod tests {
         assert!(clock.is_sync());
         assert_eq!(clock.to_string(), "sync");
         assert_eq!("sync".parse::<ClockSpec>().unwrap(), clock);
-        assert_eq!(ClockSpec::sync(), clock);
     }
 
     #[test]
@@ -1350,7 +1032,7 @@ mod tests {
         );
         assert_eq!(
             aggregate.first_unsupported(
-                &ChurnSpec::none(),
+                &ChurnSpec::default(),
                 &constant,
                 &ClockSpec::Skew { miss: 0.1 }
             ),
@@ -1358,7 +1040,7 @@ mod tests {
         );
         assert_eq!(
             aggregate.first_unsupported(
-                &ChurnSpec::none(),
+                &ChurnSpec::default(),
                 &NoiseSchedule::Step {
                     epsilon: 0.3,
                     from_phase: 1

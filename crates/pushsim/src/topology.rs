@@ -8,7 +8,8 @@
 //!
 //! * [`TopologySpec`] — a small, copyable description of a topology family
 //!   (`complete`, `ring`, `torus`, `regular(d)`, `er(p)`), with a
-//!   round-trippable textual form used by scenario spec files.
+//!   round-trippable textual form used by scenario spec files, spelled
+//!   through the one grammar of spec values ([`noisy_channel::text`]).
 //! * [`Topology`] — the materialized graph: flat CSR-style neighbor lists
 //!   (`offsets` + `neighbors`), built once per [`Network`](crate::Network)
 //!   and consulted on every push.
@@ -40,7 +41,8 @@
 //! family are a single class. Which backend is certified for which family
 //! is a rule of the [`admission`](crate::admission) table.
 
-use crate::error::SimError;
+use crate::error::{checked_len, filled, too_large, with_room, SimError};
+use noisy_channel::text::{Form, Grammar};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -50,9 +52,10 @@ use std::str::FromStr;
 
 /// A description of a communication topology family.
 ///
-/// The textual form (`Display` / [`FromStr`]) round-trips exactly and is
-/// the spelling scenario spec files use (`topology = regular(8)`).
-#[derive(Debug, Clone, Copy, Default)]
+/// The textual form (`Display` / [`FromStr`], both through
+/// [`noisy_channel::text`]) round-trips exactly and is the spelling
+/// scenario spec files use (`topology = regular(8)`).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum TopologySpec {
     /// The complete graph: every push lands on a uniformly random node
     /// (the paper's model; the default).
@@ -76,33 +79,6 @@ pub enum TopologySpec {
         /// The edge probability.
         p: f64,
     },
-}
-
-impl PartialEq for TopologySpec {
-    fn eq(&self, other: &Self) -> bool {
-        use TopologySpec::*;
-        match (self, other) {
-            (Complete, Complete) | (Ring, Ring) | (Torus2D, Torus2D) => true,
-            (RandomRegular { degree: a }, RandomRegular { degree: b }) => a == b,
-            // Bitwise comparison keeps Eq/Hash lawful (NaN never parses
-            // into a spec: `check` rejects non-finite probabilities).
-            (ErdosRenyi { p: a }, ErdosRenyi { p: b }) => a.to_bits() == b.to_bits(),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for TopologySpec {}
-
-impl std::hash::Hash for TopologySpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        core::mem::discriminant(self).hash(state);
-        match self {
-            TopologySpec::RandomRegular { degree } => degree.hash(state),
-            TopologySpec::ErdosRenyi { p } => p.to_bits().hash(state),
-            _ => {}
-        }
-    }
 }
 
 impl TopologySpec {
@@ -138,12 +114,6 @@ impl TopologySpec {
         )
     }
 
-    /// The short human-readable label of the topology (identical to the
-    /// `Display` form), recorded in phase snapshots and result tables.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
     /// Checks that this topology can be built over `num_nodes` agents.
     ///
     /// # Errors
@@ -167,7 +137,7 @@ impl TopologySpec {
             }
             TopologySpec::Torus2D => {
                 let side = (num_nodes as f64).sqrt().round() as usize;
-                if side * side == num_nodes {
+                if side.checked_mul(side) == Some(num_nodes) {
                     Ok(())
                 } else {
                     fail(format!(
@@ -180,7 +150,7 @@ impl TopologySpec {
                     fail(format!(
                         "regular({degree}) needs 1 <= degree < n = {num_nodes}"
                     ))
-                } else if !(num_nodes * degree).is_multiple_of(2) {
+                } else if !num_nodes.is_multiple_of(2) && !degree.is_multiple_of(2) {
                     fail(format!(
                         "regular({degree}) needs an even number of stubs, \
                          but n*d = {num_nodes}*{degree} is odd"
@@ -193,23 +163,35 @@ impl TopologySpec {
                 if p.is_finite() && (0.0..=1.0).contains(&p) {
                     Ok(())
                 } else {
-                    fail(format!("er(p) needs a probability in [0, 1], got {p}"))
+                    fail(format!("{ER} needs a probability in [0, 1], got {p}"))
                 }
             }
         }
     }
 }
 
+const COMPLETE: Form = "complete";
+const RING: Form = "ring";
+const TORUS: Form = "torus";
+const TORUS2D: Form = "torus2d";
+const REGULAR: Form = "regular(d)";
+const ER: Form = "er(p)";
+const ERDOS_RENYI: Form = "erdos-renyi(p)";
+const TOPOLOGY: Grammar = Grammar::single(
+    "topology",
+    &[COMPLETE, RING, TORUS, TORUS2D, REGULAR, ER, ERDOS_RENYI],
+);
+
 impl fmt::Display for TopologySpec {
     /// The canonical spec-file spelling: `complete`, `ring`, `torus`,
     /// `regular(d)`, `er(p)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TopologySpec::Complete => write!(f, "complete"),
-            TopologySpec::Ring => write!(f, "ring"),
-            TopologySpec::Torus2D => write!(f, "torus"),
-            TopologySpec::RandomRegular { degree } => write!(f, "regular({degree})"),
-            TopologySpec::ErdosRenyi { p } => write!(f, "er({p})"),
+        match *self {
+            TopologySpec::Complete => TOPOLOGY.write(f, COMPLETE, &[]),
+            TopologySpec::Ring => TOPOLOGY.write(f, RING, &[]),
+            TopologySpec::Torus2D => TOPOLOGY.write(f, TORUS, &[]),
+            TopologySpec::RandomRegular { degree } => TOPOLOGY.write(f, REGULAR, &[&degree]),
+            TopologySpec::ErdosRenyi { p } => TOPOLOGY.write(f, ER, &[&p]),
         }
     }
 }
@@ -217,37 +199,17 @@ impl fmt::Display for TopologySpec {
 impl FromStr for TopologySpec {
     type Err = String;
 
-    /// Parses the canonical spelling (case-insensitive): `complete`,
-    /// `ring`, `torus` (or `torus2d`), `regular(d)`, `er(p)` (or
-    /// `erdos-renyi(p)`).
+    /// Parses the canonical spelling or its aliases `torus2d` and
+    /// `erdos-renyi(p)`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "complete" => return Ok(TopologySpec::Complete),
-            "ring" => return Ok(TopologySpec::Ring),
-            "torus" | "torus2d" => return Ok(TopologySpec::Torus2D),
-            _ => {}
-        }
-        let parameterized = |name: &str| -> Option<&str> {
-            lower
-                .strip_prefix(name)?
-                .strip_prefix('(')?
-                .strip_suffix(')')
-        };
-        if let Some(arg) = parameterized("regular") {
-            if let Ok(degree) = arg.trim().parse::<usize>() {
-                return Ok(TopologySpec::RandomRegular { degree });
-            }
-        }
-        if let Some(arg) = parameterized("er").or_else(|| parameterized("erdos-renyi")) {
-            if let Ok(p) = arg.trim().parse::<f64>() {
-                return Ok(TopologySpec::ErdosRenyi { p });
-            }
-        }
-        Err(format!(
-            "unknown topology {s:?} (expected complete, ring, torus, regular(d) or er(p))"
-        ))
+        let term = TOPOLOGY.parse(s)?;
+        Ok(match term.form {
+            COMPLETE => TopologySpec::Complete,
+            RING => TopologySpec::Ring,
+            TORUS | TORUS2D => TopologySpec::Torus2D,
+            REGULAR => TopologySpec::RandomRegular { degree: term.arg(0)? },
+            _ => TopologySpec::ErdosRenyi { p: term.arg(0)? },
+        })
     }
 }
 
@@ -346,14 +308,14 @@ impl Topology {
                     neighbors: Vec::new(),
                 })
             }
-            TopologySpec::Ring => ring_edges(num_nodes),
-            TopologySpec::Torus2D => torus_edges(num_nodes),
+            TopologySpec::Ring => ring_edges(num_nodes)?,
+            TopologySpec::Torus2D => torus_edges(num_nodes)?,
             TopologySpec::RandomRegular { degree } => {
                 random_regular_edges(num_nodes, degree, rng)?
             }
             TopologySpec::ErdosRenyi { p } => erdos_renyi_edges(num_nodes, p, rng),
         };
-        let (offsets, neighbors) = csr_from_edges(num_nodes, &edges);
+        let (offsets, neighbors) = csr_from_edges(num_nodes, &edges)?;
         Ok(Self {
             spec,
             num_nodes,
@@ -668,22 +630,26 @@ impl DegreeClasses {
 }
 
 /// Cycle edges `i — i+1 (mod n)`, deduplicated for `n = 2`.
-fn ring_edges(n: usize) -> Vec<(u32, u32)> {
+fn ring_edges(n: usize) -> Result<Vec<(u32, u32)>, SimError> {
     if n == 2 {
-        return vec![(0, 1)];
+        return Ok(vec![(0, 1)]);
     }
-    (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect()
+    let mut edges = with_room(n, "ring edges")?;
+    edges.extend((0..n).map(|i| (i as u32, ((i + 1) % n) as u32)));
+    Ok(edges)
 }
 
 /// 2-D torus grid edges over `side × side` nodes (right and down per node
 /// covers every edge once), deduplicated for `side ≤ 2` where wraparound
 /// would create parallel edges.
-fn torus_edges(n: usize) -> Vec<(u32, u32)> {
+fn torus_edges(n: usize) -> Result<Vec<(u32, u32)>, SimError> {
     let side = (n as f64).sqrt().round() as usize;
     debug_assert_eq!(side * side, n, "checked by TopologySpec::check");
-    let mut edges = Vec::with_capacity(2 * n);
+    let mut edges = with_room(checked_len(n, 2, "torus edges")?, "torus edges")?;
     // xlint: allow(map-order) — dedup membership check only; edges are emitted in loop order, the set is never iterated
     let mut seen = HashSet::new();
+    seen.try_reserve(edges.capacity())
+        .map_err(|e| too_large(edges.capacity(), "torus edges", e))?;
     let id = |r: usize, c: usize| (r * side + c) as u32;
     for r in 0..side {
         for c in 0..side {
@@ -696,7 +662,7 @@ fn torus_edges(n: usize) -> Vec<(u32, u32)> {
             }
         }
     }
-    edges
+    Ok(edges)
 }
 
 fn normalize(a: u32, b: u32) -> (u32, u32) {
@@ -717,14 +683,16 @@ fn random_regular_edges(
     d: usize,
     rng: &mut StdRng,
 ) -> Result<Vec<(u32, u32)>, SimError> {
-    let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
+    let mut stubs: Vec<u32> = with_room(checked_len(n, d, "regular stubs")?, "regular stubs")?;
     for v in 0..n {
         stubs.extend(std::iter::repeat_n(v as u32, d));
     }
+    let mut edges = with_room(stubs.len() / 2, "regular edges")?;
     for _attempt in 0..20 {
         stubs.shuffle(rng);
-        let mut edges: Vec<(u32, u32)> = stubs.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        if swap_repair(&mut edges, rng) {
+        edges.clear();
+        edges.extend(stubs.chunks_exact(2).map(|c| (c[0], c[1])));
+        if swap_repair(&mut edges, rng)? {
             return Ok(edges);
         }
     }
@@ -737,9 +705,11 @@ fn random_regular_edges(
 /// remains, swap its endpoints with a random *good* edge when the swap
 /// produces two fresh simple edges. Returns `false` if the iteration
 /// budget runs out (caller reshuffles and retries).
-fn swap_repair(edges: &mut [(u32, u32)], rng: &mut StdRng) -> bool {
+fn swap_repair(edges: &mut [(u32, u32)], rng: &mut StdRng) -> Result<bool, SimError> {
     // xlint: allow(map-order) — membership insert/contains/remove only; repair order comes from the `bad` Vec and the seeded RNG, the set is never iterated
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(edges.len());
+    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+    seen.try_reserve(edges.len())
+        .map_err(|e| too_large(edges.len(), "regular edges", e))?;
     let mut bad: Vec<usize> = Vec::new();
     for (i, &(a, b)) in edges.iter().enumerate() {
         if a == b || !seen.insert(normalize(a, b)) {
@@ -749,7 +719,7 @@ fn swap_repair(edges: &mut [(u32, u32)], rng: &mut StdRng) -> bool {
     let mut budget = 200 * edges.len() + 1_000;
     while let Some(&i) = bad.last() {
         if budget == 0 {
-            return false;
+            return Ok(false);
         }
         budget -= 1;
         let j = rng.gen_range(0..edges.len());
@@ -775,7 +745,7 @@ fn swap_repair(edges: &mut [(u32, u32)], rng: &mut StdRng) -> bool {
         edges[j] = (c, b);
         bad.pop();
     }
-    true
+    Ok(true)
 }
 
 /// `G(n, p)` via the Batagelj–Brandes geometric-skip enumeration: expected
@@ -811,8 +781,10 @@ fn erdos_renyi_edges(n: usize, p: f64, rng: &mut StdRng) -> Vec<(u32, u32)> {
 }
 
 /// Builds CSR offsets + flat neighbor lists from an undirected edge list.
-fn csr_from_edges(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
-    let mut offsets = vec![0usize; n + 1];
+fn csr_from_edges(n: usize, edges: &[(u32, u32)]) -> Result<(Vec<usize>, Vec<u32>), SimError> {
+    // Saturating: `usize::MAX` offsets cannot be reserved either.
+    let rows = n.saturating_add(1);
+    let mut offsets = filled(rows, 0usize, "CSR offsets")?;
     for &(a, b) in edges {
         offsets[a as usize + 1] += 1;
         offsets[b as usize + 1] += 1;
@@ -820,15 +792,16 @@ fn csr_from_edges(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
-    let mut cursor = offsets.clone();
-    let mut neighbors = vec![0u32; edges.len() * 2];
+    let mut cursor = with_room(rows, "CSR cursors")?;
+    cursor.extend_from_slice(&offsets);
+    let mut neighbors = filled(checked_len(edges.len(), 2, "neighbors")?, 0u32, "neighbors")?;
     for &(a, b) in edges {
         neighbors[cursor[a as usize]] = b;
         cursor[a as usize] += 1;
         neighbors[cursor[b as usize]] = a;
         cursor[b as usize] += 1;
     }
-    (offsets, neighbors)
+    Ok((offsets, neighbors))
 }
 
 #[cfg(test)]
@@ -1086,7 +1059,6 @@ mod tests {
         for spec in specs {
             let text = spec.to_string();
             assert_eq!(text.parse::<TopologySpec>().unwrap(), spec, "{text}");
-            assert_eq!(spec.label(), text);
         }
         assert_eq!("TORUS2D".parse::<TopologySpec>().unwrap(), TopologySpec::Torus2D);
         assert_eq!(

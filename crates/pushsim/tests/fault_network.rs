@@ -95,7 +95,7 @@ fn disabled_faults_reproduce_the_pre_fault_digests_on_every_process() {
             "{delivery:?}: default config must match the historical digest"
         );
         assert_eq!(
-            evolution_digest(config(delivery, Some(FaultSpec::none()))),
+            evolution_digest(config(delivery, Some(FaultSpec::default()))),
             expected,
             "{delivery:?}: explicit fault = none must be bit-identical"
         );
@@ -109,7 +109,7 @@ fn disabled_faults_are_bit_identical_on_the_counting_backend() {
         CountingNetwork::new(config(DeliverySemantics::Poissonized, None), noise.clone())
             .unwrap();
     let explicit = CountingNetwork::new(
-        config(DeliverySemantics::Poissonized, Some(FaultSpec::none())),
+        config(DeliverySemantics::Poissonized, Some(FaultSpec::default())),
         noise,
     )
     .unwrap();
