@@ -76,8 +76,9 @@ struct PlannedCell {
     digest: u64,
 }
 
-/// A parsed, validated submission: the spec plus its (possibly empty)
-/// sweep-cell decomposition.
+/// A parsed, validated submission: the spec, plus its sweep-cell
+/// decomposition once [`JobHandler::cells`] expanded it (empty until
+/// then, and for specs that do not decompose).
 pub struct PlannedRun {
     spec: ScenarioSpec,
     headers: Vec<String>,
@@ -100,25 +101,29 @@ pub struct SpecService;
 impl JobHandler for SpecService {
     type Job = PlannedRun;
 
+    /// Parses, validates and digests: all a cache hit needs. The grid is
+    /// expanded only by [`cells`](JobHandler::cells), when the job runs.
     fn plan(&self, body: &str) -> Result<Plan<PlannedRun>, String> {
         let spec = ScenarioSpec::from_text(body).map_err(|e| e.to_string())?;
         let digest = spec.canonical_digest();
-        let headers = runner::headers(&spec);
-        let cells: Vec<PlannedCell> = if cell_reuse_eligible(&spec) {
-            runner::expand_grid(&spec)
-                .iter()
-                .map(|point| {
-                    let cell = cell_spec(&spec, point);
-                    let digest = cell.canonical_digest() ^ CELL_KEY_SALT;
-                    PlannedCell { point: *point, spec: cell, digest }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let keys =
-            (!cells.is_empty()).then(|| cells.iter().map(|c| c.digest).collect::<Vec<_>>());
-        Ok(Plan { job: PlannedRun { spec, headers, cells }, digest, cells: keys })
+        let job = PlannedRun { spec, headers: Vec::new(), cells: Vec::new() };
+        Ok(Plan { job, digest })
+    }
+
+    fn cells(&self, job: &mut PlannedRun) -> Option<Vec<u64>> {
+        if !cell_reuse_eligible(&job.spec) {
+            return None;
+        }
+        job.headers = runner::headers(&job.spec);
+        job.cells = runner::expand_grid(&job.spec)
+            .iter()
+            .map(|point| {
+                let spec = cell_spec(&job.spec, point);
+                let digest = spec.canonical_digest() ^ CELL_KEY_SALT;
+                PlannedCell { point: *point, spec, digest }
+            })
+            .collect();
+        (!job.cells.is_empty()).then(|| job.cells.iter().map(|c| c.digest).collect())
     }
 
     fn run(&self, job: &PlannedRun, sink: &mut dyn Write) -> Result<(), String> {
@@ -171,6 +176,13 @@ mod tests {
         .expect("valid spec")
     }
 
+    /// Plans `text` and expands its cells, as a worker does before a run.
+    fn expand(text: &str) -> (Plan<PlannedRun>, Option<Vec<u64>>) {
+        let mut plan = SpecService.plan(text).expect("plan");
+        let keys = SpecService.cells(&mut plan.job);
+        (plan, keys)
+    }
+
     fn run_decomposed(plan: &Plan<PlannedRun>) -> String {
         let svc = SpecService;
         let mut out = String::new();
@@ -184,11 +196,25 @@ mod tests {
     #[test]
     fn decomposed_cells_reproduce_streamed_bytes() {
         let svc = SpecService;
-        let plan = svc.plan(&sweep_spec().to_text()).expect("plan");
-        assert!(plan.cells.is_some(), "protocol summary sweeps decompose");
+        let (plan, keys) = expand(&sweep_spec().to_text());
+        assert!(keys.is_some(), "protocol summary sweeps decompose");
         let mut streamed = Vec::new();
         svc.run(&plan.job, &mut streamed).expect("whole run");
         assert_eq!(run_decomposed(&plan), String::from_utf8(streamed).unwrap());
+    }
+
+    #[test]
+    fn planning_leaves_the_grid_unexpanded_and_cell_keys_stay_pinned() {
+        let plan = SpecService.plan(&sweep_spec().to_text()).expect("plan");
+        assert!(plan.job.cells.is_empty(), "a cache hit never expands the grid");
+        assert_eq!(plan.digest, 0x060d_9063_6663_0bfb);
+        // The keys cells were cached under while `plan` still expanded
+        // the grid: cached cells stay valid across the move to `cells`.
+        let (_, keys) = expand(&sweep_spec().to_text());
+        assert_eq!(
+            keys,
+            Some(vec![0x702a_c475_4076_dd91, 0xdd42_ce5e_5dda_0049, 0x0818_c071_b259_8b67])
+        );
     }
 
     #[test]
@@ -198,7 +224,7 @@ mod tests {
         spec.sweep = SweepAxes::default();
         spec.sweep.churn = vec![ChurnSpec::default(), "leave(0.1)".parse().unwrap()];
         spec.sweep.schedule = vec![NoiseSchedule::Const, "step(0.4@1)".parse().unwrap()];
-        let plan = svc.plan(&spec.to_text()).expect("plan");
+        let (plan, _) = expand(&spec.to_text());
         let mut streamed = Vec::new();
         svc.run(&plan.job, &mut streamed).expect("whole run");
         assert_eq!(run_decomposed(&plan), String::from_utf8(streamed).unwrap());
@@ -207,14 +233,14 @@ mod tests {
     #[test]
     fn single_point_submission_shares_cell_keys_with_sweeps() {
         let svc = SpecService;
-        let sweep = svc.plan(&sweep_spec().to_text()).expect("plan");
+        let (sweep, sweep_keys) = expand(&sweep_spec().to_text());
         let mut single = sweep_spec();
         single.sweep = SweepAxes::default();
         single.epsilon = 0.35;
         single.noise = single.noise.with_epsilon(0.35);
-        let single_plan = svc.plan(&single.to_text()).expect("plan");
-        let sweep_keys = sweep.cells.expect("sweep cells");
-        let single_keys = single_plan.cells.expect("single cell");
+        let (single_plan, single_keys) = expand(&single.to_text());
+        let sweep_keys = sweep_keys.expect("sweep cells");
+        let single_keys = single_keys.expect("single cell");
         assert_eq!(single_keys.len(), 1);
         assert_eq!(sweep_keys[2], single_keys[0]);
         // And the shared rows really are interchangeable.
@@ -225,26 +251,24 @@ mod tests {
 
     #[test]
     fn cell_keys_never_equal_whole_run_digests() {
-        let svc = SpecService;
         let mut spec = sweep_spec();
         spec.sweep = SweepAxes::default();
-        let plan = svc.plan(&spec.to_text()).expect("plan");
-        let keys = plan.cells.expect("single-point protocol specs still decompose");
+        let (plan, keys) = expand(&spec.to_text());
+        let keys = keys.expect("single-point protocol specs still decompose");
         assert_ne!(keys[0], plan.digest);
     }
 
     #[test]
     fn non_summary_and_non_protocol_specs_do_not_decompose() {
-        let svc = SpecService;
         let mut traj = sweep_spec();
         traj.observe = ObserveMode::Trajectory;
         traj.sweep = SweepAxes::default();
-        assert!(svc.plan(&traj.to_text()).expect("plan").cells.is_none());
+        assert!(expand(&traj.to_text()).1.is_none());
         let gap = ScenarioSpec::from_text(
             "scenario = gap\nn = 100\nk = 3\nell = 9\ndelta = 0.1\ntrials = 50\nseed = 3\n",
         )
         .expect("valid gap spec");
-        assert!(svc.plan(&gap.to_text()).expect("plan").cells.is_none());
+        assert!(expand(&gap.to_text()).1.is_none());
     }
 
     #[test]
@@ -262,11 +286,11 @@ mod tests {
             svc.run(&plan.job, &mut out).expect("run");
             String::from_utf8(out).unwrap()
         };
-        let exact_only = plan("metrics = gap_exact\n");
+        let mut exact_only = plan("metrics = gap_exact\n");
         let shows_gap = plan("metrics = gap, gap_exact\n");
         let shows_holds = plan("metrics = gap_holds, gap_exact\n");
         let defaults = plan("");
-        assert!(exact_only.cells.is_none());
+        assert!(svc.cells(&mut exact_only.job).is_none());
         for other in [&shows_gap, &shows_holds, &defaults] {
             assert_ne!(other.digest, exact_only.digest);
         }

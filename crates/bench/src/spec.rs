@@ -1362,10 +1362,13 @@ where
     }
 }
 
-fn take_list<T: std::str::FromStr>(
-    map: &mut RawMap<'_>,
-    key: &'static str,
-) -> Result<Vec<T>, SpecError> {
+/// Takes a comma-separated list; an entry's parse error is kept after
+/// the entry and the key.
+fn take_list<T>(map: &mut RawMap<'_>, key: &'static str) -> Result<Vec<T>, SpecError>
+where
+    T: std::str::FromStr,
+    T::Err: fmt::Display,
+{
     match map.remove(key) {
         None => Ok(Vec::new()),
         Some((line, value)) => value
@@ -1373,9 +1376,9 @@ fn take_list<T: std::str::FromStr>(
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(|s| {
-                s.parse().map_err(|_| SpecError::Parse {
+                s.parse().map_err(|e: T::Err| SpecError::Parse {
                     line,
-                    message: format!("malformed list entry {s:?} for {key}"),
+                    message: format!("malformed list entry {s:?} for {key}: {e}"),
                 })
             })
             .collect(),
@@ -1428,6 +1431,11 @@ impl fmt::Display for SpecError {
             SpecError::Parse { line, message } => write!(f, "spec line {line}: {message}"),
             SpecError::Missing { key } => write!(f, "spec is missing required key `{key}`"),
             SpecError::Invalid(message) => write!(f, "invalid spec: {message}"),
+            // A simulator failure surfaces while the run goes, after
+            // every parameter passed validation.
+            SpecError::Protocol(ProtocolError::Simulation(message)) => {
+                write!(f, "the run failed: {message}")
+            }
             SpecError::Protocol(e) => write!(f, "invalid protocol parameters: {e}"),
             SpecError::Noise(e) => write!(f, "invalid noise matrix: {e}"),
             SpecError::Sim(e) => write!(f, "invalid simulation config: {e}"),
@@ -1787,6 +1795,29 @@ mod tests {
         }
         let err = ScenarioSpec::from_text("scenario = rumor\nn = 100\nn = 200\nk = 2\n").unwrap_err();
         assert!(matches!(err, SpecError::Parse { line: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn a_bad_sweep_entry_reports_the_reason_its_scalar_key_gives() {
+        let base = "scenario = rumor\nn = 100\nk = 2\nepsilon = 0.3\n";
+        let parse_message = |text: String| match ScenarioSpec::from_text(&text) {
+            Err(SpecError::Parse { line: 5, message }) => message,
+            other => panic!("expected a parse error on line 5 of {text:?}, got {other:?}"),
+        };
+        for (key, good, bad) in [
+            ("delivery", "exact", "sometimes"),
+            ("topology", "ring", "ring(3)"),
+            ("fault", "none", "drop(0)+drop(0.1)"),
+            ("churn", "none", "leave(x)"),
+            ("schedule", "const", "step(0.4)"),
+            ("clock", "sync", "skew(x)"),
+        ] {
+            let reason = parse_message(format!("{base}{key} = {bad}\n"));
+            let swept = parse_message(format!("{base}sweep.{key} = {good}, {bad}\n"));
+            assert_eq!(swept, format!("malformed list entry {bad:?} for sweep.{key}: {reason}"));
+        }
+        let swept = parse_message(format!("{base}sweep.eps = 0.1, x\n"));
+        assert_eq!(swept, "malformed list entry \"x\" for sweep.eps: invalid float literal");
     }
 
     #[test]

@@ -217,6 +217,9 @@ fn an_unallocatable_population_fails_its_job_and_the_worker_survives() {
     let failed = json_u64(&submit(addr, oversized).text(), "id");
     let status = wait_for(addr, &format!("/v1/runs/{failed}"), "\"failed\"");
     assert!(status.contains("too large"), "{status}");
+    // Every parameter passed validation: the run failed, nothing was invalid.
+    assert!(status.contains("the run failed"), "{status}");
+    assert!(!status.contains("invalid protocol parameters"), "{status}");
 
     let next = submit(addr, "scenario = rumor\nn = 256\nk = 2\nepsilon = 0.3\nseed = 3\n");
     wait_for_done(addr, json_u64(&next.text(), "id"));

@@ -3,7 +3,8 @@
 //! names, unreadable paths and variant entries are usage errors (exit 2)
 //! and a file that reads but does not parse is a run failure (exit 1). A
 //! reader that closes `xp`'s stdout early (`xp list | head -1`, or a
-//! `--stream` run piped to `head -1`) is not a failure (exit 0).
+//! `--stream` run piped to `head -1`) is not a failure (exit 0). A run
+//! that fails after validation exits 1.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -35,6 +36,22 @@ fn a_spec_file_that_does_not_parse_exits_1_everywhere() {
         assert_eq!(code, 1, "xp {args:?}: {stderr}");
         assert!(stderr.contains("not_a_key"), "xp {args:?}: {stderr}");
     }
+}
+
+/// A population too large to allocate passes validation and fails the
+/// run: exit 1, with a message that blames the run, not the parameters.
+#[test]
+fn an_unallocatable_population_exits_1_as_a_failed_run() {
+    let path = format!("{}/xp_unallocatable.spec", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &path,
+        "scenario = rumor\nn = 4611686018427387904\nk = 3\nbackend = agent\ntrials = 1\n",
+    )
+    .unwrap();
+    let (code, stderr) = xp(&["run", "--spec", &path]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("the run failed: simulation state too large"), "{stderr}");
+    assert!(!stderr.contains("invalid protocol parameters"), "{stderr}");
 }
 
 #[test]

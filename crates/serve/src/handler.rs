@@ -16,12 +16,6 @@ pub struct Plan<J> {
     /// which the finished response body is cached. Two submissions
     /// with equal digests must produce identical output bytes.
     pub digest: u64,
-    /// When the job decomposes into independently cacheable sweep
-    /// cells, the per-cell content digests in output order. `None`
-    /// means the job only runs monolithically via
-    /// [`JobHandler::run`]. Cell keys must not collide with whole-job
-    /// digests (handlers salt them).
-    pub cells: Option<Vec<u64>>,
 }
 
 /// Executes submitted jobs on behalf of the server.
@@ -29,23 +23,43 @@ pub struct Plan<J> {
 /// Implementations must be shareable across worker threads. All
 /// methods are called without any server lock held, so they may take
 /// arbitrarily long.
+///
+/// A submission costs one [`plan`](Self::plan) on the connection
+/// thread. Only a job that actually runs reaches a worker, which calls
+/// [`cells`](Self::cells) once and then either [`run`](Self::run) or
+/// `run_cell`/`render_cell` for each cell; a cache hit or a coalesced
+/// duplicate is answered from the digest alone.
 pub trait JobHandler: Send + Sync + 'static {
-    /// The planned, validated job type.
-    type Job: Send + Sync + 'static;
+    /// The planned, validated job type. A job moves to the worker that
+    /// runs it and is dropped when its run ends; the server keeps only
+    /// its output.
+    type Job: Send + 'static;
 
     /// Parses and validates a request body into a job plus its cache
-    /// keys. Errors become `400` responses with the message as body.
+    /// key. Errors become `400` responses with the message as body.
+    /// Keep it cheap: every submission pays for it, cache hits included.
     fn plan(&self, body: &str) -> Result<Plan<Self::Job>, String>;
 
-    /// Runs the whole job, streaming output to `sink`. Used when the
-    /// plan has no cells, and expected to produce bytes identical to
-    /// the concatenated rendered cells when it does.
+    /// Expands `job` into independently cacheable sweep cells, keeping
+    /// in it whatever `run_cell`/`render_cell` need, and returns the
+    /// per-cell content digests in output order. `None` (the default)
+    /// means the job only runs monolithically via [`run`](Self::run).
+    /// Called once per executed job, on the worker, before any other
+    /// call on that job. Cell keys must not collide with whole-job
+    /// digests (handlers salt them).
+    fn cells(&self, _job: &mut Self::Job) -> Option<Vec<u64>> {
+        None
+    }
+
+    /// Runs the whole job, streaming output to `sink`. Used when
+    /// [`cells`](Self::cells) returned `None`, and expected to produce
+    /// bytes identical to the concatenated rendered cells otherwise.
     fn run(&self, job: &Self::Job, sink: &mut dyn Write) -> Result<(), String>;
 
-    /// Computes the data rows of cell `index` (0-based, in plan
-    /// order). Only called when the plan listed cells. The returned
-    /// rows must be position-independent: the same cell digest must
-    /// yield the same rows no matter which submission computed them.
+    /// Computes the data rows of cell `index` (0-based, in the order
+    /// [`cells`](Self::cells) listed them). The returned rows must be
+    /// position-independent: the same cell digest must yield the same
+    /// rows no matter which submission computed them.
     fn run_cell(&self, job: &Self::Job, index: usize) -> Result<Vec<Vec<String>>, String>;
 
     /// Renders cell `index`'s rows (freshly computed or from cache)

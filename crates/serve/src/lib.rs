@@ -10,25 +10,31 @@
 //! The crate knows nothing about scenario specs. Domain logic is
 //! injected through the [`handler::JobHandler`] trait: the handler
 //! parses a request body into a job, reports a stable content digest
-//! for caching, and executes the job against an [`std::io::Write`]
-//! sink. `noisy-bench` provides the production handler that wires in
-//! its `Runner`; the tests here use small mock handlers.
+//! for caching, splits a job that runs into cacheable cells, and
+//! executes it against an [`std::io::Write`] sink. `noisy-bench`
+//! provides the production handler that wires in its `Runner`; the
+//! tests here use small mock handlers.
 //!
 //! Architecture, one thread group per concern:
 //!
-//! * an **acceptor** thread polls a non-blocking listener and spawns
-//!   one connection thread per client (keep-alive and pipelining are
-//!   supported by the incremental parser in [`http`]);
+//! * an **acceptor** thread blocks in `accept` on the listener and
+//!   spawns one connection thread per client (keep-alive and
+//!   pipelining are supported by the incremental parser in [`http`]);
 //! * **worker** threads drain the bounded [`queue::BoundedQueue`];
 //!   when the queue is full, submissions are rejected with `503` and
-//!   a `Retry-After` header instead of growing memory;
+//!   a `Retry-After` header instead of growing memory. A queue entry
+//!   carries the job's payload to its worker, which drops it when the
+//!   run ends: the job table keeps only ids, digests and states;
 //! * finished results land in a content-addressed byte-budget LRU
 //!   ([`lru::LruCache`]), so resubmitting a spec — or running a sweep
 //!   that shares cells with a cached one — returns without recompute.
+//!   A whole-run hit is answered from the submission's digest alone;
+//!   only a job that runs is split into cells, on its worker.
 //!
 //! Graceful shutdown (SIGTERM/ctrl-c via [`signal`], or
-//! `POST /v1/shutdown` when enabled) stops accepting work, drains the
-//! queue, and joins every worker.
+//! `POST /v1/shutdown` when enabled) stops accepting work, wakes the
+//! acceptor with one loopback connection, drains the queue, and joins
+//! every worker.
 
 // `unsafe` is denied crate-wide and re-allowed only on the one module
 // that must declare the C `signal(2)` entry point (the offline

@@ -19,14 +19,14 @@
 //! and finished output is cached under the submission's content
 //! digest, so a resubmission is answered `done` without recompute.
 
-use crate::handler::JobHandler;
+use crate::handler::{JobHandler, Plan};
 use crate::http::{self, ChunkedWriter, Limits, Parsed, Request};
 use crate::lru::LruCache;
 use crate::queue::BoundedQueue;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -109,16 +109,29 @@ enum JobState {
     Failed { error: String },
 }
 
-struct Job<J> {
+/// A job's record in the table: what status and stream requests read.
+/// It holds no payload, which travels to the worker in a [`QueueEntry`],
+/// so a cached, coalesced or finished job costs only its state, whose
+/// output is shared with the cache.
+struct Job {
     id: u64,
     digest: u64,
-    cells: Option<Vec<u64>>,
-    payload: J,
     state: Mutex<JobState>,
     cond: Condvar,
 }
 
-impl<J> Job<J> {
+/// The record a worker reports through and the payload it runs, which
+/// is dropped when the run ends.
+struct QueueEntry<J> {
+    job: Arc<Job>,
+    payload: J,
+}
+
+impl Job {
+    fn new(id: u64, digest: u64, state: JobState) -> Self {
+        Job { id, digest, state: Mutex::new(state), cond: Condvar::new() }
+    }
+
     /// Locks the job state, recovering from poison: job state moves
     /// monotonically towards a terminal value and every transition
     /// writes a whole variant, so the state is valid after any panic
@@ -233,13 +246,27 @@ impl<J> Job<J> {
 // plain u64s, and deterministically ordered so nothing observable
 // (stats, retention sweeps, future debug dumps) depends on hash
 // seeding.
-struct JobTable<J> {
-    by_id: BTreeMap<u64, Arc<Job<J>>>,
+#[derive(Default)]
+struct JobTable {
+    by_id: BTreeMap<u64, Arc<Job>>,
     /// digest -> id of a queued/running job, for coalescing identical
     /// concurrent submissions onto one execution.
     active_by_digest: BTreeMap<u64, u64>,
     /// Finished job ids, oldest first, for bounded retention.
     finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Records job `id` as finished and forgets the oldest finished
+    /// jobs beyond `retain`.
+    fn push_finished(&mut self, id: u64, retain: usize) {
+        self.finished.push_back(id);
+        while self.finished.len() > retain.max(1) {
+            if let Some(old) = self.finished.pop_front() {
+                self.by_id.remove(&old);
+            }
+        }
+    }
 }
 
 struct ConnTracker {
@@ -269,21 +296,43 @@ impl Drop for ConnGuard {
 struct Inner<H: JobHandler> {
     handler: H,
     config: ServerConfig,
-    queue: BoundedQueue<Arc<Job<H::Job>>>,
-    jobs: Mutex<JobTable<H::Job>>,
+    queue: BoundedQueue<QueueEntry<H::Job>>,
+    jobs: Mutex<JobTable>,
     cache: Mutex<LruCache<Cached>>,
     stats: Stats,
     shutdown: AtomicBool,
     next_id: AtomicU64,
     conns: Arc<ConnTracker>,
+    /// Where [`Inner::begin_shutdown`] connects to wake the acceptor.
+    wake_addr: SocketAddr,
+}
+
+/// The address a local client reaches a listener bound to `bound` at:
+/// the loopback address of the same family when `bound` is unspecified
+/// (`0.0.0.0` or `::`), `bound` itself otherwise.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 // Lock ordering: `jobs` before `cache`; never hold either across a
 // handler call or a queue `pop`.
 impl<H: JobHandler> Inner<H> {
+    /// The one shutdown path (`shutdown_and_wait`, `POST /v1/shutdown`,
+    /// and SIGTERM through `xp serve`): refuse new work, close the
+    /// queue so workers drain and exit, and wake the acceptor, which
+    /// blocks in `accept`, with one connection of its own.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.queue.close();
+        // A failed connect means the listener is gone: nothing to wake.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 
     fn shutting_down(&self) -> bool {
@@ -292,7 +341,7 @@ impl<H: JobHandler> Inner<H> {
 
     /// Locks the job table, recovering from poison (the table's
     /// operations never leave it half-updated across a panic point).
-    fn lock_jobs(&self) -> MutexGuard<'_, JobTable<H::Job>> {
+    fn lock_jobs(&self) -> MutexGuard<'_, JobTable> {
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -301,17 +350,12 @@ impl<H: JobHandler> Inner<H> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn retire(&self, job: &Arc<Job<H::Job>>) {
+    fn retire(&self, job: &Job) {
         let mut jobs = self.lock_jobs();
         if jobs.active_by_digest.get(&job.digest) == Some(&job.id) {
             jobs.active_by_digest.remove(&job.digest);
         }
-        jobs.finished.push_back(job.id);
-        while jobs.finished.len() > self.config.retain_jobs.max(1) {
-            if let Some(old) = jobs.finished.pop_front() {
-                jobs.by_id.remove(&old);
-            }
-        }
+        jobs.push_finished(job.id, self.config.retain_jobs);
     }
 
     fn stats_json(&self) -> String {
@@ -357,21 +401,17 @@ impl Server {
         handler: H,
     ) -> io::Result<ServerHandle<H>> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_depth),
-            jobs: Mutex::new(JobTable {
-                by_id: BTreeMap::new(),
-                active_by_digest: BTreeMap::new(),
-                finished: VecDeque::new(),
-            }),
+            jobs: Mutex::new(JobTable::default()),
             cache: Mutex::new(LruCache::new(config.cache_bytes)),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
             conns: Arc::new(ConnTracker { n: Mutex::new(0), cv: Condvar::new() }),
+            wake_addr: wake_addr(addr),
             handler,
             config,
         });
@@ -451,18 +491,18 @@ impl<H: JobHandler> ServerHandle<H> {
 }
 
 fn worker_loop<H: JobHandler>(inner: Arc<Inner<H>>) {
-    while let Some(job) = inner.queue.pop() {
+    while let Some(QueueEntry { job, payload }) = inner.queue.pop() {
         Stats::bump(&inner.stats.in_flight);
-        run_job(&inner, &job);
+        run_job(&inner, &job, payload);
         inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-struct JobWriter<'a, J> {
-    job: &'a Job<J>,
+struct JobWriter<'a> {
+    job: &'a Job,
 }
 
-impl<J> Write for JobWriter<'_, J> {
+impl Write for JobWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.job.append(buf);
         Ok(buf.len())
@@ -473,15 +513,15 @@ impl<J> Write for JobWriter<'_, J> {
     }
 }
 
-fn run_job<H: JobHandler>(inner: &Arc<Inner<H>>, job: &Arc<Job<H::Job>>) {
+fn run_job<H: JobHandler>(inner: &Inner<H>, job: &Job, mut payload: H::Job) {
     job.set_running();
-    let result = match job.cells.clone() {
-        Some(cells) => run_cells(inner, job, &cells),
-        None => {
-            let mut sink = JobWriter { job };
-            inner.handler.run(&job.payload, &mut sink)
-        }
+    let result = match inner.handler.cells(&mut payload) {
+        Some(cells) => run_cells(inner, job, &payload, &cells),
+        None => inner.handler.run(&payload, &mut JobWriter { job }),
     };
+    // Dropped before the job turns terminal, so whoever sees it finished
+    // sees its payload gone too.
+    drop(payload);
     match result {
         Ok(()) => {
             let out = job.finish();
@@ -501,8 +541,9 @@ fn run_job<H: JobHandler>(inner: &Arc<Inner<H>>, job: &Arc<Job<H::Job>>) {
 }
 
 fn run_cells<H: JobHandler>(
-    inner: &Arc<Inner<H>>,
-    job: &Arc<Job<H::Job>>,
+    inner: &Inner<H>,
+    job: &Job,
+    payload: &H::Job,
     cells: &[u64],
 ) -> Result<(), String> {
     for (index, &key) in cells.iter().enumerate() {
@@ -522,7 +563,7 @@ fn run_cells<H: JobHandler>(
             }
             None => {
                 Stats::bump(&inner.stats.cell_misses);
-                let rows = Arc::new(inner.handler.run_cell(&job.payload, index)?);
+                let rows = Arc::new(inner.handler.run_cell(payload, index)?);
                 let cost = rows_cost(&rows);
                 let evicted = inner
                     .lock_cache()
@@ -531,18 +572,22 @@ fn run_cells<H: JobHandler>(
                 rows
             }
         };
-        let text = inner.handler.render_cell(&job.payload, index, &rows);
+        let text = inner.handler.render_cell(payload, index, &rows);
         job.append(text.as_bytes());
     }
     Ok(())
 }
 
+/// Blocks in `accept` and spawns one thread per connection. Shutdown
+/// wakes it with a connection of its own, which is dropped here
+/// unanswered, and the listener closes with the loop.
 fn acceptor_loop<H: JobHandler>(listener: TcpListener, inner: Arc<Inner<H>>) {
     loop {
+        let accepted = listener.accept();
         if inner.shutting_down() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let inner = Arc::clone(&inner);
                 let guard = inner.conns.enter();
@@ -558,9 +603,8 @@ fn acceptor_loop<H: JobHandler>(listener: TcpListener, inner: Arc<Inner<H>>) {
                     // with it.
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
+            // A real accept error, such as running out of file
+            // descriptors: back off instead of spinning on it.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -747,84 +791,62 @@ fn submit<H: JobHandler>(
         }
     };
     Stats::bump(&inner.stats.submitted);
+    let Some((id, state, cached)) = admit(inner, plan) else {
+        return respond(
+            stream,
+            503,
+            "Service Unavailable",
+            &[JSON, ("Retry-After", "1")],
+            "{\"error\":\"job queue is full\"}",
+            false,
+        );
+    };
+    let body = accepted_json(id, state, cached);
+    respond(stream, 202, "Accepted", &[JSON], &body, keep)
+}
 
+/// Takes in a planned submission and returns the id, status and cache
+/// flag to answer with, or `None` when the queue is full. A duplicate of
+/// a queued or running job coalesces onto it and a cache hit is recorded
+/// as done, both from the digest alone; only a miss moves its payload
+/// into the queue. Either way the plan is gone when this returns.
+fn admit<H: JobHandler>(
+    inner: &Inner<H>,
+    plan: Plan<H::Job>,
+) -> Option<(u64, &'static str, bool)> {
     let mut jobs = inner.lock_jobs();
-    // Coalesce onto an identical queued/running job.
     if let Some(&id) = jobs.active_by_digest.get(&plan.digest) {
         Stats::bump(&inner.stats.coalesced);
-        let body = accepted_json(id, "accepted", false);
-        drop(jobs);
-        return respond(stream, 202, "Accepted", &[JSON], &body, keep);
+        return Some((id, "accepted", false));
     }
-    // Content-addressed cache: answer a finished body without
-    // recompute.
-    let hit = {
-        let mut cache = inner.lock_cache();
-        match cache.get(plan.digest) {
-            Some(Cached::Body(out)) => Some(Arc::clone(out)),
-            _ => None,
-        }
+    let hit = match inner.lock_cache().get(plan.digest) {
+        Some(Cached::Body(out)) => Some(Arc::clone(out)),
+        _ => None,
     };
+    let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
     if let Some(out) = hit {
         Stats::bump(&inner.stats.cache_hits);
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let job = Arc::new(Job {
-            id,
-            digest: plan.digest,
-            cells: None,
-            payload: plan.job,
-            state: Mutex::new(JobState::Done { out, from_cache: true }),
-            cond: Condvar::new(),
-        });
-        jobs.by_id.insert(id, Arc::clone(&job));
-        jobs.finished.push_back(id);
-        while jobs.finished.len() > inner.config.retain_jobs.max(1) {
-            if let Some(old) = jobs.finished.pop_front() {
-                jobs.by_id.remove(&old);
-            }
-        }
-        drop(jobs);
-        let body = accepted_json(id, "done", true);
-        return respond(stream, 202, "Accepted", &[JSON], &body, keep);
+        let job = Job::new(id, plan.digest, JobState::Done { out, from_cache: true });
+        jobs.by_id.insert(id, Arc::new(job));
+        jobs.push_finished(id, inner.config.retain_jobs);
+        return Some((id, "done", true));
     }
     Stats::bump(&inner.stats.cache_misses);
-
-    let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-    let job = Arc::new(Job {
-        id,
-        digest: plan.digest,
-        cells: plan.cells,
-        payload: plan.job,
-        state: Mutex::new(JobState::Queued),
-        cond: Condvar::new(),
-    });
-    match inner.queue.try_push(Arc::clone(&job)) {
-        Ok(()) => {
-            jobs.by_id.insert(id, Arc::clone(&job));
-            jobs.active_by_digest.insert(job.digest, id);
-            drop(jobs);
-            let body = accepted_json(id, "queued", false);
-            respond(stream, 202, "Accepted", &[JSON], &body, keep)
-        }
-        Err(_) => {
-            drop(jobs);
-            Stats::bump(&inner.stats.rejected);
-            respond(
-                stream,
-                503,
-                "Service Unavailable",
-                &[JSON, ("Retry-After", "1")],
-                "{\"error\":\"job queue is full\"}",
-                false,
-            )
-        }
+    let job = Arc::new(Job::new(id, plan.digest, JobState::Queued));
+    let entry = QueueEntry { job: Arc::clone(&job), payload: plan.job };
+    if inner.queue.try_push(entry).is_err() {
+        Stats::bump(&inner.stats.rejected);
+        return None;
     }
+    jobs.by_id.insert(id, job);
+    jobs.active_by_digest.insert(plan.digest, id);
+    Some((id, "queued", false))
 }
 
 /// Streams a job's output as chunked JSONL, following live progress.
 /// A job that fails after streaming began yields a truncated chunked
 /// body (no terminating chunk), which clients detect as an error.
-fn stream_job<J>(job: &Arc<Job<J>>, stream: &mut TcpStream) -> io::Result<bool> {
+fn stream_job(job: &Job, stream: &mut TcpStream) -> io::Result<bool> {
     // A failure before any bytes were streamed gets a clean 500.
     {
         let st = job.lock();
@@ -864,6 +886,28 @@ fn stream_job<J>(job: &Arc<Job<J>>, stream: &mut TcpStream) -> io::Result<bool> 
         if terminal {
             writer.finish()?;
             return Ok(false);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn the_wake_connects_to_loopback_when_bound_to_an_unspecified_address() {
+        let cases = [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("127.0.0.1:7878", "127.0.0.1:7878"),
+            ("10.1.2.3:7878", "10.1.2.3:7878"),
+            ("[::1]:7878", "[::1]:7878"),
+        ];
+        for (bound, wake) in cases {
+            let bound: SocketAddr = bound.parse().expect("socket address");
+            let wake: SocketAddr = wake.parse().expect("socket address");
+            assert_eq!(wake_addr(bound), wake, "bound to {bound}");
         }
     }
 }

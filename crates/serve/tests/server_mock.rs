@@ -10,7 +10,8 @@ use noisy_serve::http::{self, Response};
 use noisy_serve::{Server, ServerConfig, ServerHandle};
 use std::io::Write;
 use std::net::SocketAddr;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Opens (gate value `true`) or blocks (`false`) every `run` call.
@@ -51,6 +52,14 @@ fn expected_output(body: &str) -> Vec<u8> {
         .into_bytes()
 }
 
+fn fnv1a(text: &str) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes() {
+        digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+    digest
+}
+
 impl JobHandler for MockHandler {
     type Job = String;
 
@@ -58,11 +67,8 @@ impl JobHandler for MockHandler {
         if body.starts_with("bad") {
             return Err(format!("malformed job {body:?}"));
         }
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for b in body.bytes() {
-            digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(Plan { job: body.to_string(), digest, cells: None })
+        let digest = fnv1a(body);
+        Ok(Plan { job: body.to_string(), digest })
     }
 
     fn run(&self, job: &String, sink: &mut dyn Write) -> Result<(), String> {
@@ -368,4 +374,175 @@ fn stats_json_identical_across_identical_runs() {
     let first = run_once();
     let second = run_once();
     assert_eq!(first, second, "stats document depends on something other than the op history");
+}
+
+/// A fresh connection is accepted at once: an acceptor that polled a
+/// non-blocking listener would add up to one poll interval to each.
+#[test]
+fn a_fresh_connection_is_accepted_without_a_poll_wait() {
+    let handle = start(test_config(), Gate::new(true));
+    let addr = handle.addr();
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert_eq!(get(addr, "/v1/healthz").status, 200);
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(5), "median healthz round trip {median:?}");
+    handle.shutdown_and_wait();
+}
+
+/// Whether `handle.shutdown_and_wait()` returns within `limit`; a hung
+/// shutdown fails the test instead of hanging it.
+fn shuts_down_within<H: JobHandler>(handle: ServerHandle<H>, limit: Duration) -> bool {
+    let (done, finished) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        handle.shutdown_and_wait();
+        let _ = done.send(());
+    });
+    let in_time = finished.recv_timeout(limit).is_ok();
+    if in_time {
+        waiter.join().expect("shutdown thread");
+    }
+    in_time
+}
+
+#[test]
+fn shutdown_wakes_an_idle_acceptor() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let config = ServerConfig { addr: addr.to_string(), ..test_config() };
+        let handle = start(config, Gate::new(true));
+        assert!(shuts_down_within(handle, Duration::from_secs(1)), "bound to {addr}");
+    }
+    let config = ServerConfig { enable_shutdown_endpoint: true, ..test_config() };
+    let handle = start(config, Gate::new(true));
+    assert_eq!(post(handle.addr(), "/v1/shutdown", "").status, 200);
+    assert!(shuts_down_within(handle, Duration::from_secs(1)), "after POST /v1/shutdown");
+}
+
+/// A mock whose jobs decompose into two cells, each held at the gate.
+/// It counts the cell-key requests, and every job it plans carries a
+/// strong reference to `token` for as long as the server keeps it.
+struct ProbeHandler {
+    gate: Gate,
+    token: Weak<()>,
+    cell_requests: Arc<AtomicUsize>,
+}
+
+struct ProbeJob {
+    body: String,
+    _token: Option<Arc<()>>,
+}
+
+fn probe_output(body: &str) -> Vec<u8> {
+    format!("cell 0 of {body}\ncell 1 of {body}\n").into_bytes()
+}
+
+impl JobHandler for ProbeHandler {
+    type Job = ProbeJob;
+
+    fn plan(&self, body: &str) -> Result<Plan<ProbeJob>, String> {
+        let job = ProbeJob { body: body.to_string(), _token: self.token.upgrade() };
+        Ok(Plan { job, digest: fnv1a(body) })
+    }
+
+    fn cells(&self, job: &mut ProbeJob) -> Option<Vec<u64>> {
+        self.cell_requests.fetch_add(1, Ordering::SeqCst);
+        Some((0..2).map(|i| fnv1a(&format!("{}#{i}", job.body))).collect())
+    }
+
+    fn run(&self, _job: &ProbeJob, _sink: &mut dyn Write) -> Result<(), String> {
+        unreachable!("probe jobs always decompose into cells")
+    }
+
+    fn run_cell(&self, job: &ProbeJob, index: usize) -> Result<Vec<Vec<String>>, String> {
+        self.gate.wait();
+        Ok(vec![vec![format!("cell {index} of {}", job.body)]])
+    }
+
+    fn render_cell(&self, _job: &ProbeJob, _index: usize, rows: &[Vec<String>]) -> String {
+        rows.iter().map(|row| format!("{}\n", row.concat())).collect()
+    }
+}
+
+/// What one computed job, a coalesced duplicate of it and a later cache
+/// hit left behind.
+struct ProbeRun {
+    handle: ServerHandle<ProbeHandler>,
+    token: Arc<()>,
+    /// The computed, coalesced and cached job ids.
+    ids: [u64; 3],
+    /// Cell-key requests seen after each of those three submissions.
+    cell_requests: [usize; 3],
+}
+
+/// Submits `probe` while the gate holds its run open, submits it again
+/// (coalesced), opens the gate, waits for the run, and submits it a
+/// third time (a cache hit).
+fn computed_coalesced_and_hit() -> ProbeRun {
+    let token = Arc::new(());
+    let gate = Gate::new(false);
+    let requests = Arc::new(AtomicUsize::new(0));
+    let handler = ProbeHandler {
+        gate: gate.clone(),
+        token: Arc::downgrade(&token),
+        cell_requests: Arc::clone(&requests),
+    };
+    let handle = Server::start(test_config(), handler).expect("server starts");
+    let addr = handle.addr();
+
+    let computed = post(addr, "/v1/runs", "probe");
+    assert!(computed.text().contains("\"queued\""), "{}", computed.text());
+    // The worker asks for the cell keys before it blocks in `run_cell`.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while requests.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the worker never asked for cell keys");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let after_run = requests.load(Ordering::SeqCst);
+
+    let coalesced = post(addr, "/v1/runs", "probe");
+    assert!(coalesced.text().contains("\"accepted\""), "{}", coalesced.text());
+    let after_coalesced = requests.load(Ordering::SeqCst);
+
+    gate.open();
+    wait_for_done(addr, json_u64(&computed.text(), "id"));
+    let cached = post(addr, "/v1/runs", "probe");
+    assert!(cached.text().contains("\"cached\":true"), "{}", cached.text());
+    let after_hit = requests.load(Ordering::SeqCst);
+
+    ProbeRun {
+        handle,
+        token,
+        ids: [&computed, &coalesced, &cached].map(|r| json_u64(&r.text(), "id")),
+        cell_requests: [after_run, after_coalesced, after_hit],
+    }
+}
+
+#[test]
+fn finished_cached_and_coalesced_jobs_keep_no_payload() {
+    let probe = computed_coalesced_and_hit();
+    assert_eq!(
+        Arc::strong_count(&probe.token),
+        1,
+        "a finished job record still holds its payload"
+    );
+    let addr = probe.handle.addr();
+    for id in probe.ids {
+        let status = get(addr, &format!("/v1/runs/{id}")).text();
+        assert!(status.contains("\"done\""), "job {id}: {status}");
+        let stream = get(addr, &format!("/v1/runs/{id}/stream"));
+        assert_eq!(stream.body, probe_output("probe"), "job {id}");
+    }
+    probe.handle.shutdown_and_wait();
+}
+
+#[test]
+fn only_a_run_expands_cells_never_a_hit_or_a_coalesced_duplicate() {
+    let probe = computed_coalesced_and_hit();
+    assert_eq!(probe.cell_requests, [1, 1, 1]);
+    probe.handle.shutdown_and_wait();
 }
