@@ -19,6 +19,13 @@
 //!
 //! Running the registry specs through the generic [`Runner`] must produce
 //! identical rows in both cases.
+//!
+//! `fixtures/{churn,burst,topoxl}_quick.jsonl` pin the quick `xp run
+//! <name> --json` bytes of the three count-level entries perfbench's
+//! counting-stream workload runs: their Stage-2 decisions take the BTRS
+//! binomial path and cross `sample_majority_splits`' exact-draw cap into
+//! the bulk split, which the n = 10⁴, ℓ = 3 count-level fixture never
+//! reaches.
 
 use noisy_bench::registry;
 use noisy_bench::runner::Runner;
@@ -26,6 +33,9 @@ use noisy_bench::Scale;
 
 const F2_PRE_REDESIGN: &str = include_str!("fixtures/f2_quick_pre_redesign.jsonl");
 const F5_PRE_REDESIGN: &str = include_str!("fixtures/f5_quick_pre_redesign.jsonl");
+const CHURN_QUICK: &str = include_str!("fixtures/churn_quick.jsonl");
+const BURST_QUICK: &str = include_str!("fixtures/burst_quick.jsonl");
+const TOPOXL_QUICK: &str = include_str!("fixtures/topoxl_quick.jsonl");
 
 fn registry_json(name: &str) -> String {
     let experiment = registry::find(name).expect("experiment is registered");
@@ -76,4 +86,15 @@ fn scale_spec_reproduces_the_bespoke_scale_numbers() {
          {\"n\":10000000,\"rounds\":4710,\"messages\":4.71e10,\"mean plurality share\":1.000,\
          \"success\":\"1/1 = 1.000 [0.207, 1.000]\"}\n"
     );
+}
+
+#[test]
+fn count_level_entries_reproduce_their_pinned_bytes() {
+    for (name, pinned) in [
+        ("churn", CHURN_QUICK),
+        ("burst", BURST_QUICK),
+        ("topoxl", TOPOXL_QUICK),
+    ] {
+        assert_eq!(registry_json(name), pinned, "quick `xp run {name} --json`");
+    }
 }

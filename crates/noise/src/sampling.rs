@@ -340,6 +340,90 @@ mod tests {
         }
     }
 
+    /// Counts the words drawn from the wrapped generator.
+    struct WordCounter {
+        rng: StdRng,
+        words: u64,
+    }
+
+    impl rand::RngCore for WordCounter {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.rng.next_u64()
+        }
+    }
+
+    fn counted(seed: u64) -> WordCounter {
+        WordCounter {
+            rng: StdRng::seed_from_u64(seed),
+            words: 0,
+        }
+    }
+
+    fn fnv_fold(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// 10 000 draws of `Binomial(n, p)` from seed 22, FNV-1a folded, and
+    /// the number of words they consumed: one case per dispatch path
+    /// (the edges, the complement, BINV, BTRS). The word count pins the
+    /// rejection loops' decisions, not only what they returned.
+    #[test]
+    fn binomial_stream_is_pinned() {
+        const PINS: [(u64, f64, u64, u64); 13] = [
+            (0, 0.3, 0xa6e4_f072_3147_f065, 0),
+            (100, 0.0, 0xa6e4_f072_3147_f065, 0),
+            (100, 1.0, 0x8ea3_8c1c_1207_5ca5, 0),
+            (129, 0.583, 0xeb05_6d0c_eb63_76b5, 25100),
+            (20, 0.9, 0xf176_8920_b618_abd1, 10000),
+            (129, 0.05, 0x319a_2031_25a6_e430, 10000),
+            (20, 0.2, 0x7216_557a_26ca_e910, 10000),
+            (99, 0.1, 0xdb2e_3c0f_beb5_a2a6, 10000),
+            (129, 0.417, 0xac81_8eb9_7e29_b115, 25100),
+            (54, 0.5, 0x8e16_c2a3_42ec_b1cb, 26282),
+            (885, 0.417, 0x7aba_1f0e_28ef_a8db, 23586),
+            (885, 0.208, 0x321f_622e_584e_f4b1, 23802),
+            (1_000_000, 0.37, 0xc6a0_3aa6_a332_c56e, 22652),
+        ];
+        for (n, p, digest, words) in PINS {
+            let mut rng = counted(22);
+            let mut h = FNV_OFFSET;
+            for _ in 0..10_000 {
+                h = fnv_fold(h, binomial(n, p, &mut rng));
+            }
+            assert_eq!((h, rng.words), (digest, words), "Binomial({n}, {p})");
+        }
+    }
+
+    /// 10 000 draws of `Multinomial(n, weights)` from seed 23, every count
+    /// FNV-1a folded, and the words consumed: a general case, weights whose
+    /// mass runs out before the last category, zero weights in front and
+    /// in the middle, `n = 0`, one category, and fractional weights.
+    #[test]
+    fn multinomial_stream_is_pinned() {
+        const PINS: [(u64, &[f64], u64, u64); 7] = [
+            (129, &[583.0, 208.0, 209.0], 0x819a_24d6_0bec_925f, 51306),
+            (129, &[3.0, 0.0, 0.0], 0x55c2_1f65_ef00_3fb5, 0),
+            (129, &[0.0, 5.0, 0.0, 0.0], 0xe277_57c4_ddab_eca5, 0),
+            (885, &[2.0, 0.0, 1.0], 0x877c_6cd6_7814_c841, 23676),
+            (0, &[1.0, 1.0], 0x0ed9_e7ee_21f2_0da5, 0),
+            (50, &[1.0], 0xf725_7fa7_7a57_de25, 0),
+            (1_000, &[0.1, 0.2, 0.3, 0.4], 0xd628_9b79_79f5_31b5, 71734),
+        ];
+        for (n, weights, digest, words) in PINS {
+            let mut rng = counted(23);
+            let mut h = FNV_OFFSET;
+            for _ in 0..10_000 {
+                for c in multinomial(n, weights, &mut rng) {
+                    h = fnv_fold(h, c);
+                }
+            }
+            assert_eq!((h, rng.words), (digest, words), "Multinomial({n}, {weights:?})");
+        }
+    }
+
     #[test]
     fn multinomial_edge_cases() {
         let mut rng = StdRng::seed_from_u64(41);

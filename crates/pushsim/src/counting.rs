@@ -567,6 +567,78 @@ mod tests {
         );
     }
 
+    /// Counts the words drawn from the wrapped generator.
+    struct WordCounter {
+        rng: StdRng,
+        words: u64,
+    }
+
+    impl rand::RngCore for WordCounter {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.rng.next_u64()
+        }
+    }
+
+    /// `sample_majority_splits` from seed 24 for each weight vector and
+    /// sample size ℓ: the splits of 0, 1, 10⁴ and 2·10⁵ switchers drawn
+    /// one after the other, every count FNV-1a folded, and the words
+    /// consumed. 2·10⁵ crosses `MAJORITY_EXACT_CAP` into the bulk split;
+    /// the weights include ties and zeros, and the word count pins the
+    /// tie-break word drawn even when one count leads.
+    #[test]
+    fn majority_splits_stream_is_pinned() {
+        const PINS: [(&[u64], u64, u64, u64); 28] = [
+            (&[583, 417], 1, 0xe70e_5635_50a1_f2ca, 151076),
+            (&[583, 417], 5, 0x8d51_7671_676e_ded2, 151076),
+            (&[583, 417], 129, 0x5f5e_7e4d_d8cf_12c8, 264721),
+            (&[583, 417], 885, 0xfce7_0416_8a19_aadc, 253441),
+            (&[1, 1], 1, 0x3bef_8b71_81e1_7dbc, 151076),
+            (&[1, 1], 5, 0x3bef_8b71_81e1_7dbc, 151076),
+            (&[1, 1], 129, 0x4a6b_b935_a742_2da4, 264117),
+            (&[1, 1], 885, 0x5f8d_f475_852c_c9d0, 253239),
+            (&[583, 208, 209], 1, 0x1722_2617_ce9b_460a, 182449),
+            (&[583, 208, 209], 5, 0x9672_82f5_9055_eb7e, 221665),
+            (&[583, 208, 209], 129, 0xef77_9827_8296_9432, 463145),
+            (&[583, 208, 209], 885, 0xef77_9827_8296_9432, 435985),
+            (&[400, 330, 270], 1, 0x9ce0_80ea_fec4_8e56, 196548),
+            (&[400, 330, 270], 5, 0x70f0_8392_85ee_89ca, 225847),
+            (&[400, 330, 270], 129, 0xd423_3016_f67a_dd34, 459123),
+            (&[400, 330, 270], 885, 0x947f_d230_22fe_a5da, 434389),
+            (&[0, 7, 7], 1, 0x4c74_f4c5_bc0c_2114, 151076),
+            (&[0, 7, 7], 5, 0x4c74_f4c5_bc0c_2114, 151076),
+            (&[0, 7, 7], 129, 0x7050_186f_f747_2834, 264117),
+            (&[0, 7, 7], 885, 0x7fc7_7184_2335_00c8, 253239),
+            (&[5, 0, 0], 1, 0xef77_9827_8296_9432, 75537),
+            (&[5, 0, 0], 5, 0xef77_9827_8296_9432, 75537),
+            (&[5, 0, 0], 129, 0xef77_9827_8296_9432, 75537),
+            (&[5, 0, 0], 885, 0xef77_9827_8296_9432, 75537),
+            (&[300, 0, 300, 200, 200], 1, 0x7fd6_1137_e51d_bf08, 234736),
+            (&[300, 0, 300, 200, 200], 5, 0xd9fc_01e0_59bf_0078, 296107),
+            (&[300, 0, 300, 200, 200], 129, 0xe260_c86b_740e_dca8, 658373),
+            (&[300, 0, 300, 200, 200], 885, 0x358f_9452_aab3_c4e2, 616599),
+        ];
+        for (weights, sample_size, digest, words) in PINS {
+            let mut rng = WordCounter {
+                rng: StdRng::seed_from_u64(24),
+                words: 0,
+            };
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for switchers in [0, 1, 10_000, 200_000] {
+                let splits = sample_majority_splits(switchers, sample_size, weights, &mut rng);
+                assert_eq!(splits.iter().sum::<u64>(), switchers);
+                for c in splits {
+                    h = (h ^ c).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                (h, rng.words),
+                (digest, words),
+                "weights {weights:?}, sample size {sample_size}"
+            );
+        }
+    }
+
     #[test]
     fn majority_splits_bulk_path_stays_close_to_exact() {
         // Push past MAJORITY_EXACT_CAP to exercise the estimated-pmf bulk.
