@@ -8,15 +8,26 @@
 //! samplers that make that reformulation O(k²) random draws per phase
 //! instead of O(messages):
 //!
-//! * [`binomial`] — exact `Binomial(n, p)`: BINV inversion for small
+//! * [`Binomial`] — exact `Binomial(n, p)`: BINV inversion for small
 //!   `n·p`, Hörmann's BTRS transformed-rejection algorithm (1993) for
 //!   large `n·p`. Both are exact samplers (BTRS is a rejection method, not
 //!   an approximation), so the batched delivery paths are distributionally
 //!   identical to per-message sampling — the property the
 //!   `tests/equivalence.rs` suite in `pushsim` checks empirically.
-//! * [`multinomial`] — decomposes `Multinomial(n, p)` into `k` conditional
-//!   binomials; the result always sums to exactly `n` (conservation of
-//!   messages by construction).
+//! * [`MultinomialPlan`] — decomposes `Multinomial(n, p)` into `k`
+//!   conditional binomials; a draw always sums to exactly `n`
+//!   (conservation of messages by construction).
+//!
+//! Each sampler is split into a set-up and a draw. [`Binomial::new`] does
+//! everything that depends on `(n, p)` alone — the edge cases, the
+//! `p > ½` complement, the choice of algorithm and its constants — and
+//! [`Binomial::sample`] runs only the per-draw loop. [`MultinomialPlan::new`]
+//! computes the chain of conditional probabilities from the weights alone;
+//! its draws go into a buffer the caller owns. A caller that draws many
+//! times from one law, such as the count-level Stage-2 decision (up to
+//! 65 536 compositions per decision), sets it up once. The one-off
+//! [`binomial`] and [`multinomial`] set up and draw in one call, and give
+//! the same values from the same random words.
 
 use rand::Rng;
 
@@ -76,99 +87,334 @@ fn stirling_tail(k: u64) -> f64 {
 
 /// BINV: sequential CDF inversion, exact, O(n·p) expected iterations.
 /// Requires `p ≤ 0.5` and moderate `n·p` (so `(1−p)^n` does not underflow).
-fn binomial_binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-    let q = 1.0 - p;
-    let s = p / q;
-    let a = (n as f64 + 1.0) * s;
-    let mut r = q.powf(n as f64);
-    let mut u: f64 = rng.gen();
-    let mut x = 0u64;
-    while u > r {
-        u -= r;
-        x += 1;
-        if x > n {
-            // Floating-point leakage past the support; retry the draw.
-            r = q.powf(n as f64);
-            u = rng.gen();
-            x = 0;
-            continue;
+#[derive(Debug, Clone)]
+struct Binv {
+    n: u64,
+    s: f64,
+    a: f64,
+    /// `(1−p)^n`, the probability of 0 and the start of every inversion.
+    r0: f64,
+}
+
+impl Binv {
+    fn new(n: u64, p: f64) -> Self {
+        let q = 1.0 - p;
+        let s = p / q;
+        let a = (n as f64 + 1.0) * s;
+        Binv {
+            n,
+            s,
+            a,
+            r0: q.powf(n as f64),
         }
-        r *= a / x as f64 - s;
     }
-    x
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let mut r = self.r0;
+        let mut u: f64 = rng.gen();
+        let mut x = 0u64;
+        while u > r {
+            u -= r;
+            x += 1;
+            if x > self.n {
+                // Floating-point leakage past the support; retry the draw.
+                r = self.r0;
+                u = rng.gen();
+                x = 0;
+                continue;
+            }
+            r *= self.a / x as f64 - self.s;
+        }
+        x
+    }
 }
 
 /// BTRS (Hörmann 1993): transformed rejection with squeeze. Exact, O(1)
 /// expected draws. Requires `p ≤ 0.5` and `n·p ≥ 10`.
-fn binomial_btrs<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-    let nf = n as f64;
-    let q = 1.0 - p;
-    let spq = (nf * p * q).sqrt();
-    let b = 1.15 + 2.53 * spq;
-    let a = -0.0873 + 0.0248 * b + 0.01 * p;
-    let c = nf * p + 0.5;
-    let v_r = 0.92 - 4.2 / b;
-    let r = p / q;
-    let alpha = (2.83 + 5.1 / b) * spq;
-    let m = ((nf + 1.0) * p).floor();
-    loop {
-        let u: f64 = rng.gen::<f64>() - 0.5;
-        let mut v: f64 = rng.gen();
-        let us = 0.5 - u.abs();
-        let kf = ((2.0 * a / us + b) * u + c).floor();
-        if kf < 0.0 || kf > nf {
-            continue;
+#[derive(Debug, Clone)]
+struct Btrs {
+    n: u64,
+    nf: f64,
+    b: f64,
+    a: f64,
+    c: f64,
+    v_r: f64,
+    r: f64,
+    alpha: f64,
+    m: f64,
+    /// The acceptance bound's three terms that depend on the mode `m`
+    /// alone: `(m+½)·ln((m+1)/(r(n−m+1)))`, `stirling_tail(m)` and
+    /// `stirling_tail(n−m)`. Kept apart, because the bound is one
+    /// left-to-right sum and pre-adding them would round differently.
+    t_m: f64,
+    st_m: f64,
+    st_n_m: f64,
+}
+
+impl Btrs {
+    fn new(n: u64, p: f64) -> Self {
+        let nf = n as f64;
+        let q = 1.0 - p;
+        let spq = (nf * p * q).sqrt();
+        let b = 1.15 + 2.53 * spq;
+        let a = -0.0873 + 0.0248 * b + 0.01 * p;
+        let c = nf * p + 0.5;
+        let v_r = 0.92 - 4.2 / b;
+        let r = p / q;
+        let alpha = (2.83 + 5.1 / b) * spq;
+        let m = ((nf + 1.0) * p).floor();
+        Btrs {
+            n,
+            nf,
+            b,
+            a,
+            c,
+            v_r,
+            r,
+            alpha,
+            m,
+            t_m: (m + 0.5) * ((m + 1.0) / (r * (nf - m + 1.0))).ln(),
+            st_m: stirling_tail(m as u64),
+            st_n_m: stirling_tail(n - m as u64),
         }
-        // Squeeze: accept the bulk without evaluating logarithms.
-        if us >= 0.07 && v <= v_r {
-            return kf as u64;
-        }
+    }
+
+    /// The log of the acceptance bound at the candidate `kf`, summed in
+    /// its one order.
+    fn log_bound(&self, kf: f64) -> f64 {
+        let (nf, m, r) = (self.nf, self.m, self.r);
         let k = kf as u64;
-        v = (v * alpha / (a / (us * us) + b)).ln();
-        let upper = (m + 0.5) * ((m + 1.0) / (r * (nf - m + 1.0))).ln()
+        self.t_m
             + (nf + 1.0) * ((nf - m + 1.0) / (nf - kf + 1.0)).ln()
             + (kf + 0.5) * (r * (nf - kf + 1.0) / (kf + 1.0)).ln()
-            + stirling_tail(m as u64)
-            + stirling_tail(n - m as u64)
+            + self.st_m
+            + self.st_n_m
             - stirling_tail(k)
-            - stirling_tail(n - k);
-        if v <= upper {
-            return k;
+            - stirling_tail(self.n - k)
+    }
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        loop {
+            let u: f64 = rng.gen::<f64>() - 0.5;
+            let mut v: f64 = rng.gen();
+            let us = 0.5 - u.abs();
+            let kf = ((2.0 * self.a / us + self.b) * u + self.c).floor();
+            if kf < 0.0 || kf > self.nf {
+                continue;
+            }
+            // Squeeze: accept the bulk without evaluating logarithms.
+            if us >= 0.07 && v <= self.v_r {
+                return kf as u64;
+            }
+            v = (v * self.alpha / (self.a / (us * us) + self.b)).ln();
+            if v <= self.log_bound(kf) {
+                return kf as u64;
+            }
         }
     }
 }
 
-/// An exact draw from `Binomial(n, p)`.
+#[derive(Debug, Clone)]
+enum Method {
+    /// Every draw is this value: 0 when `n = 0` or `p ≤ 0`, `n` when
+    /// `p ≥ 1`.
+    Constant(u64),
+    Binv(Binv),
+    Btrs(Btrs),
+}
+
+/// An exact `Binomial(n, p)` law, set up once and drawn from any number of
+/// times.
 ///
 /// Dispatch: trivial edges, then BINV for `n·min(p,q) < 10`, BTRS
 /// otherwise. Every path is an exact sampler.
+#[derive(Debug, Clone)]
+pub struct Binomial {
+    n: u64,
+    /// Draws come from `Binomial(n, 1 − p)` and are reflected (`p > ½`).
+    complement: bool,
+    method: Method,
+}
+
+impl Binomial {
+    /// Sets up `Binomial(n, p)`: everything that depends on `(n, p)`
+    /// alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN or outside `[0, 1]` by more than a rounding
+    /// slack.
+    pub fn new(n: u64, p: f64) -> Self {
+        assert!(
+            (-1e-9..=1.0 + 1e-9).contains(&p),
+            "binomial probability must be in [0, 1], got {p}"
+        );
+        let constant = |x| Binomial {
+            n,
+            complement: false,
+            method: Method::Constant(x),
+        };
+        if n == 0 || p <= 0.0 {
+            return constant(0);
+        }
+        if p >= 1.0 {
+            return constant(n);
+        }
+        let complement = p > 0.5;
+        let p = if complement { 1.0 - p } else { p };
+        let method = if n as f64 * p < 10.0 {
+            Method::Binv(Binv::new(n, p))
+        } else {
+            Method::Btrs(Btrs::new(n, p))
+        };
+        Binomial {
+            n,
+            complement,
+            method,
+        }
+    }
+
+    /// One exact draw.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let x = match &self.method {
+            Method::Constant(x) => return *x,
+            Method::Binv(law) => law.sample(rng),
+            Method::Btrs(law) => law.sample(rng),
+        };
+        if self.complement {
+            self.n - x
+        } else {
+            x
+        }
+    }
+}
+
+/// An exact draw from `Binomial(n, p)`: [`Binomial::new`] and one
+/// [`Binomial::sample`].
 ///
 /// # Panics
 ///
 /// Panics if `p` is NaN or outside `[0, 1]` by more than a rounding slack.
 pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-    assert!(
-        (-1e-9..=1.0 + 1e-9).contains(&p),
-        "binomial probability must be in [0, 1], got {p}"
-    );
-    if n == 0 || p <= 0.0 {
-        return 0;
+    Binomial::new(n, p).sample(rng)
+}
+
+/// `Multinomial(·, weights)` as a chain of conditional binomials, set up
+/// once from the weights and drawn from for any number of trials.
+///
+/// Step `j` of the chain draws category `j`'s count from
+/// `Binomial(remaining trials, p_j / remaining mass)`; the last category
+/// takes the trials still unassigned. `weights` need not be normalized;
+/// only the ratios matter.
+#[derive(Debug, Clone)]
+pub struct MultinomialPlan {
+    /// Step `j`'s probability `p_j / remaining mass`, clamped to `[0, 1]`.
+    /// The chain stops early once the remaining mass reaches 0.
+    conditionals: Vec<f64>,
+    categories: usize,
+    /// Whether the last category takes the trials still unassigned: false
+    /// when the mass ran out before it.
+    last_takes_rest: bool,
+    has_mass: bool,
+}
+
+impl MultinomialPlan {
+    /// Computes the chain of conditional probabilities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty or contains a negative or non-finite
+    /// weight.
+    pub fn new(weights: &[f64]) -> Self {
+        assert!(
+            !weights.is_empty(),
+            "multinomial needs at least one category"
+        );
+        let mut remaining_mass: f64 = weights
+            .iter()
+            .map(|&p| {
+                assert!(p.is_finite() && p >= 0.0, "invalid multinomial weight {p}");
+                p
+            })
+            .sum();
+        let has_mass = remaining_mass > 0.0;
+        let mut conditionals = Vec::with_capacity(weights.len() - 1);
+        let mut last_takes_rest = true;
+        for &pj in &weights[..weights.len() - 1] {
+            conditionals.push((pj / remaining_mass).clamp(0.0, 1.0));
+            remaining_mass = (remaining_mass - pj).max(0.0);
+            if remaining_mass == 0.0 {
+                // All residual mass was consumed (within rounding); any
+                // remaining trials stay at categories already handled, which
+                // can only happen through rounding on degenerate inputs.
+                last_takes_rest = false;
+                break;
+            }
+        }
+        MultinomialPlan {
+            conditionals,
+            categories: weights.len(),
+            last_takes_rest,
+            has_mass,
+        }
     }
-    if p >= 1.0 {
-        return n;
+
+    /// The chain's step probabilities, in category order: step `j` is
+    /// `Binomial(remaining trials, conditionals()[j])`.
+    pub fn conditionals(&self) -> &[f64] {
+        &self.conditionals
     }
-    if p > 0.5 {
-        return n - binomial(n, 1.0 - p, rng);
+
+    /// Draws `Multinomial(n, weights)` into `counts`, one slot per
+    /// category; the counts always sum to exactly `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights sum to zero while `n > 0`, or if `counts` does
+    /// not have one slot per category.
+    pub fn sample_into<R: Rng + ?Sized>(&self, n: u64, counts: &mut [u64], rng: &mut R) {
+        self.sample_with(n, counts, |step, remaining| {
+            binomial(remaining, self.conditionals[step], rng)
+        });
     }
-    if n as f64 * p < 10.0 {
-        binomial_binv(n, p, rng)
-    } else {
-        binomial_btrs(n, p, rng)
+
+    /// [`sample_into`](Self::sample_into) with each step's binomial drawn
+    /// by `draw(step, remaining)`, which must return a draw from
+    /// `Binomial(remaining, conditionals()[step])`: a caller that keeps
+    /// those laws set up across draws passes them in here. Steps run in
+    /// category order and stop once no trials remain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights sum to zero while `n > 0`, or if `counts` does
+    /// not have one slot per category.
+    pub fn sample_with(&self, n: u64, counts: &mut [u64], mut draw: impl FnMut(usize, u64) -> u64) {
+        assert!(
+            n == 0 || self.has_mass,
+            "multinomial weights must not all be zero"
+        );
+        assert_eq!(counts.len(), self.categories, "one count per category");
+        counts.fill(0);
+        let mut remaining = n;
+        for (step, count) in counts.iter_mut().take(self.conditionals.len()).enumerate() {
+            if remaining == 0 {
+                return;
+            }
+            let x = draw(step, remaining);
+            *count = x;
+            remaining -= x;
+        }
+        if self.last_takes_rest {
+            if let Some(last) = counts.last_mut() {
+                *last = remaining;
+            }
+        }
     }
 }
 
-/// An exact draw from `Multinomial(n, probs)` by conditional binomial
-/// decomposition. The returned counts always sum to exactly `n`.
+/// An exact draw from `Multinomial(n, probs)`: [`MultinomialPlan::new`]
+/// and one [`MultinomialPlan::sample_into`]. The returned counts always
+/// sum to exactly `n`.
 ///
 /// `probs` need not be normalized; only the ratios matter. Runs in `O(k)`
 /// binomial draws.
@@ -178,40 +424,9 @@ pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// Panics if `probs` is empty, contains a negative or non-finite weight, or
 /// sums to zero while `n > 0`.
 pub fn multinomial<R: Rng + ?Sized>(n: u64, probs: &[f64], rng: &mut R) -> Vec<u64> {
-    assert!(!probs.is_empty(), "multinomial needs at least one category");
-    let mut remaining_mass: f64 = probs
-        .iter()
-        .map(|&p| {
-            assert!(p.is_finite() && p >= 0.0, "invalid multinomial weight {p}");
-            p
-        })
-        .sum();
-    assert!(
-        n == 0 || remaining_mass > 0.0,
-        "multinomial weights must not all be zero"
-    );
+    let plan = MultinomialPlan::new(probs);
     let mut counts = vec![0u64; probs.len()];
-    let mut remaining = n;
-    for (j, &pj) in probs.iter().enumerate() {
-        if remaining == 0 {
-            break;
-        }
-        if j + 1 == probs.len() {
-            counts[j] = remaining;
-            break;
-        }
-        let conditional = (pj / remaining_mass).clamp(0.0, 1.0);
-        let draw = binomial(remaining, conditional, rng);
-        counts[j] = draw;
-        remaining -= draw;
-        remaining_mass = (remaining_mass - pj).max(0.0);
-        if remaining_mass == 0.0 {
-            // All residual mass was consumed (within rounding); any
-            // remaining trials stay at categories already handled, which
-            // can only happen through rounding on degenerate inputs.
-            break;
-        }
-    }
+    plan.sample_into(n, &mut counts, rng);
     counts
 }
 
@@ -397,6 +612,40 @@ mod tests {
         }
     }
 
+    /// BTRS's log acceptance bound at candidates below, at and above the
+    /// mode, as the bits the one-expression bound
+    /// `t_m + B(k) + C(k) + st(m) + st(n−m) − st(k) − st(n−k)` gave when
+    /// set-up and draw were still one function. A draw-level pin almost
+    /// never sees a one-ulp change of the bound (the draw must land within
+    /// that ulp of it), so this pins the summation order itself: adding
+    /// the three cached mode terms first changes 10 of these 13 values.
+    #[test]
+    fn btrs_bound_keeps_its_summation_order() {
+        const PINS: [(u64, f64, u64, u64); 13] = [
+            (129, 0.417, 30, 0xc023_1439_e182_dfe5),
+            (129, 0.417, 54, 0x3cec_0000_0000_0000),
+            (129, 0.417, 70, 0xc010_7ef2_e12d_476a),
+            (129, 0.417, 100, 0xc041_19ab_7084_e901),
+            (54, 0.5, 10, 0xc026_9cfb_85e5_77e9),
+            (54, 0.5, 27, 0x0000_0000_0000_0000),
+            (54, 0.5, 40, 0xc019_964e_7391_7434),
+            (885, 0.417, 300, 0xc026_9471_fdbe_89a8),
+            (885, 0.417, 369, 0xbd16_a002_0000_0000),
+            (885, 0.417, 450, 0xc02e_09ac_b530_8ca9),
+            (1_000_000, 0.37, 369_000, 0xc001_2974_5d66_94ea),
+            (1_000_000, 0.37, 370_000, 0x3d64_f780_0004_0000),
+            (1_000_000, 0.37, 371_500, 0xc013_4c30_a0d9_8cea),
+        ];
+        for (n, p, k, bits) in PINS {
+            let law = Btrs::new(n, p);
+            assert_eq!(
+                law.log_bound(k as f64).to_bits(),
+                bits,
+                "Binomial({n}, {p}) at k = {k}"
+            );
+        }
+    }
+
     /// 10 000 draws of `Multinomial(n, weights)` from seed 23, every count
     /// FNV-1a folded, and the words consumed: a general case, weights whose
     /// mass runs out before the last category, zero weights in front and
@@ -420,7 +669,11 @@ mod tests {
                     h = fnv_fold(h, c);
                 }
             }
-            assert_eq!((h, rng.words), (digest, words), "Multinomial({n}, {weights:?})");
+            assert_eq!(
+                (h, rng.words),
+                (digest, words),
+                "Multinomial({n}, {weights:?})"
+            );
         }
     }
 

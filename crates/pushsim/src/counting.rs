@@ -40,7 +40,7 @@
 //! processes, and `pushsim/tests/equivalence.rs` checks the agreement
 //! empirically against the agent-level backend.
 
-use noisy_channel::sampling::{binomial, multinomial};
+use noisy_channel::sampling::{binomial, multinomial, Binomial, MultinomialPlan};
 use rand::Rng;
 
 /// The post-noise per-opinion message totals `h_j` (Definition 4's
@@ -173,6 +173,46 @@ fn majority_index<R: Rng + ?Sized>(counts: &[u64], rng: &mut R) -> usize {
 /// switching to the estimated-pmf bulk path.
 const MAJORITY_EXACT_CAP: u64 = 65_536;
 
+/// How many `Binomial` laws one [`LawTable`] keeps.
+const LAW_SLOTS: usize = 64;
+
+/// The `Binomial(n, p)` laws of one step of a multinomial chain, set up on
+/// first use and kept for later draws: a bounded, direct-mapped table
+/// keyed by the trial count `n`, which is the tag of its slot `n mod 64`.
+///
+/// Within one decision a later step's `n` is the count still unassigned,
+/// which varies from draw to draw but clusters within a few standard
+/// deviations of its mean, so nearly every draw finds its law set up. The
+/// table stays at 64 laws whatever the sample size; a law per possible
+/// count would cost ≈ 100 KB per decision at ℓ = 885.
+struct LawTable {
+    p: f64,
+    /// The trial count each slot's law was set up for.
+    tags: [u64; LAW_SLOTS],
+    laws: Vec<Binomial>,
+}
+
+impl LawTable {
+    fn new(p: f64) -> Self {
+        // Every slot starts as the law of n = 0, its tag.
+        LawTable {
+            p,
+            tags: [0; LAW_SLOTS],
+            laws: vec![Binomial::new(0, p); LAW_SLOTS],
+        }
+    }
+
+    /// `Binomial(n, p)`, set up now unless its slot already holds it.
+    fn law(&mut self, n: u64) -> &Binomial {
+        let slot = (n % LAW_SLOTS as u64) as usize;
+        if self.tags[slot] != n {
+            self.tags[slot] = n;
+            self.laws[slot] = Binomial::new(n, self.p);
+        }
+        &self.laws[slot]
+    }
+}
+
 /// Distributes `count` iid draws of `maj(Multinomial(sample_size, weights))`
 /// over the opinions: the count-level form of Stage 2's sample-majority
 /// adoption (and of h-majority dynamics).
@@ -183,6 +223,17 @@ const MAJORITY_EXACT_CAP: u64 = 65_536;
 /// of the exact draws — a `O(1/√cap) ≈ 0.4%` perturbation of the adoption
 /// probabilities, far below the phase-level sampling noise at the
 /// population sizes where the cap binds.
+///
+/// A composition costs `k − 1` binomial draws and one tie-break word, so a
+/// decision costs up to 65 536 of them whatever `n` is. The laws are set
+/// up once per decision, not once per draw: the chain of conditional
+/// probabilities ([`MultinomialPlan`]) once, the first category's
+/// `Binomial(sample_size, ·)` once, and a later category's law, whose
+/// trial count is the count still unassigned, in a bounded table of 64
+/// laws per category.
+/// Every composition is drawn into one reused buffer. The draws, and the
+/// random words they consume, are those of one [`multinomial`] call per
+/// composition.
 ///
 /// Returns per-opinion adoption counts summing to exactly `count`.
 pub fn sample_majority_splits<R: Rng + ?Sized>(
@@ -197,9 +248,20 @@ pub fn sample_majority_splits<R: Rng + ?Sized>(
         return out;
     }
     let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+    let chain = MultinomialPlan::new(&weights_f);
+    // Step 0 always draws over `sample_size` trials, so its table holds
+    // that one law.
+    let mut laws: Vec<LawTable> = chain
+        .conditionals()
+        .iter()
+        .map(|&p| LawTable::new(p))
+        .collect();
+    let mut composition = vec![0u64; k];
     let exact = count.min(MAJORITY_EXACT_CAP);
     for _ in 0..exact {
-        let composition = multinomial(sample_size, &weights_f, rng);
+        chain.sample_with(sample_size, &mut composition, |step, remaining| {
+            laws[step].law(remaining).sample(rng)
+        });
         out[majority_index(&composition, rng)] += 1;
     }
     if count > exact {
