@@ -24,9 +24,11 @@ use crate::http::{self, ChunkedWriter, Limits, Parsed, Request};
 use crate::lru::LruCache;
 use crate::queue::BoundedQueue;
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -513,12 +515,20 @@ impl Write for JobWriter<'_> {
     }
 }
 
+/// Runs one job on the calling worker. A panic in the handler, or one
+/// `par_map` re-raises from its scoped threads, fails the job with the
+/// panic message and leaves the worker running: the server's own locks
+/// recover from poison, and the payload the panic may have left half
+/// updated is dropped here.
 fn run_job<H: JobHandler>(inner: &Inner<H>, job: &Job, mut payload: H::Job) {
     job.set_running();
-    let result = match inner.handler.cells(&mut payload) {
-        Some(cells) => run_cells(inner, job, &payload, &cells),
-        None => inner.handler.run(&payload, &mut JobWriter { job }),
-    };
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        match inner.handler.cells(&mut payload) {
+            Some(cells) => run_cells(inner, job, &payload, &cells),
+            None => inner.handler.run(&payload, &mut JobWriter { job }),
+        }
+    }))
+    .unwrap_or_else(|panic| Err(format!("the job panicked: {}", panic_message(&*panic))));
     // Dropped before the job turns terminal, so whoever sees it finished
     // sees its payload gone too.
     drop(payload);
@@ -538,6 +548,16 @@ fn run_job<H: JobHandler>(inner: &Inner<H>, job: &Job, mut payload: H::Job) {
         }
     }
     inner.retire(job);
+}
+
+/// The message a panic was raised with (`panic!` with a literal or with
+/// format arguments), or a stand-in for any other payload.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message")
 }
 
 fn run_cells<H: JobHandler>(

@@ -39,7 +39,9 @@ impl Gate {
 }
 
 /// Deterministic mock workload: three lines derived from the body;
-/// bodies starting with `fail` error instead.
+/// bodies starting with `fail` error instead, bodies starting with
+/// `panic` panic, and bodies starting with `scoped-panic` panic in a
+/// scoped thread, which `thread::scope` re-raises as `par_map` does.
 #[derive(Clone)]
 struct MockHandler {
     gate: Gate,
@@ -75,6 +77,14 @@ impl JobHandler for MockHandler {
         self.gate.wait();
         if job.starts_with("fail") {
             return Err(format!("job {job:?} exploded"));
+        }
+        if job.starts_with("panic") {
+            panic!("job {job:?} panicked on purpose");
+        }
+        if job.starts_with("scoped-panic") {
+            std::thread::scope(|scope| {
+                scope.spawn(|| panic!("a trial of {job:?} panicked on purpose"));
+            });
         }
         sink.write_all(&expected_output(job)).map_err(|e| e.to_string())
     }
@@ -261,6 +271,50 @@ fn failed_jobs_report_errors_on_status_and_stream() {
     assert!(status.text().contains("exploded"), "{}", status.text());
     let stream = get(addr, &format!("/v1/runs/{id}/stream"));
     assert_eq!(stream.status, 500, "{}", stream.text());
+    handle.shutdown_and_wait();
+}
+
+#[test]
+fn a_panicking_job_fails_and_its_worker_keeps_running() {
+    // One worker: had a panic taken it down, the last job would never run.
+    let config = ServerConfig {
+        workers: 1,
+        ..test_config()
+    };
+    let handle = start(config, Gate::new(true));
+    let addr = handle.addr();
+    for (body, message) in [
+        (
+            "panic-now",
+            "the job panicked: job \\\"panic-now\\\" panicked on purpose",
+        ),
+        ("scoped-panic", "the job panicked: a scoped thread panicked"),
+    ] {
+        let id = json_u64(&post(addr, "/v1/runs", body).text(), "id");
+        let status = wait_for_done(addr, id).text();
+        assert!(status.contains("\"failed\""), "{status}");
+        assert!(status.contains(message), "{status}");
+        let stream = get(addr, &format!("/v1/runs/{id}/stream"));
+        assert_eq!(stream.status, 500, "{}", stream.text());
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = get(addr, "/v1/stats").text();
+        if json_u64(&stats, "in_flight") == 0 {
+            assert_eq!(json_u64(&stats, "failed"), 2, "{stats}");
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "in_flight never returned to 0: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let id = json_u64(&post(addr, "/v1/runs", "after the panics").text(), "id");
+    assert!(wait_for_done(addr, id).text().contains("\"done\""));
+    let stream = get(addr, &format!("/v1/runs/{id}/stream"));
+    assert_eq!(stream.status, 200);
+    assert_eq!(stream.body, expected_output("after the panics"));
     handle.shutdown_and_wait();
 }
 
