@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the noise layer: per-message sampling,
-//! distribution application and the LP-based majority-preservation test.
+//! the exact binomial sampler's set-up and draw, distribution application
+//! and the LP-based majority-preservation test.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use noisy_channel::sampling::{binomial, Binomial};
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,6 +17,26 @@ fn bench_sampling(c: &mut Criterion) {
             let matrix = NoiseMatrix::uniform(k, 0.5 * (1.0 - 1.0 / k as f64)).expect("valid");
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| black_box(matrix.sample(black_box(k / 2), &mut rng)));
+        });
+    }
+    group.finish();
+}
+
+/// A one-off `binomial` (set-up and one draw per call) against one
+/// `Binomial::new` followed by repeated `sample`, on each algorithm's
+/// path: BTRS at the Stage-2 decision's (885, 0.417) and BINV at
+/// (129, 0.05).
+fn bench_binomial(c: &mut Criterion) {
+    let mut group = c.benchmark_group("noise_binomial");
+    for (path, n, p) in [("btrs_885", 885u64, 0.417f64), ("binv_129", 129, 0.05)] {
+        group.bench_function(format!("one_off_{path}"), |b| {
+            let mut rng = StdRng::seed_from_u64(2);
+            b.iter(|| black_box(binomial(black_box(n), black_box(p), &mut rng)));
+        });
+        group.bench_function(format!("set_up_once_{path}"), |b| {
+            let law = Binomial::new(n, p);
+            let mut rng = StdRng::seed_from_u64(2);
+            b.iter(|| black_box(law.sample(&mut rng)));
         });
     }
     group.finish();
@@ -55,6 +77,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_sampling, bench_apply, bench_mp_test
+    targets = bench_sampling, bench_binomial, bench_apply, bench_mp_test
 }
 criterion_main!(benches);

@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gossip_analysis::observe::TrajectoryRecorder;
 use noisy_channel::NoiseMatrix;
 use plurality_core::observe::{NoObserver, Observer, PhaseSnapshot};
+use pushsim::counting::sample_majority_splits;
 use pushsim::{
     CountingNetwork, DeliverySemantics, Network, Opinion, PhaseObservation, PushBackend,
     SimConfig, TopologySpec,
@@ -676,6 +677,27 @@ fn bench_temporal_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// One count-level Stage-2 decision at the exact-draw cap: 65 536
+/// compositions of `maj(Multinomial(ℓ, h/H))` over the post-noise mix
+/// `[583, 208, 209]` of a k = 3, ε = 0.25 run, at ℓ = 129 and ℓ = 885.
+fn bench_majority_decision(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pushsim_majority_decision");
+    for sample_size in [129u64, 885] {
+        group.bench_function(format!("ell_{sample_size}"), |b| {
+            let mut rng = StdRng::seed_from_u64(19);
+            b.iter(|| {
+                black_box(sample_majority_splits(
+                    65_536,
+                    black_box(sample_size),
+                    &[583, 208, 209],
+                    &mut rng,
+                ))
+            });
+        });
+    }
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -690,6 +712,7 @@ criterion_group! {
               bench_end_phase_per_message_vs_batched, bench_backend_scaling,
               bench_generic_vs_concrete_dispatch, bench_observer_dispatch,
               bench_topology_round, bench_topology_phase_scaling,
-              bench_fault_overhead, bench_temporal_overhead
+              bench_fault_overhead, bench_temporal_overhead,
+              bench_majority_decision
 }
 criterion_main!(benches);
