@@ -26,9 +26,10 @@
 //! * [`mp`] — the LP-based (ε, δ)-majority-preserving membership test of
 //!   Section 4, together with the closed-form sufficient condition of
 //!   Eq. (18);
-//! * [`sampling`] — exact binomial/multinomial samplers powering the
-//!   simulator's batched count-based delivery (one multinomial per opinion
-//!   row instead of one channel draw per message);
+//! * [`sampling`] — exact binomial/multinomial samplers, each split into
+//!   a set-up and a draw, powering the simulator's batched count-based
+//!   delivery (one multinomial per opinion row instead of one channel
+//!   draw per message) and the count-level Stage-2 decision;
 //! * [`NoiseSpec`] — a declarative, `k`-independent family-plus-parameters
 //!   description with a round-trippable textual form (`uniform(0.25)`,
 //!   `reset(0.4, 1)`, …), used by the experiment harness's scenario spec

@@ -230,10 +230,9 @@ impl LawTable {
 /// probabilities ([`MultinomialPlan`]) once, the first category's
 /// `Binomial(sample_size, ·)` once, and a later category's law, whose
 /// trial count is the count still unassigned, in a bounded table of 64
-/// laws per category.
-/// Every composition is drawn into one reused buffer. The draws, and the
-/// random words they consume, are those of one [`multinomial`] call per
-/// composition.
+/// laws per category. Every composition is drawn into one reused buffer.
+/// The draws, and the random words they consume, are those of one
+/// [`multinomial`] call per composition.
 ///
 /// Returns per-opinion adoption counts summing to exactly `count`.
 pub fn sample_majority_splits<R: Rng + ?Sized>(
