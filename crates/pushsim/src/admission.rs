@@ -217,7 +217,7 @@ pub enum CostModel {
     /// The term leaves out the Stage-2 decision, which costs up to 65 536
     /// compositions of `k − 1` binomial draws each whatever `n` is
     /// ([`sample_majority_splits`](crate::counting::sample_majority_splits)),
-    /// about 6–8 ms at k = 3. It stays k² on purpose, so that `Auto`'s
+    /// about 5.6–7.6 ms at k = 3. It stays k² on purpose, so that `Auto`'s
     /// picks do not move until the decision draws from its exact law and
     /// gets a cost term of its own.
     PerNoiseCell,
