@@ -25,7 +25,7 @@
 //! convergence time instead of the fixed schedule length.
 
 use crate::runner::{
-    axis_cells, axis_columns, expand_grid, point_counts, point_protocol, protocol_instance,
+    axis_cells, axis_names, expand_grid, point_counts, point_protocol, protocol_instance,
     run_protocol, stop_at_consensus, validate_counts, GridPoint,
 };
 use crate::spec::{ScenarioSpec, SpecError};
@@ -132,11 +132,7 @@ impl CampaignReport {
     /// `runs`, `fail` and the first failing seed (the value `--replay`
     /// takes) plus the oracle that tripped.
     pub fn to_table(&self) -> Table {
-        let mut headers: Vec<String> = axis_columns(&self.spec)
-            .iter()
-            .filter(|(_, shown)| *shown)
-            .map(|(name, _)| name.to_string())
-            .collect();
+        let mut headers = axis_names(&self.spec);
         if headers.is_empty() {
             headers.push("cell".to_string());
         }
@@ -399,18 +395,13 @@ fn execute_one(
 /// A short human label of one cell ("k=3 fault=drop(0.2)", or "cell 0"
 /// when nothing is swept).
 fn cell_label(spec: &ScenarioSpec, point: &GridPoint) -> String {
-    let cells = axis_cells(spec, point);
-    let names: Vec<&str> = axis_columns(spec)
-        .iter()
-        .filter(|(_, shown)| *shown)
-        .map(|(name, _)| *name)
-        .collect();
+    let names = axis_names(spec);
     if names.is_empty() {
         return format!("cell {}", point.index);
     }
     names
         .iter()
-        .zip(&cells)
+        .zip(axis_cells(spec, point))
         .map(|(name, value)| format!("{name}={value}"))
         .collect::<Vec<_>>()
         .join(" ")

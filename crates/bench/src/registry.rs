@@ -909,7 +909,7 @@ mod tests {
             // const × none is the undisturbed baseline cell.
             assert!(spec.sweep.schedule[0].is_const());
             assert!(spec.sweep.churn[0].is_none());
-            assert_eq!(spec.sweep.num_points(), 6, "3 schedules x 2 churns");
+            assert_eq!(spec.sweep.num_points(), Some(6), "3 schedules x 2 churns");
         }
     }
 

@@ -1,11 +1,11 @@
 //! Execution of [`ScenarioSpec`]s through the generic protocol/dynamics
 //! stack.
 //!
-//! A [`Runner`] expands a spec's sweep axes into a grid (Cartesian product,
-//! axis order `k`, `n`, `eps`, `bias`, `ell`, `delta`, `delivery`,
-//! `topology`, `fault`),
-//! executes every point for the requested number of trials on the
-//! requested [`ExecutionBackend`], and returns a structured [`RunReport`].
+//! A [`Runner`] expands a spec's sweep axes into a grid (their Cartesian
+//! product, in the order of the crate's one sweep-axis table, `AXES` in
+//! the `spec` module), executes every point for the requested number of
+//! trials on the requested [`ExecutionBackend`], and returns a structured
+//! [`RunReport`].
 //! [`RunReport::to_table`] renders the report; [`headers`] and
 //! [`point_rows`] render the same rows piecewise (the registry's variant
 //! tables, the streaming path and the service's cell cache).
@@ -33,7 +33,9 @@
 //! cell with [`derive_seed`] and are likewise deterministic in the base
 //! seed.
 
-use crate::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec, SpecError};
+use crate::spec::{
+    Axis, InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec, SpecError, AXES,
+};
 use crate::{biased_counts, run_trials, TrialSummary};
 use gossip_analysis::observe::{
     OnlineStats, StreamSink, TrajectoryRecorder, PHASES_HEADERS, TRAJECTORY_HEADERS,
@@ -65,7 +67,7 @@ const ADOPTION_SEED_SALT: u64 = 0x5AFE;
 
 /// One grid point of a sweep: the resolved parameter values and the point's
 /// position in the grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GridPoint {
     /// Index of the point in row order.
     pub index: usize,
@@ -199,40 +201,27 @@ impl RunReport {
     }
 }
 
-/// Which axes are swept (and hence shown as columns), in axis order.
-/// Trajectory rows already end with the canonical `topology` column
+/// The axes shown as columns, in grid order: the swept ones. Trajectory
+/// rows already end with the canonical `topology` column
 /// ([`TRAJECTORY_HEADERS`]), so a swept topology axis is suppressed there
 /// — otherwise every JSON row would carry two identical `topology` keys.
-pub(crate) fn axis_columns(spec: &ScenarioSpec) -> [(&'static str, bool); 12] {
-    let sweep = &spec.sweep;
-    [
-        ("k", !sweep.k.is_empty()),
-        ("n", !sweep.n.is_empty()),
-        ("eps", !sweep.eps.is_empty()),
-        ("bias", !sweep.bias.is_empty()),
-        ("ell", !sweep.ell.is_empty()),
-        ("delta", !sweep.delta.is_empty()),
-        ("delivery", !sweep.delivery.is_empty()),
-        (
-            "topology",
-            !sweep.topology.is_empty() && spec.observe != ObserveMode::Trajectory,
-        ),
-        ("fault", !sweep.fault.is_empty()),
-        ("churn", !sweep.churn.is_empty()),
-        ("schedule", !sweep.schedule.is_empty()),
-        ("clock", !sweep.clock.is_empty()),
-    ]
+fn shown_axes(spec: &ScenarioSpec) -> impl Iterator<Item = &'static Axis> + '_ {
+    AXES.iter().filter(move |axis| {
+        (axis.len)(&spec.sweep) > 0
+            && !(spec.observe == ObserveMode::Trajectory && axis.name == "topology")
+    })
+}
+
+/// The names of the shown axes: the first columns of a result row.
+pub(crate) fn axis_names(spec: &ScenarioSpec) -> Vec<String> {
+    shown_axes(spec).map(|axis| axis.name.to_string()).collect()
 }
 
 /// The full header row of a spec's result table (axis columns + data
 /// columns); shared by [`RunReport::to_table`] and the streaming path so
 /// streamed rows and the final table are byte-compatible.
 pub fn headers(spec: &ScenarioSpec) -> Vec<String> {
-    let mut headers: Vec<String> = axis_columns(spec)
-        .iter()
-        .filter(|(_, shown)| *shown)
-        .map(|(name, _)| name.to_string())
-        .collect();
+    let mut headers = axis_names(spec);
     match spec.observe {
         ObserveMode::Summary => {
             headers.extend(spec.effective_metrics().iter().map(|m| m.header().to_string()));
@@ -267,45 +256,7 @@ pub(crate) fn tracks_population(spec: &ScenarioSpec) -> bool {
 /// service's sweep-cell cache) re-render a point's rows byte-identically
 /// to the streaming path.
 pub fn axis_cells(spec: &ScenarioSpec, point: &GridPoint) -> Vec<String> {
-    let mut cells = Vec::new();
-    let axes = axis_columns(spec);
-    if axes[0].1 {
-        cells.push(point.k.to_string());
-    }
-    if axes[1].1 {
-        cells.push(point.n.to_string());
-    }
-    if axes[2].1 {
-        cells.push(format!("{}", point.eps));
-    }
-    if axes[3].1 {
-        cells.push(format!("{:.4}", point.bias.unwrap_or(f64::NAN)));
-    }
-    if axes[4].1 {
-        cells.push(point.ell.map_or_else(|| "-".to_string(), |e| e.to_string()));
-    }
-    if axes[5].1 {
-        cells.push(point.delta.map_or_else(|| "-".to_string(), |d| format!("{d}")));
-    }
-    if axes[6].1 {
-        cells.push(point.delivery.spec_name().to_string());
-    }
-    if axes[7].1 {
-        cells.push(point.topology.to_string());
-    }
-    if axes[8].1 {
-        cells.push(point.fault.to_string());
-    }
-    if axes[9].1 {
-        cells.push(point.churn.to_string());
-    }
-    if axes[10].1 {
-        cells.push(point.schedule.to_string());
-    }
-    if axes[11].1 {
-        cells.push(point.clock.to_string());
-    }
-    cells
+    shown_axes(spec).map(|axis| (axis.cell)(point)).collect()
 }
 
 /// All result rows of one executed point (one row for summaries, one per
@@ -577,12 +528,7 @@ impl Runner {
             let live = spec.observe == ObserveMode::Trajectory;
             let mut sink = stream.as_mut().filter(|_| live).map(|out| {
                 let (mut prefix_headers, mut prefix) =
-                    (Vec::new(), axis_cells(spec, &point));
-                for (name, shown) in axis_columns(spec) {
-                    if shown {
-                        prefix_headers.push(name.to_string());
-                    }
-                }
+                    (axis_names(spec), axis_cells(spec, &point));
                 if spec.trials > 1 {
                     prefix_headers.push("trial".to_string());
                     prefix.push(trial.to_string());
@@ -916,98 +862,30 @@ fn emit_rows<W: Write + ?Sized>(
     out.flush()
 }
 
-pub(crate) fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
-    if values.is_empty() {
-        vec![base]
-    } else {
-        values.to_vec()
-    }
-}
-
-/// Expands a spec's sweep axes into the full grid (Cartesian product, axis
-/// order `k`, `n`, `eps`, `bias`, `ell`, `delta`, `delivery`, `topology`,
-/// `fault`, `churn`, `schedule`, `clock`). Shared by the [`Runner`] and
-/// the campaign engine, so a
-/// campaign cell index addresses exactly the point the plain runner would
-/// execute at that index (and the scenario service's per-cell cache keys
-/// address exactly these points).
+/// Expands a spec's sweep axes into the full grid: the Cartesian product
+/// of the axes in the order of the crate's sweep-axis table (`AXES`), the
+/// last axis varying fastest. Shared by the [`Runner`] and the campaign
+/// engine, so a campaign cell index addresses exactly the point the plain
+/// runner would execute at that index (and the scenario service's
+/// per-cell cache keys address exactly these points).
 pub fn expand_grid(spec: &ScenarioSpec) -> Vec<GridPoint> {
-    let ks = non_empty_or(&spec.sweep.k, spec.k);
-    let ns = non_empty_or(&spec.sweep.n, spec.n);
-    let epss = non_empty_or(&spec.sweep.eps, spec.epsilon);
-    let base_bias = match spec.kind.init() {
-        Some(InitSpec::Biased { bias }) => Some(*bias),
-        _ => None,
-    };
-    let biases: Vec<Option<f64>> = if spec.sweep.bias.is_empty() {
-        vec![base_bias]
-    } else {
-        spec.sweep.bias.iter().map(|&b| Some(b)).collect()
-    };
-    let (base_ell, base_delta) = match spec.kind {
-        ScenarioKind::SampleMajorityGap { ell, delta } => (Some(ell), Some(delta)),
-        _ => (None, None),
-    };
-    let ells: Vec<Option<u64>> = if spec.sweep.ell.is_empty() {
-        vec![base_ell]
-    } else {
-        spec.sweep.ell.iter().map(|&e| Some(e)).collect()
-    };
-    let deltas: Vec<Option<f64>> = if spec.sweep.delta.is_empty() {
-        vec![base_delta]
-    } else {
-        spec.sweep.delta.iter().map(|&d| Some(d)).collect()
-    };
-    let deliveries = non_empty_or(&spec.sweep.delivery, spec.delivery);
-    let topologies = non_empty_or(&spec.sweep.topology, spec.topology);
-    let faults = non_empty_or(&spec.sweep.fault, spec.fault);
-    let churns = non_empty_or(&spec.sweep.churn, spec.churn);
-    let schedules = non_empty_or(&spec.sweep.schedule, spec.schedule);
-    let clocks = non_empty_or(&spec.sweep.clock, spec.clock);
-
+    let radices: Vec<usize> = AXES.iter().map(|axis| (axis.len)(&spec.sweep).max(1)).collect();
+    let mut digits = vec![0; AXES.len()];
     let mut points = Vec::new();
-    let mut index = 0usize;
-    for &k in &ks {
-        for &n in &ns {
-            for &eps in &epss {
-                for &bias in &biases {
-                    for &ell in &ells {
-                        for &delta in &deltas {
-                            for &delivery in &deliveries {
-                                for &topology in &topologies {
-                                    for &fault in &faults {
-                                        for &churn in &churns {
-                                            for &schedule in &schedules {
-                                                for &clock in &clocks {
-                                                    points.push(GridPoint {
-                                                        index,
-                                                        k,
-                                                        n,
-                                                        eps,
-                                                        bias,
-                                                        ell,
-                                                        delta,
-                                                        delivery,
-                                                        topology,
-                                                        fault,
-                                                        churn,
-                                                        schedule,
-                                                        clock,
-                                                    });
-                                                    index += 1;
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    loop {
+        let mut point = GridPoint { index: points.len(), ..GridPoint::default() };
+        for (axis, &digit) in AXES.iter().zip(&digits) {
+            (axis.set)(spec, digit, &mut point);
         }
+        points.push(point);
+        // Count up in mixed radix; the grid ends when every digit is at
+        // its last entry.
+        let Some(last) = (0..AXES.len()).rev().find(|&a| digits[a] + 1 < radices[a]) else {
+            return points;
+        };
+        digits[last] += 1;
+        digits[last + 1..].fill(0);
     }
-    points
 }
 
 /// Surfaces the protocol's own initial-counts validation as a recoverable

@@ -20,7 +20,7 @@
 //! suite assert this.
 
 use crate::runner::{self, GridPoint, Runner};
-use crate::spec::{InitSpec, ObserveMode, ScenarioKind, ScenarioSpec, SweepAxes};
+use crate::spec::{ObserveMode, ScenarioSpec, SweepAxes, AXES};
 use gossip_analysis::table::json_line;
 use noisy_serve::handler::{JobHandler, Plan};
 use std::io::Write;
@@ -44,29 +44,11 @@ pub fn cell_reuse_eligible(spec: &ScenarioSpec) -> bool {
 /// spelled its metrics out.
 pub fn cell_spec(spec: &ScenarioSpec, point: &GridPoint) -> ScenarioSpec {
     let mut cell = spec.clone();
+    for axis in &AXES {
+        (axis.pin)(&mut cell, point);
+    }
     cell.sweep = SweepAxes::default();
-    cell.k = point.k;
-    cell.n = point.n;
-    cell.epsilon = point.eps;
-    if !spec.sweep.eps.is_empty() {
-        cell.noise = spec.noise.with_epsilon(point.eps);
-    }
-    cell.delivery = point.delivery;
-    cell.topology = point.topology;
-    cell.fault = point.fault;
-    cell.churn = point.churn;
-    cell.schedule = point.schedule;
-    cell.clock = point.clock;
     cell.metrics = spec.effective_metrics();
-    if let Some(bias) = point.bias {
-        if let ScenarioKind::PluralityConsensus { init } | ScenarioKind::Stage2Only { init } =
-            &mut cell.kind
-        {
-            if let InitSpec::Biased { bias: base } = init {
-                *base = bias;
-            }
-        }
-    }
     cell
 }
 
@@ -151,8 +133,12 @@ impl JobHandler for SpecService {
     }
 
     fn render_cell(&self, job: &PlannedRun, index: usize, rows: &[Vec<String>]) -> String {
-        let prefix = runner::axis_cells(&job.spec, &job.cells[index].point);
         let mut out = String::new();
+        // The server renders only the cells `cells` listed.
+        let Some(cell) = job.cells.get(index) else {
+            return out;
+        };
+        let prefix = runner::axis_cells(&job.spec, &cell.point);
         for row in rows {
             let mut cells = prefix.clone();
             cells.extend(row.iter().cloned());

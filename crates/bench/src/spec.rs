@@ -76,7 +76,7 @@
 //! # }
 //! ```
 
-use crate::runner;
+use crate::runner::{self, GridPoint};
 use noisy_channel::{NoiseError, NoiseSpec};
 use opinion_dynamics::RuleSpec;
 use plurality_core::{ExecutionBackend, ProtocolConstants, ProtocolError, StopCondition};
@@ -115,6 +115,16 @@ pub enum InitSpec {
     },
     /// Explicit per-opinion counts (must have exactly `k` entries).
     Counts(Vec<usize>),
+}
+
+impl InitSpec {
+    /// The initial bias of a biased configuration.
+    fn bias(&self) -> Option<f64> {
+        match self {
+            InitSpec::Biased { bias } => Some(*bias),
+            InitSpec::Counts(_) => None,
+        }
+    }
 }
 
 /// What kind of execution a scenario performs.
@@ -216,12 +226,20 @@ impl ScenarioKind {
     fn is_dynamics(&self) -> bool {
         matches!(self, ScenarioKind::DynamicsRule { .. })
     }
+
+    /// The base sample size ℓ and bias δ of a `gap` scenario.
+    fn gap(&self) -> Option<(u64, f64)> {
+        match *self {
+            ScenarioKind::SampleMajorityGap { ell, delta } => Some((ell, delta)),
+            _ => None,
+        }
+    }
 }
 
 /// The sweep axes of a scenario: each non-empty axis contributes one output
 /// column and the grid is the Cartesian product of all non-empty axes, in
-/// the fixed order `k`, `n`, `eps`, `bias`, `ell`, `delta`, `delivery`,
-/// `topology`, `fault`, `churn`, `schedule`, `clock`.
+/// the order of the crate's one sweep-axis table (`AXES`, the order of
+/// these fields).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepAxes {
     /// Opinion counts to sweep (`sweep.k = 2, 3, 5`).
@@ -264,38 +282,216 @@ pub struct SweepAxes {
 }
 
 impl SweepAxes {
-    /// True if no axis is swept (the run is a single grid point).
-    pub fn is_empty(&self) -> bool {
-        self.k.is_empty()
-            && self.n.is_empty()
-            && self.eps.is_empty()
-            && self.bias.is_empty()
-            && self.ell.is_empty()
-            && self.delta.is_empty()
-            && self.delivery.is_empty()
-            && self.topology.is_empty()
-            && self.fault.is_empty()
-            && self.churn.is_empty()
-            && self.schedule.is_empty()
-            && self.clock.is_empty()
-    }
-
-    /// Number of grid points (product of non-empty axis lengths).
-    pub fn num_points(&self) -> usize {
-        self.k.len().max(1)
-            * self.n.len().max(1)
-            * self.eps.len().max(1)
-            * self.bias.len().max(1)
-            * self.ell.len().max(1)
-            * self.delta.len().max(1)
-            * self.delivery.len().max(1)
-            * self.topology.len().max(1)
-            * self.fault.len().max(1)
-            * self.churn.len().max(1)
-            * self.schedule.len().max(1)
-            * self.clock.len().max(1)
+    /// Number of grid points (product of non-empty axis lengths), or
+    /// `None` if the product overflows `usize`.
+    pub fn num_points(&self) -> Option<usize> {
+        AXES.iter()
+            .try_fold(1usize, |points, axis| points.checked_mul((axis.len)(self).max(1)))
     }
 }
+
+/// The most grid points a spec may sweep. The largest registry grid has
+/// 90 points; 65 536 points take about 19 MB to expand.
+pub const MAX_GRID_POINTS: usize = 65_536;
+
+/// The scenario kinds that run the full protocol.
+const PROTOCOL: &[&str] = &["rumor", "plurality", "stage2"];
+
+/// One sweep axis: how the spec text spells its list, which kinds take
+/// it, how a grid point reads it and how a result row shows it.
+pub(crate) struct Axis {
+    /// The axis name: the column header, and `sweep.<name>` is its key.
+    pub(crate) name: &'static str,
+    /// The scenario kinds (by [`ScenarioKind::name`]) that may sweep the
+    /// axis or move its base value off the default.
+    kinds: &'static [&'static str],
+    /// Whether the spec moved the base value off its default; always
+    /// false for the axes whose base value every kind may set.
+    moved: fn(&ScenarioSpec) -> bool,
+    /// The number of entries of the spec's list (0 when not swept).
+    pub(crate) len: fn(&SweepAxes) -> usize,
+    /// The list as the spec text spells it.
+    print: fn(&SweepAxes) -> String,
+    /// Reads the list from the spec text.
+    parse: fn(&mut SweepAxes, &ListText<'_>) -> Result<(), SpecError>,
+    /// Sets a grid point's value to list entry `i`, or to the spec's base
+    /// value when the list has no entry `i` (the axis is not swept).
+    pub(crate) set: fn(&ScenarioSpec, usize, &mut GridPoint),
+    /// The point's cell in a result row.
+    pub(crate) cell: fn(&GridPoint) -> String,
+    /// Makes the point's value the base value of a single-point spec.
+    pub(crate) pin: fn(&mut ScenarioSpec, &GridPoint),
+}
+
+/// The twelve sweep axes, in grid order: the grid is their Cartesian
+/// product with the last axis varying fastest, and a row's axis columns
+/// follow this order.
+pub(crate) const AXES: [Axis; 12] = [
+    Axis {
+        name: "k",
+        kinds: &["rumor", "plurality", "stage2", "dynamics", "gap"],
+        moved: |_| false,
+        len: |axes| axes.k.len(),
+        print: |axes| join(&axes.k),
+        parse: |axes, list| list.parse().map(|k| axes.k = k),
+        set: |spec, i, point| point.k = spec.sweep.k.get(i).copied().unwrap_or(spec.k),
+        cell: |point| point.k.to_string(),
+        pin: |cell, point| cell.k = point.k,
+    },
+    Axis {
+        name: "n",
+        kinds: &["rumor", "plurality", "stage2", "dynamics"],
+        moved: |_| false,
+        len: |axes| axes.n.len(),
+        print: |axes| join(&axes.n),
+        parse: |axes, list| list.parse().map(|n| axes.n = n),
+        set: |spec, i, point| point.n = spec.sweep.n.get(i).copied().unwrap_or(spec.n),
+        cell: |point| point.n.to_string(),
+        pin: |cell, point| cell.n = point.n,
+    },
+    Axis {
+        name: "eps",
+        kinds: &["rumor", "plurality", "stage2", "dynamics"],
+        moved: |_| false,
+        len: |axes| axes.eps.len(),
+        print: |axes| join(&axes.eps),
+        parse: |axes, list| list.parse().map(|eps| axes.eps = eps),
+        set: |spec, i, point| point.eps = spec.sweep.eps.get(i).copied().unwrap_or(spec.epsilon),
+        cell: |point| point.eps.to_string(),
+        // Sweeping ε re-parameterizes ε-families of noise too.
+        pin: |cell, point| {
+            cell.epsilon = point.eps;
+            if !cell.sweep.eps.is_empty() {
+                cell.noise = cell.noise.with_epsilon(point.eps);
+            }
+        },
+    },
+    Axis {
+        name: "bias",
+        kinds: &["plurality", "stage2", "dynamics"],
+        moved: |_| false,
+        len: |axes| axes.bias.len(),
+        print: |axes| join(&axes.bias),
+        parse: |axes, list| list.parse().map(|bias| axes.bias = bias),
+        set: |spec, i, point| {
+            let base = spec.kind.init().and_then(InitSpec::bias);
+            point.bias = spec.sweep.bias.get(i).copied().or(base);
+        },
+        cell: |point| format!("{:.4}", point.bias.unwrap_or(f64::NAN)),
+        pin: |cell, point| {
+            if let ScenarioKind::PluralityConsensus { init: InitSpec::Biased { bias } }
+            | ScenarioKind::Stage2Only { init: InitSpec::Biased { bias } } = &mut cell.kind
+            {
+                *bias = point.bias.unwrap_or(*bias);
+            }
+        },
+    },
+    // The gap axes pin nothing: gap specs never split into cells (see
+    // `service::cell_reuse_eligible`).
+    Axis {
+        name: "ell",
+        kinds: &["gap"],
+        moved: |_| false,
+        len: |axes| axes.ell.len(),
+        print: |axes| join(&axes.ell),
+        parse: |axes, list| list.parse().map(|ell| axes.ell = ell),
+        set: |spec, i, point| {
+            let base = spec.kind.gap().map(|(ell, _)| ell);
+            point.ell = spec.sweep.ell.get(i).copied().or(base);
+        },
+        cell: |point| point.ell.map_or_else(|| "-".to_string(), |ell| ell.to_string()),
+        pin: |_, _| {},
+    },
+    Axis {
+        name: "delta",
+        kinds: &["gap"],
+        moved: |_| false,
+        len: |axes| axes.delta.len(),
+        print: |axes| join(&axes.delta),
+        parse: |axes, list| list.parse().map(|delta| axes.delta = delta),
+        set: |spec, i, point| {
+            let base = spec.kind.gap().map(|(_, delta)| delta);
+            point.delta = spec.sweep.delta.get(i).copied().or(base);
+        },
+        cell: |point| point.delta.map_or_else(|| "-".to_string(), |delta| delta.to_string()),
+        pin: |_, _| {},
+    },
+    Axis {
+        name: "delivery",
+        kinds: &["phase"],
+        moved: |_| false,
+        len: |axes| axes.delivery.len(),
+        print: |axes| {
+            let names: Vec<&str> = axes.delivery.iter().map(|d| d.spec_name()).collect();
+            names.join(", ")
+        },
+        parse: |axes, list| list.parse().map(|delivery| axes.delivery = delivery),
+        set: |spec, i, point| {
+            point.delivery = spec.sweep.delivery.get(i).copied().unwrap_or(spec.delivery);
+        },
+        cell: |point| point.delivery.spec_name().to_string(),
+        pin: |cell, point| cell.delivery = point.delivery,
+    },
+    Axis {
+        name: "topology",
+        kinds: &["rumor", "plurality", "stage2", "dynamics", "phase"],
+        moved: |spec| !spec.topology.is_complete(),
+        len: |axes| axes.topology.len(),
+        print: |axes| join(&axes.topology),
+        parse: |axes, list| list.parse().map(|topology| axes.topology = topology),
+        set: |spec, i, point| {
+            point.topology = spec.sweep.topology.get(i).copied().unwrap_or(spec.topology);
+        },
+        cell: |point| point.topology.to_string(),
+        pin: |cell, point| cell.topology = point.topology,
+    },
+    Axis {
+        name: "fault",
+        kinds: PROTOCOL,
+        moved: |spec| !spec.fault.is_none(),
+        len: |axes| axes.fault.len(),
+        print: |axes| join(&axes.fault),
+        parse: |axes, list| list.parse().map(|fault| axes.fault = fault),
+        set: |spec, i, point| point.fault = spec.sweep.fault.get(i).copied().unwrap_or(spec.fault),
+        cell: |point| point.fault.to_string(),
+        pin: |cell, point| cell.fault = point.fault,
+    },
+    Axis {
+        name: "churn",
+        kinds: PROTOCOL,
+        moved: |spec| !spec.churn.is_none(),
+        len: |axes| axes.churn.len(),
+        print: |axes| join(&axes.churn),
+        parse: |axes, list| list.parse().map(|churn| axes.churn = churn),
+        set: |spec, i, point| point.churn = spec.sweep.churn.get(i).copied().unwrap_or(spec.churn),
+        cell: |point| point.churn.to_string(),
+        pin: |cell, point| cell.churn = point.churn,
+    },
+    Axis {
+        name: "schedule",
+        kinds: PROTOCOL,
+        moved: |spec| !spec.schedule.is_const(),
+        len: |axes| axes.schedule.len(),
+        print: |axes| join(&axes.schedule),
+        parse: |axes, list| list.parse().map(|schedule| axes.schedule = schedule),
+        set: |spec, i, point| {
+            point.schedule = spec.sweep.schedule.get(i).copied().unwrap_or(spec.schedule);
+        },
+        cell: |point| point.schedule.to_string(),
+        pin: |cell, point| cell.schedule = point.schedule,
+    },
+    Axis {
+        name: "clock",
+        kinds: PROTOCOL,
+        moved: |spec| !spec.clock.is_sync(),
+        len: |axes| axes.clock.len(),
+        print: |axes| join(&axes.clock),
+        parse: |axes, list| list.parse().map(|clock| axes.clock = clock),
+        set: |spec, i, point| point.clock = spec.sweep.clock.get(i).copied().unwrap_or(spec.clock),
+        cell: |point| point.clock.to_string(),
+        pin: |cell, point| cell.clock = point.clock,
+    },
+];
 
 /// A result column a scenario can report.
 ///
@@ -362,90 +558,55 @@ pub enum Metric {
     Adopt0,
 }
 
+/// Every metric with its spec-file name and its column header, in
+/// canonical order.
+const METRICS: [(Metric, &str, &str); 23] = [
+    (Metric::Success, "success", "success"),
+    (Metric::Rounds, "rounds", "rounds"),
+    (Metric::RoundsNorm, "rounds_norm", "rounds / (ln n / eps^2)"),
+    (Metric::Messages, "messages", "messages"),
+    (Metric::Stage1Bias, "stage1_bias", "stage-1 bias"),
+    (Metric::Stage1BiasNorm, "stage1_bias_norm", "stage-1 bias / threshold"),
+    (Metric::MemoryBits, "memory_bits", "memory bits/node"),
+    (Metric::MemoryBitsNorm, "memory_bits_norm", "memory bits / (log log n + log 1/eps)"),
+    (Metric::Consensus, "consensus", "exact consensus"),
+    (Metric::Correct, "correct", "correct plurality"),
+    (Metric::Share, "share", "mean plurality share"),
+    (Metric::MpMargin, "mp_margin", "LP margin"),
+    (Metric::MpMaxEps, "mp_max_eps", "max eps"),
+    (Metric::MpHolds, "mp_holds", "m.p.?"),
+    (Metric::Gap, "gap", "measured gap"),
+    (Metric::GapBound, "gap_bound", "Prop.1 bound"),
+    (Metric::GapExact, "gap_exact", "exact (k=2)"),
+    (Metric::GapHolds, "gap_holds", "bound holds"),
+    (Metric::TotalReceived, "total_received", "total received"),
+    (Metric::MeanReceived, "mean_received", "mean recv/node"),
+    (Metric::VarReceived, "var_received", "var recv/node"),
+    (Metric::FracReceived, "frac_received", "frac >=1 msg"),
+    (Metric::Adopt0, "adopt0", "adopters of opinion 0"),
+];
+
 impl Metric {
     /// All metrics, in canonical order.
-    pub const ALL: [Metric; 23] = [
-        Metric::Success,
-        Metric::Rounds,
-        Metric::RoundsNorm,
-        Metric::Messages,
-        Metric::Stage1Bias,
-        Metric::Stage1BiasNorm,
-        Metric::MemoryBits,
-        Metric::MemoryBitsNorm,
-        Metric::Consensus,
-        Metric::Correct,
-        Metric::Share,
-        Metric::MpMargin,
-        Metric::MpMaxEps,
-        Metric::MpHolds,
-        Metric::Gap,
-        Metric::GapBound,
-        Metric::GapExact,
-        Metric::GapHolds,
-        Metric::TotalReceived,
-        Metric::MeanReceived,
-        Metric::VarReceived,
-        Metric::FracReceived,
-        Metric::Adopt0,
-    ];
+    pub const ALL: [Metric; 23] = {
+        let mut all = [Metric::Success; 23];
+        let mut i = 0;
+        while i < all.len() {
+            // xlint: allow(panic-path) — evaluated while compiling: an index out of bounds fails the build, not a request
+            all[i] = METRICS[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// The spec-file name of the metric (`metrics = success, rounds, …`).
     pub fn spec_name(self) -> &'static str {
-        match self {
-            Metric::Success => "success",
-            Metric::Rounds => "rounds",
-            Metric::RoundsNorm => "rounds_norm",
-            Metric::Messages => "messages",
-            Metric::Stage1Bias => "stage1_bias",
-            Metric::Stage1BiasNorm => "stage1_bias_norm",
-            Metric::MemoryBits => "memory_bits",
-            Metric::MemoryBitsNorm => "memory_bits_norm",
-            Metric::Consensus => "consensus",
-            Metric::Correct => "correct",
-            Metric::Share => "share",
-            Metric::MpMargin => "mp_margin",
-            Metric::MpMaxEps => "mp_max_eps",
-            Metric::MpHolds => "mp_holds",
-            Metric::Gap => "gap",
-            Metric::GapBound => "gap_bound",
-            Metric::GapExact => "gap_exact",
-            Metric::GapHolds => "gap_holds",
-            Metric::TotalReceived => "total_received",
-            Metric::MeanReceived => "mean_received",
-            Metric::VarReceived => "var_received",
-            Metric::FracReceived => "frac_received",
-            Metric::Adopt0 => "adopt0",
-        }
+        METRICS.iter().find(|row| row.0 == self).map_or("", |row| row.1)
     }
 
     /// The table column header of the metric.
     pub fn header(self) -> &'static str {
-        match self {
-            Metric::Success => "success",
-            Metric::Rounds => "rounds",
-            Metric::RoundsNorm => "rounds / (ln n / eps^2)",
-            Metric::Messages => "messages",
-            Metric::Stage1Bias => "stage-1 bias",
-            Metric::Stage1BiasNorm => "stage-1 bias / threshold",
-            Metric::MemoryBits => "memory bits/node",
-            Metric::MemoryBitsNorm => "memory bits / (log log n + log 1/eps)",
-            Metric::Consensus => "exact consensus",
-            Metric::Correct => "correct plurality",
-            Metric::Share => "mean plurality share",
-            Metric::MpMargin => "LP margin",
-            Metric::MpMaxEps => "max eps",
-            Metric::MpHolds => "m.p.?",
-            Metric::Gap => "measured gap",
-            Metric::GapBound => "Prop.1 bound",
-            Metric::GapExact => "exact (k=2)",
-            Metric::GapHolds => "bound holds",
-            Metric::TotalReceived => "total received",
-            Metric::MeanReceived => "mean recv/node",
-            Metric::VarReceived => "var recv/node",
-            Metric::FracReceived => "frac >=1 msg",
-            Metric::Adopt0 => "adopters of opinion 0",
-        }
+        METRICS.iter().find(|row| row.0 == self).map_or("", |row| row.2)
     }
 
     /// True if a dynamics scenario can report this metric.
@@ -480,7 +641,7 @@ impl Metric {
     }
 
     fn from_spec_name(s: &str) -> Option<Metric> {
-        Metric::ALL.into_iter().find(|m| m.spec_name() == s)
+        METRICS.iter().find(|row| row.1 == s).map(|row| row.0)
     }
 }
 
@@ -681,6 +842,7 @@ impl ScenarioSpec {
         if self.trials == 0 {
             return Err(SpecError::Invalid("trials must be at least 1".into()));
         }
+        self.validate_axes()?;
         let ks = if self.sweep.k.is_empty() {
             std::slice::from_ref(&self.k)
         } else {
@@ -699,13 +861,6 @@ impl ScenarioSpec {
                 return Err(SpecError::Invalid(format!(
                     "source opinion {source} is out of range for k = {bad}"
                 )));
-            }
-            if !self.sweep.bias.is_empty() {
-                return Err(SpecError::Invalid(
-                    "sweep.bias applies only to scenarios with an initial configuration \
-                     (plurality, stage2, dynamics)"
-                        .into(),
-                ));
             }
         }
         if let Some(init) = self.kind.init() {
@@ -760,51 +915,41 @@ impl ScenarioSpec {
                 self.kind.name()
             )));
         }
-        self.validate_kind_specific_axes()?;
+        self.validate_kind_parameters()?;
         self.validate_network_axes()?;
         self.validate_observe_and_stop()?;
         self.validate_grid()
     }
 
-    /// Checks which kinds may set the network axes: the topology applies to
-    /// every kind that simulates a network, faults and the temporal axes
-    /// to protocol kinds only. Also rejects two combinations with no
-    /// observable effect: a crash scheduled after the run's round budget,
-    /// and a ramp schedule next to an ε sweep.
-    fn validate_network_axes(&self) -> Result<(), SpecError> {
-        let simulates = self.kind.is_protocol()
-            || self.kind.is_dynamics()
-            || matches!(self.kind, ScenarioKind::PhaseStats { .. });
-        if !simulates && (!self.topology.is_complete() || !self.sweep.topology.is_empty()) {
+    /// Refuses a grid of more than [`MAX_GRID_POINTS`] points before
+    /// anything expands it, and an axis swept, or a base value moved off
+    /// its default, in a kind that does not take it.
+    fn validate_axes(&self) -> Result<(), SpecError> {
+        if self.sweep.num_points().filter(|&points| points <= MAX_GRID_POINTS).is_none() {
             return Err(SpecError::Invalid(format!(
-                "topology applies only to scenarios that simulate a network, not {}",
-                self.kind.name()
+                "the sweep has more than {MAX_GRID_POINTS} grid points"
             )));
         }
-        let faults = runner::non_empty_or(&self.sweep.fault, self.fault);
-        let schedules = runner::non_empty_or(&self.sweep.schedule, self.schedule);
-        if !self.kind.is_protocol() {
-            if !self.fault.is_none() || !self.sweep.fault.is_empty() {
-                return Err(SpecError::Invalid(format!(
-                    "fault / sweep.fault apply only to protocol scenarios \
-                     (rumor, plurality, stage2), not {}",
-                    self.kind.name()
-                )));
-            }
-            let temporal = !self.churn.is_none()
-                || !self.schedule.is_const()
-                || !self.clock.is_sync()
-                || !self.sweep.churn.is_empty()
-                || !self.sweep.schedule.is_empty()
-                || !self.sweep.clock.is_empty();
-            if temporal {
-                return Err(SpecError::Invalid(format!(
-                    "churn / schedule / clock apply only to protocol scenarios \
-                     (rumor, plurality, stage2), not {}",
-                    self.kind.name()
-                )));
-            }
+        let kind = self.kind.name();
+        for axis in AXES.iter().filter(|axis| !axis.kinds.contains(&kind)) {
+            let key = if (axis.len)(&self.sweep) > 0 {
+                format!("sweep.{}", axis.name)
+            } else if (axis.moved)(self) {
+                axis.name.to_string()
+            } else {
+                continue;
+            };
+            return Err(SpecError::Invalid(format!("{key} does not apply to {kind} scenarios")));
         }
+        Ok(())
+    }
+
+    /// Rejects two network-axis combinations with no observable effect: a
+    /// crash scheduled after the run's round budget, and a ramp schedule
+    /// next to an ε sweep.
+    fn validate_network_axes(&self) -> Result<(), SpecError> {
+        let faults = non_empty_or(&self.sweep.fault, self.fault);
+        let schedules = non_empty_or(&self.sweep.schedule, self.schedule);
         if let Some(max_rounds) = self.stop.max_rounds {
             // Completing phase s takes at least s + 1 rounds (every phase
             // runs at least one round), so a crash scheduled after phase s
@@ -850,10 +995,10 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Rejects sweep axes on kinds that cannot interpret them, and a
-    /// dynamics budget shorter than one step of its rule (which would run
-    /// nothing).
-    fn validate_kind_specific_axes(&self) -> Result<(), SpecError> {
+    /// Rejects kind parameters out of range: a gap ℓ or δ, an h-majority
+    /// of h = 0, and round budgets that would run nothing (a phase of no
+    /// rounds, a dynamics budget shorter than one step of its rule).
+    fn validate_kind_parameters(&self) -> Result<(), SpecError> {
         let sweep = &self.sweep;
         if let ScenarioKind::DynamicsRule { rule, rounds, .. } = &self.kind {
             if *rule == (RuleSpec::HMajority { h: 0 }) {
@@ -868,16 +1013,6 @@ impl ScenarioSpec {
         }
         match &self.kind {
             ScenarioKind::SampleMajorityGap { ell, delta } => {
-                if !sweep.n.is_empty() || !sweep.eps.is_empty() || !sweep.bias.is_empty() {
-                    return Err(SpecError::Invalid(
-                        "gap scenarios sweep only k, ell and delta".into(),
-                    ));
-                }
-                if !sweep.delivery.is_empty() {
-                    return Err(SpecError::Invalid(
-                        "sweep.delivery applies only to phase scenarios".into(),
-                    ));
-                }
                 let ells = if sweep.ell.is_empty() {
                     std::slice::from_ref(ell)
                 } else {
@@ -899,37 +1034,12 @@ impl ScenarioSpec {
                     )));
                 }
             }
-            ScenarioKind::PhaseStats { rounds, .. } => {
-                if *rounds == 0 {
-                    return Err(SpecError::Invalid(
-                        "phase scenarios need at least one round".into(),
-                    ));
-                }
-                if !sweep.ell.is_empty() || !sweep.delta.is_empty() {
-                    return Err(SpecError::Invalid(
-                        "sweep.ell / sweep.delta apply only to gap scenarios".into(),
-                    ));
-                }
-                if !sweep.k.is_empty() || !sweep.n.is_empty() || !sweep.eps.is_empty()
-                    || !sweep.bias.is_empty()
-                {
-                    return Err(SpecError::Invalid(
-                        "phase scenarios sweep only the delivery process".into(),
-                    ));
-                }
+            ScenarioKind::PhaseStats { rounds: 0, .. } => {
+                return Err(SpecError::Invalid(
+                    "phase scenarios need at least one round".into(),
+                ));
             }
-            _ => {
-                if !sweep.ell.is_empty() || !sweep.delta.is_empty() {
-                    return Err(SpecError::Invalid(
-                        "sweep.ell / sweep.delta apply only to gap scenarios".into(),
-                    ));
-                }
-                if !sweep.delivery.is_empty() {
-                    return Err(SpecError::Invalid(
-                        "sweep.delivery applies only to phase scenarios".into(),
-                    ));
-                }
-            }
+            _ => {}
         }
         Ok(())
     }
@@ -1040,47 +1150,13 @@ impl ScenarioSpec {
         line("seed", self.seed.to_string());
         let defaults = ProtocolConstants::default();
         for name in ProtocolConstants::FIELD_NAMES {
-            let value = self.constants.get(name).expect("listed field");
-            if value != defaults.get(name).expect("listed field") {
+            let moved = self.constants.get(name).filter(|&v| Some(v) != defaults.get(name));
+            if let Some(value) = moved {
                 line(&format!("constants.{name}"), value.to_string());
             }
         }
-        if !self.sweep.k.is_empty() {
-            line("sweep.k", join(&self.sweep.k));
-        }
-        if !self.sweep.n.is_empty() {
-            line("sweep.n", join(&self.sweep.n));
-        }
-        if !self.sweep.eps.is_empty() {
-            line("sweep.eps", join(&self.sweep.eps));
-        }
-        if !self.sweep.bias.is_empty() {
-            line("sweep.bias", join(&self.sweep.bias));
-        }
-        if !self.sweep.ell.is_empty() {
-            line("sweep.ell", join(&self.sweep.ell));
-        }
-        if !self.sweep.delta.is_empty() {
-            line("sweep.delta", join(&self.sweep.delta));
-        }
-        if !self.sweep.delivery.is_empty() {
-            let names: Vec<&str> = self.sweep.delivery.iter().map(|d| d.spec_name()).collect();
-            line("sweep.delivery", names.join(", "));
-        }
-        if !self.sweep.topology.is_empty() {
-            line("sweep.topology", join(&self.sweep.topology));
-        }
-        if !self.sweep.fault.is_empty() {
-            line("sweep.fault", join(&self.sweep.fault));
-        }
-        if !self.sweep.churn.is_empty() {
-            line("sweep.churn", join(&self.sweep.churn));
-        }
-        if !self.sweep.schedule.is_empty() {
-            line("sweep.schedule", join(&self.sweep.schedule));
-        }
-        if !self.sweep.clock.is_empty() {
-            line("sweep.clock", join(&self.sweep.clock));
+        for axis in AXES.iter().filter(|axis| (axis.len)(&self.sweep) > 0) {
+            line(&format!("sweep.{}", axis.name), (axis.print)(&self.sweep));
         }
         if !self.metrics.is_empty() {
             line("metrics", join(&self.metrics));
@@ -1209,26 +1285,21 @@ impl ScenarioSpec {
                     line,
                     message: format!("malformed number {value:?} for {key}"),
                 })?;
-                assert!(constants.set(name, value), "FIELD_NAMES entries are settable");
+                if !constants.set(name, value) {
+                    return Err(SpecError::Parse { line, message: format!("unknown key {key:?}") });
+                }
             }
         }
 
         let trials = take_parsed(&mut map, "trials")?.unwrap_or(1);
         let seed = take_parsed(&mut map, "seed")?.unwrap_or(0);
-        let sweep = SweepAxes {
-            k: take_list(&mut map, "sweep.k")?,
-            n: take_list(&mut map, "sweep.n")?,
-            eps: take_list(&mut map, "sweep.eps")?,
-            bias: take_list(&mut map, "sweep.bias")?,
-            ell: take_list(&mut map, "sweep.ell")?,
-            delta: take_list(&mut map, "sweep.delta")?,
-            delivery: take_list(&mut map, "sweep.delivery")?,
-            topology: take_list(&mut map, "sweep.topology")?,
-            fault: take_list(&mut map, "sweep.fault")?,
-            churn: take_list(&mut map, "sweep.churn")?,
-            schedule: take_list(&mut map, "sweep.schedule")?,
-            clock: take_list(&mut map, "sweep.clock")?,
-        };
+        let mut sweep = SweepAxes::default();
+        for axis in &AXES {
+            let key = format!("sweep.{}", axis.name);
+            if let Some((line, value)) = map.remove(key.as_str()) {
+                (axis.parse)(&mut sweep, &ListText { key: &key, line, value })?;
+            }
+        }
         let observe = {
             let trajectory: bool =
                 take_parsed(&mut map, "observe.trajectory")?.unwrap_or(false);
@@ -1324,6 +1395,14 @@ fn init_lines(line: &mut impl FnMut(&str, String), init: &InitSpec) {
     }
 }
 
+fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
+    if values.is_empty() {
+        vec![base]
+    } else {
+        values.to_vec()
+    }
+}
+
 fn join<T: fmt::Display>(values: &[T]) -> String {
     values
         .iter()
@@ -1362,8 +1441,36 @@ where
     }
 }
 
-/// Takes a comma-separated list; an entry's parse error is kept after
-/// the entry and the key.
+/// A comma-separated list value of the spec text, with its key and line.
+struct ListText<'a> {
+    key: &'a str,
+    line: usize,
+    value: &'a str,
+}
+
+impl ListText<'_> {
+    /// Parses every entry; an entry's parse error is kept after the entry
+    /// and the key.
+    fn parse<T>(&self) -> Result<Vec<T>, SpecError>
+    where
+        T: std::str::FromStr,
+        T::Err: fmt::Display,
+    {
+        self.value
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(|s| {
+                s.parse().map_err(|e: T::Err| SpecError::Parse {
+                    line: self.line,
+                    message: format!("malformed list entry {s:?} for {}: {e}", self.key),
+                })
+            })
+            .collect()
+    }
+}
+
+/// Takes a comma-separated list.
 fn take_list<T>(map: &mut RawMap<'_>, key: &'static str) -> Result<Vec<T>, SpecError>
 where
     T: std::str::FromStr,
@@ -1371,17 +1478,7 @@ where
 {
     match map.remove(key) {
         None => Ok(Vec::new()),
-        Some((line, value)) => value
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse().map_err(|e: T::Err| SpecError::Parse {
-                    line,
-                    message: format!("malformed list entry {s:?} for {key}: {e}"),
-                })
-            })
-            .collect(),
+        Some((line, value)) => ListText { key, line, value }.parse(),
     }
 }
 
@@ -1532,7 +1629,7 @@ mod tests {
         ];
         let parsed = ScenarioSpec::from_text(&spec.to_text()).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(parsed.sweep.num_points(), 9, "3 eps x 3 topologies");
+        assert_eq!(parsed.sweep.num_points(), Some(9), "3 eps x 3 topologies");
 
         // The key parses from a raw file too.
         let spec = ScenarioSpec::from_text(
@@ -1604,7 +1701,7 @@ mod tests {
         ];
         let parsed = ScenarioSpec::from_text(&spec.to_text()).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(parsed.sweep.num_points(), 9, "3 eps x 3 faults");
+        assert_eq!(parsed.sweep.num_points(), Some(9), "3 eps x 3 faults");
 
         // The key parses from a raw file too.
         let spec = ScenarioSpec::from_text(
@@ -1683,7 +1780,7 @@ mod tests {
             vec![NoiseSchedule::Const, "step(0.4@2)".parse().unwrap()];
         let parsed = ScenarioSpec::from_text(&spec.to_text()).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(parsed.sweep.num_points(), 18, "3 eps x 3 churns x 2 schedules");
+        assert_eq!(parsed.sweep.num_points(), Some(18), "3 eps x 3 churns x 2 schedules");
 
         // The keys parse from a raw file too.
         let spec = ScenarioSpec::from_text(
@@ -1966,10 +2063,44 @@ mod tests {
     #[test]
     fn sweep_axes_count_points() {
         let mut axes = SweepAxes::default();
-        assert!(axes.is_empty());
-        assert_eq!(axes.num_points(), 1);
+        assert_eq!(axes.num_points(), Some(1));
         axes.k = vec![2, 3];
         axes.eps = vec![0.1, 0.2, 0.3];
-        assert_eq!(axes.num_points(), 6);
+        assert_eq!(axes.num_points(), Some(6));
+    }
+
+    #[test]
+    fn a_grid_over_the_cap_is_refused_before_it_is_expanded() {
+        let refused = |spec: &ScenarioSpec| {
+            matches!(spec.validate(), Err(SpecError::Invalid(m)) if m.contains("more than 65536"))
+        };
+        // 257 × 256 points, one row of 256 over the cap; one ε fewer
+        // fills it exactly.
+        let mut spec = rumor_spec();
+        spec.sweep.eps = (0..257).map(|i| 0.1 + f64::from(i) * 1e-3).collect();
+        spec.sweep.n = (1_000..1_256).collect();
+        assert_eq!(spec.sweep.num_points(), Some(MAX_GRID_POINTS + 256));
+        assert!(refused(&spec));
+        spec.sweep.eps.pop();
+        assert_eq!(spec.sweep.num_points(), Some(MAX_GRID_POINTS));
+        assert!(spec.validate().is_ok());
+        // 2¹⁶ entries on each of four axes name 2⁶⁴ points: the product
+        // overflows, and expanding the grid would never end.
+        let mut spec = rumor_spec();
+        let entries = 1 << 16;
+        spec.sweep.k = vec![2; entries];
+        spec.sweep.n = vec![1_000; entries];
+        spec.sweep.eps = vec![0.2; entries];
+        spec.sweep.topology = vec![TopologySpec::Complete; entries];
+        assert_eq!(spec.sweep.num_points(), None);
+        assert!(refused(&spec));
+    }
+
+    #[test]
+    fn the_metric_table_keeps_declaration_order_and_inverts_names() {
+        for (index, metric) in Metric::ALL.into_iter().enumerate() {
+            assert_eq!(metric as usize, index, "{metric}");
+            assert_eq!(Metric::from_spec_name(metric.spec_name()), Some(metric));
+        }
     }
 }

@@ -49,7 +49,7 @@ fn spec_backed_experiments_expose_valid_specs_at_both_scales() {
                 spec.validate().unwrap_or_else(|e| {
                     panic!("{} {label} spec invalid at {scale:?}: {e}", experiment.name)
                 });
-                assert!(spec.sweep.num_points() >= 1);
+                assert!(spec.sweep.num_points().is_some_and(|points| points >= 1));
             }
         }
     }

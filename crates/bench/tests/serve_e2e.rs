@@ -185,6 +185,39 @@ fn specs_failing_admission_are_refused_and_the_worker_stays_free() {
     handle.shutdown_and_wait();
 }
 
+/// Two 3 000-entry sweeps name 9·10⁶ grid points, which would take 2.4 GB
+/// to expand. The spec is refused at POST time with a 400 that gives the
+/// reason, before anything expands its grid: the server lives on and the
+/// next job completes.
+#[test]
+fn an_oversized_grid_is_refused_at_post_and_the_next_job_completes() {
+    let eps: Vec<String> = (1..=3_000).map(|i| format!("{:.4}", f64::from(i) * 1e-4)).collect();
+    let ns: Vec<String> = (1_000..4_000).map(|n: u32| n.to_string()).collect();
+    let oversized = format!(
+        "scenario = rumor\nn = 1000\nk = 2\nbackend = agent\nsweep.eps = {}\nsweep.n = {}\n",
+        eps.join(","),
+        ns.join(","),
+    );
+    let handle = Server::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        SpecService,
+    )
+    .expect("server starts");
+    let addr = handle.addr();
+    let response =
+        http::request(addr, "POST", "/v1/runs", oversized.as_bytes()).expect("submit completes");
+    assert_eq!(response.status, 400, "{}", response.text());
+    assert!(response.text().contains("more than 65536 grid points"), "{}", response.text());
+
+    let next = submit(addr, "scenario = rumor\nn = 256\nk = 2\nepsilon = 0.3\nseed = 3\n");
+    wait_for_done(addr, json_u64(&next.text(), "id"));
+    handle.shutdown_and_wait();
+}
+
 /// Polls `path` until its body contains `needle` (two minutes at most).
 fn wait_for(addr: SocketAddr, path: &str, needle: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(120);
