@@ -13,7 +13,8 @@ pub enum Rule {
     RngDiscipline,
     /// R3: `HashMap`/`HashSet` where iteration order could leak out.
     MapOrder,
-    /// R4: panic paths in the service's request handling.
+    /// R4: panic paths in the service's request handling and the spec
+    /// parsing it runs.
     PanicPath,
     /// R5: `unsafe` without an adjacent `// SAFETY:` comment.
     SafetyComment,

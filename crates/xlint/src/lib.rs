@@ -26,7 +26,7 @@
 //! | R1   | determinism-source  | no clocks/OS entropy in deterministic code             |
 //! | R2   | rng-discipline      | RNG construction references the run seed               |
 //! | R3   | map-order           | no hash-order containers in production code            |
-//! | R4   | panic-path          | no unwrap/expect/panics/indexing in `noisy-serve`      |
+//! | R4   | panic-path          | no unwrap/expect/panics/indexing on untrusted input    |
 //! | R5   | safety-comment      | every `unsafe` carries a `// SAFETY:` comment          |
 //! | R6   | forbid-coverage     | crate roots carry `#![forbid(unsafe_code)]`            |
 //! | W1/W2| waiver hygiene      | pragmas parse, carry reasons, and suppress something   |

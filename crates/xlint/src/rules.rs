@@ -230,14 +230,20 @@ fn line_starts_use(code: &Code<'_>, line: u32) -> bool {
 const PANIC_MACROS: [&str; 6] =
     ["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq"];
 
+/// The files outside `crates/serve` that read untrusted spec text: the
+/// spec parser and validator, and the service's job handler.
+const SPEC_READERS: [&str; 2] = ["crates/bench/src/spec.rs", "crates/bench/src/service.rs"];
+
 /// R4: panic paths in the service.
 ///
-/// Applies to production code of `crates/serve` only: a worker or
-/// connection thread that panics on untrusted bytes is a remote DoS,
-/// so `unwrap`/`expect`, panicking macros, and bounds-checked
-/// indexing are all forbidden there. Test modules are exempt.
+/// Applies to production code of `crates/serve` and of the
+/// [`SPEC_READERS`]: a worker or connection thread that panics on
+/// untrusted bytes is a remote DoS, so `unwrap`/`expect`, panicking
+/// macros, and bounds-checked indexing are all forbidden there. Test
+/// modules are exempt.
 fn panic_path(ctx: &FileContext, code: &Code<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.crate_name != "serve" || ctx.role != FileRole::Prod {
+    let untrusted = ctx.crate_name == "serve" || SPEC_READERS.contains(&ctx.path.as_str());
+    if !untrusted || ctx.role != FileRole::Prod {
         return;
     }
     for i in 0..code.toks.len() {

@@ -75,6 +75,20 @@ fn serve_panics_only_apply_to_serve() {
 }
 
 #[test]
+fn serve_panics_apply_to_the_bench_files_that_read_spec_text() {
+    // The spec parser and the service's job handler read untrusted spec
+    // text for the server, so R4 covers them; the rest of the bench
+    // crate runs only validated specs.
+    let src = include_str!("fixtures/bad/serve_panics.rs");
+    let want = [("R4", 4), ("R4", 5), ("R4", 6), ("R4", 8)];
+    expect("crates/bench/src/spec.rs", src, &want);
+    expect("crates/bench/src/service.rs", src, &want);
+    for path in ["crates/bench/src/runner.rs", "crates/bench/src/bin/xp.rs"] {
+        assert_eq!(findings(path, src), vec![], "{path}");
+    }
+}
+
+#[test]
 fn bad_unsafe_unaudited() {
     expect(
         "crates/serve/src/unsafe_unaudited.rs",
