@@ -294,9 +294,6 @@ impl SweepAxes {
 /// 90 points; 65 536 points take about 19 MB to expand.
 pub const MAX_GRID_POINTS: usize = 65_536;
 
-/// The scenario kinds that run the full protocol.
-const PROTOCOL: &[&str] = &["rumor", "plurality", "stage2"];
-
 /// One sweep axis: how the spec text spells its list, which kinds take
 /// it, how a grid point reads it and how a result row shows it.
 pub(crate) struct Axis {
@@ -447,7 +444,7 @@ pub(crate) const AXES: [Axis; 12] = [
     },
     Axis {
         name: "fault",
-        kinds: PROTOCOL,
+        kinds: &["rumor", "plurality", "stage2"],
         moved: |spec| !spec.fault.is_none(),
         len: |axes| axes.fault.len(),
         print: |axes| join(&axes.fault),
@@ -458,7 +455,7 @@ pub(crate) const AXES: [Axis; 12] = [
     },
     Axis {
         name: "churn",
-        kinds: PROTOCOL,
+        kinds: &["rumor", "plurality", "stage2"],
         moved: |spec| !spec.churn.is_none(),
         len: |axes| axes.churn.len(),
         print: |axes| join(&axes.churn),
@@ -469,7 +466,7 @@ pub(crate) const AXES: [Axis; 12] = [
     },
     Axis {
         name: "schedule",
-        kinds: PROTOCOL,
+        kinds: &["rumor", "plurality", "stage2"],
         moved: |spec| !spec.schedule.is_const(),
         len: |axes| axes.schedule.len(),
         print: |axes| join(&axes.schedule),
@@ -482,7 +479,7 @@ pub(crate) const AXES: [Axis; 12] = [
     },
     Axis {
         name: "clock",
-        kinds: PROTOCOL,
+        kinds: &["rumor", "plurality", "stage2"],
         moved: |spec| !spec.clock.is_sync(),
         len: |axes| axes.clock.len(),
         print: |axes| join(&axes.clock),
