@@ -323,7 +323,7 @@ pub(crate) struct Axis {
 /// The twelve sweep axes, in grid order: the grid is their Cartesian
 /// product with the last axis varying fastest, and a row's axis columns
 /// follow this order.
-pub(crate) const AXES: [Axis; 12] = [
+pub(crate) static AXES: [Axis; 12] = [
     Axis {
         name: "k",
         kinds: &["rumor", "plurality", "stage2", "dynamics", "gap"],
