@@ -869,23 +869,30 @@ fn emit_rows<W: Write + ?Sized>(
 /// runner would execute at that index (and the scenario service's
 /// per-cell cache keys address exactly these points).
 pub fn expand_grid(spec: &ScenarioSpec) -> Vec<GridPoint> {
-    let radices: Vec<usize> = AXES.iter().map(|axis| (axis.len)(&spec.sweep).max(1)).collect();
-    let mut digits = vec![0; AXES.len()];
-    let mut points = Vec::new();
-    loop {
-        let mut point = GridPoint { index: points.len(), ..GridPoint::default() };
-        for (axis, &digit) in AXES.iter().zip(&digits) {
-            (axis.set)(spec, digit, &mut point);
-        }
-        points.push(point);
-        // Count up in mixed radix; the grid ends when every digit is at
-        // its last entry.
-        let Some(last) = (0..AXES.len()).rev().find(|&a| digits[a] + 1 < radices[a]) else {
-            return points;
-        };
-        digits[last] += 1;
-        digits[last + 1..].fill(0);
+    let mut point = GridPoint::default();
+    for axis in &AXES {
+        (axis.set)(spec, 0, &mut point);
     }
+    // The axes with more than one entry, each with its length and the
+    // entry the point holds.
+    let mut digits: Vec<(&Axis, usize, usize)> = AXES
+        .iter()
+        .map(|axis| (axis, (axis.len)(&spec.sweep), 0))
+        .filter(|&(_, len, _)| len > 1)
+        .collect();
+    let mut points = vec![point];
+    // Count up in mixed radix: step the last digit with an entry left,
+    // wrap the ones after it, and set the point's value of each axis that
+    // moved. The grid ends when every digit is at its last entry.
+    while let Some(next) = digits.iter().rposition(|&(_, len, entry)| entry + 1 < len) {
+        for (i, (axis, _, entry)) in digits.iter_mut().enumerate().skip(next) {
+            *entry = if i == next { *entry + 1 } else { 0 };
+            (axis.set)(spec, *entry, &mut point);
+        }
+        point.index = points.len();
+        points.push(point);
+    }
+    points
 }
 
 /// Surfaces the protocol's own initial-counts validation as a recoverable
