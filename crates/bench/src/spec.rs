@@ -587,11 +587,12 @@ impl Metric {
     /// All metrics, in canonical order.
     pub const ALL: [Metric; 23] = {
         let mut all = [Metric::Success; 23];
-        let mut i = 0;
-        while i < all.len() {
-            // xlint: allow(panic-path) — evaluated while compiling: an index out of bounds fails the build, not a request
-            all[i] = METRICS[i].0;
-            i += 1;
+        let (mut rows, mut slots): (&[(Metric, &str, &str)], &mut [Metric]) = (&METRICS, &mut all);
+        while let (Some((row, rest)), Some((slot, free))) =
+            (rows.split_first(), slots.split_first_mut())
+        {
+            *slot = row.0;
+            (rows, slots) = (rest, free);
         }
         all
     };
@@ -840,11 +841,7 @@ impl ScenarioSpec {
             return Err(SpecError::Invalid("trials must be at least 1".into()));
         }
         self.validate_axes()?;
-        let ks = if self.sweep.k.is_empty() {
-            std::slice::from_ref(&self.k)
-        } else {
-            &self.sweep.k
-        };
+        let ks = swept_or(&self.sweep.k, &self.k);
         // Gap points build no network, so no admission checks their k.
         if let (ScenarioKind::SampleMajorityGap { .. }, Some(&bad)) =
             (&self.kind, ks.iter().find(|&&k| k < 2))
@@ -863,11 +860,7 @@ impl ScenarioSpec {
         if let Some(init) = self.kind.init() {
             match init {
                 InitSpec::Biased { bias } => {
-                    let biases = if self.sweep.bias.is_empty() {
-                        std::slice::from_ref(bias)
-                    } else {
-                        &self.sweep.bias
-                    };
+                    let biases = swept_or(&self.sweep.bias, bias);
                     if let Some(&bad) =
                         biases.iter().find(|b| !(0.0..1.0).contains(*b) || !b.is_finite())
                     {
@@ -945,8 +938,8 @@ impl ScenarioSpec {
     /// crash scheduled after the run's round budget, and a ramp schedule
     /// next to an ε sweep.
     fn validate_network_axes(&self) -> Result<(), SpecError> {
-        let faults = non_empty_or(&self.sweep.fault, self.fault);
-        let schedules = non_empty_or(&self.sweep.schedule, self.schedule);
+        let faults = swept_or(&self.sweep.fault, &self.fault);
+        let schedules = swept_or(&self.sweep.schedule, &self.schedule);
         if let Some(max_rounds) = self.stop.max_rounds {
             // Completing phase s takes at least s + 1 rounds (every phase
             // runs at least one round), so a crash scheduled after phase s
@@ -1010,19 +1003,11 @@ impl ScenarioSpec {
         }
         match &self.kind {
             ScenarioKind::SampleMajorityGap { ell, delta } => {
-                let ells = if sweep.ell.is_empty() {
-                    std::slice::from_ref(ell)
-                } else {
-                    &sweep.ell
-                };
+                let ells = swept_or(&sweep.ell, ell);
                 if ells.contains(&0) {
                     return Err(SpecError::Invalid("ell must be at least 1".into()));
                 }
-                let deltas = if sweep.delta.is_empty() {
-                    std::slice::from_ref(delta)
-                } else {
-                    &sweep.delta
-                };
+                let deltas = swept_or(&sweep.delta, delta);
                 if let Some(&bad) =
                     deltas.iter().find(|d| !(0.0..1.0).contains(*d) || !d.is_finite())
                 {
@@ -1392,11 +1377,13 @@ fn init_lines(line: &mut impl FnMut(&str, String), init: &InitSpec) {
     }
 }
 
-fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
+/// The values an axis takes: its sweep list, or its base value when it is
+/// not swept.
+fn swept_or<'a, T>(values: &'a [T], base: &'a T) -> &'a [T] {
     if values.is_empty() {
-        vec![base]
+        std::slice::from_ref(base)
     } else {
-        values.to_vec()
+        values
     }
 }
 
